@@ -14,7 +14,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from sinklab.engel import orbit_under, sinks  # noqa: E402
+from sinklab.engel import commutator_tail, sinks  # noqa: E402
 from sinklab.families import FamilySpec, build  # noqa: E402
 from sinklab.structure import nilpotent_residual  # noqa: E402
 
@@ -37,17 +37,18 @@ def main() -> int:
         G = build(spec)
         V = nilpotent_residual(G)
         a = G.generators[-1]
-        reports = sinks(G, V.members)
+        sink_of = sinks(G, V.members)
         equal = True
         orbit_sizes = set()
         max_sink = 0
         for v in sorted(V.members):
-            orbit = orbit_under(G, a, v)
+            tail = commutator_tail(G, v, a)
+            orbit = tail.preperiod + tail.cycle
             orbit_sizes.add(len(orbit))
-            report = reports[v]
-            max_sink = max(max_sink, report.size_full)
-            assert all(z in report.sink for z in orbit), "weak inclusion violated"
-            if report.sink.members != set(orbit) | {0}:
+            sink = sink_of[v]
+            max_sink = max(max_sink, len(sink))
+            assert all(z in sink for z in orbit), "weak inclusion violated"
+            if sink.members != set(orbit) | {0}:
                 equal = False
         sizes = ",".join(str(s) for s in sorted(orbit_sizes))
         verdict = "sink == orbit + {e}" if equal else "sink strictly larger"

@@ -10,7 +10,6 @@ from .engel import (
     gamma_values,
     is_left_engel,
     is_right_engel,
-    orbit_under,
     right_engel_sink,
     sink_profile,
     sinks,

@@ -20,6 +20,7 @@ from .report import canonical_json, check_payload, report_envelope, scan_csv, si
 from .specfile import GroupSpec, build_spec, emit_spec, parse_spec_file
 from .structure import fitting_subgroup, is_nilpotent, nilpotency_class, nilpotent_residual
 from .verify import (
+    ORACLE_CAP,
     check_centralizer_power,
     check_heineken,
     check_m1_iff_nilpotent,
@@ -29,7 +30,6 @@ from .verify import (
     theorem_scan,
 )
 
-ORACLE_CAP = 100
 VERIFY_CHECKS = ("heineken", "centralizer_power", "m1_iff_nilpotent", "sink_oracle", "orbit_lemma")
 
 

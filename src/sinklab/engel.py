@@ -1,11 +1,25 @@
-"""Engel calculus on group tables: commutator-iteration tails, minimal right
-Engel sinks, Engel element tests, gamma-k value sets, and commutator orbits.
+"""Engel calculus on group tables: minimal right Engel sinks, Engel element
+tests, commutator tails, and gamma-k value sets.
 
 For fixed x the map c -> [c, x] is a function on a finite set, so iterating
 from any start walks a preperiod and then loops on a cycle. The minimal right
 Engel sink of g is exactly the union over x of those eventual cycles: every
 cycle value recurs at arbitrarily long iteration depths (so any sink must
 contain it), and past the preperiods nothing else ever appears.
+
+Every set-valued Engel question reads from one kernel, ``_landing``. For a
+block of directions it gathers the step maps steps[i, c] = [c, xs[i]] from
+the table and squares them L times with 2^L >= n (pointer jumping), giving
+the landing points land = steps^(2^L). A preperiod is shorter than n, so
+every landing point lies on the cycle its tail ends in. Then x is left Engel
+iff row x of land is all identity, g is right Engel iff column g of land is
+all identity (over every direction), and the sink of g is the union of the
+cycles through column g of land, found by one walk per direction once round
+each cycle.
+
+``commutator_tail`` is the one scalar walk. Recurrence witnesses come only
+from ``right_engel_sink`` (the ``sinklab sink`` command), which builds them
+from one tail per direction.
 """
 
 from __future__ import annotations
@@ -17,6 +31,8 @@ import numpy as np
 
 from .group import ElementSet, GroupTable
 
+BLOCK_ENTRIES = 1 << 22  # table entries gathered per block by every kernel here
+
 
 @dataclass(frozen=True)
 class TailTrace:
@@ -26,13 +42,6 @@ class TailTrace:
     direction: int
     preperiod: tuple[int, ...]
     cycle: tuple[int, ...]  # in iteration order, beginning at the first repeated value
-
-    @property
-    def cycle_set(self) -> frozenset[int]:
-        return frozenset(self.cycle)
-
-    def cycle_elements(self, n: int) -> ElementSet:
-        return ElementSet.of(n, self.cycle)
 
 
 @dataclass(frozen=True)
@@ -65,83 +74,90 @@ def commutator_tail(G: GroupTable, g: int, x: int) -> TailTrace:
     return TailTrace(g, x, tuple(seq[:first]), tuple(seq[first:]))
 
 
-def _tail_on_step(step: list[int], g: int) -> tuple[int, list[int]]:
-    """(preperiod length, full visit sequence) of the walk from g under step."""
-    pos: dict[int, int] = {}
-    seq: list[int] = []
-    c = g
-    while c not in pos:
-        pos[c] = len(seq)
-        seq.append(c)
-        c = step[c]
-    return pos[c], seq
+def _blocks(n: int, width: int) -> Iterable[np.ndarray]:
+    """Consecutive index ranges covering 0..n-1, with rows * width <= BLOCK_ENTRIES."""
+    rows = max(1, BLOCK_ENTRIES // max(width, 1))
+    for lo in range(0, n, rows):
+        yield np.arange(lo, min(n, lo + rows))
 
 
-def step_maps(G: GroupTable) -> Iterable[tuple[int, list[int]]]:
-    """Yield (x, step) where step[c] = [c, x], for every direction x."""
-    for x in range(G.n):
-        yield x, G.comm_step(x).tolist()
+def _comm_grid(G: GroupTable, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """grid[i, j] = [cs[j], xs[i]] = cs[j]^-1 xs[i]^-1 cs[j] xs[i]."""
+    t, inv = G.table, G.inverse
+    u = t[inv[cs][None, :], inv[xs][:, None]]
+    u = t[u, cs[None, :]]
+    return t[u, xs[:, None]]
 
 
-def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> dict[int, SinkReport]:
+def _landing(G: GroupTable, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(steps, land) for the directions xs: steps[i, c] = [c, xs[i]], and
+    land[i, c] is c after 2^L >= n steps, so it lies on its tail's cycle."""
+    steps = _comm_grid(G, xs, np.arange(G.n))
+    row_starts = np.arange(len(xs))[:, None] * G.n  # a flat gather beats take_along_axis
+    land = steps
+    for _ in range((G.n - 1).bit_length()):
+        land = land.ravel()[land + row_starts]
+    return steps, land
+
+
+def _landing_blocks(G: GroupTable) -> Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(xs, steps, land) for blocks of directions covering all of G."""
+    for xs in _blocks(G.n, G.n):
+        yield (xs, *_landing(G, xs))
+
+
+def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> dict[int, ElementSet]:
     """Minimal right Engel sinks for the given elements (default: all of G).
 
-    Directions are shared across base elements, so the per-direction step map
-    is built once. Witnesses record the first direction (in index order) that
-    exhibits each sink value as a recurrent commutator.
+    In each direction the walk from an element's landing point goes once
+    round its cycle; the walks of a block of directions advance together, and
+    a walk drops out when it is back at its landing point.
     """
     targets = sorted(set(G.elements() if elements is None else (int(e) for e in elements)))
     for g in targets:
         G._check(g)
-    acc: dict[int, set[int]] = {g: set() for g in targets}
-    wit: dict[int, dict[int, tuple[int, int]]] = {g: {} for g in targets}
-    for x, step in step_maps(G):
-        for g in targets:
-            first, seq = _tail_on_step(step, g)
-            cyc = seq[first:]
-            bag = acc[g]
-            wg = wit[g]
-            length = len(cyc)
-            for offset, z in enumerate(cyc):
-                if z not in bag:
-                    bag.add(z)
-                    n = first + offset
-                    if n < 1:
-                        n = length
-                    wg[z] = (x, n)
-    out = {}
-    for g in targets:
-        sink = ElementSet.of(G.n, acc[g])
-        full = len(sink)
-        out[g] = SinkReport(
-            g=g,
-            sink=sink,
-            size_full=full,
-            size_nontrivial=full - 1 if 0 in sink else full,
-            witnesses=wit[g],
-        )
-    return out
+    n = G.n
+    found = np.zeros(len(targets) * n, dtype=bool)
+    cols = np.array(targets, dtype=np.intp)
+    for xs, steps, land in _landing_blocks(G):
+        # walk (i, t) reads steps.flat[i * n + c] and sets found.flat[t * n + c]
+        rows, who = np.divmod(np.arange(len(xs) * len(cols)), len(cols))
+        rows, who = rows * n, who * n
+        flat_steps = steps.ravel()
+        start = land[:, cols].ravel()
+        cur = start
+        while len(cur):
+            found[who + cur] = True
+            cur = flat_steps[rows + cur]
+            moving = cur != start
+            rows, who, cur, start = rows[moving], who[moving], cur[moving], start[moving]
+    rows_found = found.reshape(-1, n)
+    return {g: ElementSet.of(n, np.flatnonzero(row).tolist()) for g, row in zip(targets, rows_found)}
 
 
 def right_engel_sink(G: GroupTable, g: int) -> SinkReport:
-    return sinks(G, [g])[g]
+    """Sink of g with witnesses, from commutator_tail in every direction.
+
+    witnesses[z] = (x, n) names the first direction x, in index order, whose
+    cycle holds z, with n the preperiod length plus z's offset in the cycle,
+    or the cycle length when that is 0, so that n >= 1.
+    """
+    G._check(g)
+    witnesses: dict[int, tuple[int, int]] = {}
+    for x in G.elements():
+        tail = commutator_tail(G, g, x)
+        for offset, z in enumerate(tail.cycle):
+            if z not in witnesses:
+                n = len(tail.preperiod) + offset
+                witnesses[z] = (x, n if n >= 1 else len(tail.cycle))
+    sink = ElementSet.of(G.n, witnesses)
+    return SinkReport(g, sink, len(sink), len(sink) - 1, witnesses)
 
 
 def is_right_engel(G: GroupTable, g: int) -> bool:
     """Whether every commutator tail from g ends in the identity."""
     G._check(g)
-    for x in range(1, G.n):
-        step = G.comm_step(x).tolist()
-        pos: dict[int, int] = {}
-        c = g
-        while True:
-            if c == 0:
-                break  # 0 is a fixed point of every step map
-            if c in pos:
-                return False
-            pos[c] = 1
-            c = step[c]
-    return True
+    return not any(land[:, g].any() for _, _, land in _landing_blocks(G))
 
 
 def is_left_engel(G: GroupTable, x: int) -> bool:
@@ -151,26 +167,16 @@ def is_left_engel(G: GroupTable, x: int) -> bool:
     than the fixed point at the identity.
     """
     G._check(x)
-    step = G.comm_step(x).tolist()
-    good = bytearray(G.n)
-    good[0] = 1
-    for start in range(1, G.n):
-        if good[start]:
-            continue
-        onpath: dict[int, int] = {}
-        path: list[int] = []
-        c = start
-        while True:
-            if good[c]:
-                break
-            if c in onpath:
-                return False
-            onpath[c] = len(path)
-            path.append(c)
-            c = step[c]
-        for p in path:
-            good[p] = 1
-    return True
+    _, land = _landing(G, np.array([x]))
+    return not land.any()
+
+
+def left_engel_set(G: GroupTable) -> ElementSet:
+    """The left Engel elements, from one landing pass over all directions."""
+    found: list[int] = []
+    for xs, _, land in _landing_blocks(G):
+        found.extend(xs[~land.any(axis=1)].tolist())
+    return ElementSet.of(G.n, found)
 
 
 def gamma_values(G: GroupTable, k: int) -> ElementSet:
@@ -184,19 +190,11 @@ def gamma_values(G: GroupTable, k: int) -> ElementSet:
     n = G.n
     if k == 1:
         return ElementSet.full(n)
-    table = G.table
-    inv = G.inverse
-    cols = np.arange(n)
     X = np.arange(n)
     for _ in range(k - 1):
         found = np.zeros(n, dtype=bool)
-        block = max(1, (1 << 22) // max(n, 1))
-        for lo in range(0, len(X), block):
-            A = X[lo : lo + block].astype(np.intp)
-            t = table[np.ix_(inv[A], inv)].astype(np.intp)  # a^-1 b^-1
-            t = table[t, A[:, None]]  # (a^-1 b^-1) a
-            t = table[t.astype(np.intp), cols[None, :]]  # ... b
-            found[t.ravel()] = True
+        for gs in _blocks(n, len(X)):
+            found[_comm_grid(G, gs, X)] = True
         nxt = np.flatnonzero(found)
         if np.array_equal(nxt, X):
             break
@@ -208,29 +206,14 @@ def sink_profile(G: GroupTable, k: int) -> tuple[int, int, int]:
     """(max sink size, max identity-free sink size, witnessing element) over
     the weight-k commutator values, with the smallest witnessing index."""
     values = gamma_values(G, k)
-    reports = sinks(G, values)
+    sink_of = sinks(G, values)
     m_full = 0
     m_nontrivial = 0
     argmax = 0
     for g in sorted(values.members):
-        r = reports[g]
-        if r.size_full > m_full:
-            m_full = r.size_full
+        full = len(sink_of[g])  # the identity is in every sink
+        if full > m_full:
+            m_full = full
             argmax = g
-        if r.size_nontrivial > m_nontrivial:
-            m_nontrivial = r.size_nontrivial
+        m_nontrivial = max(m_nontrivial, full - 1)
     return m_full, m_nontrivial, argmax
-
-
-def orbit_under(G: GroupTable, a: int, v: int) -> list[int]:
-    """v, [v,a], [v,a,a], ... up to (excluding) the first repeated value."""
-    G._check(a)
-    G._check(v)
-    seen: set[int] = set()
-    out: list[int] = []
-    c = v
-    while c not in seen:
-        seen.add(c)
-        out.append(c)
-        c = G.comm(c, a)
-    return out

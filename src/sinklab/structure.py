@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engel import is_left_engel
+from .engel import left_engel_set
 from .errors import InternalInconsistency
 from .group import (
     ElementSet,
@@ -88,10 +88,6 @@ def nilpotent_residual(G: GroupTable) -> ElementSet:
     if not is_nilpotent(Q):
         raise InternalInconsistency("quotient by the nilpotent residual is not nilpotent")
     return residual
-
-
-def left_engel_set(G: GroupTable) -> ElementSet:
-    return ElementSet.of(G.n, (x for x in G.elements() if is_left_engel(G, x)))
 
 
 def fitting_subgroup(G: GroupTable) -> ElementSet:

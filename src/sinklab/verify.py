@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .engel import gamma_values, is_left_engel, is_right_engel, orbit_under, sink_profile, sinks
+from .engel import commutator_tail, gamma_values, left_engel_set, sink_profile, sinks
 from .errors import HypothesisFailed
 from .families import FamilySpec, build, component_embedding
 from .group import ElementSet, GroupTable, centralizer, is_subgroup, quotient, subgroup_closure, subgroup_table
@@ -58,6 +58,7 @@ class ScanRow:
 
 
 CSV_COLUMNS = "group,n,k,mFull,mNontrivial,fittingIndex,residualOrder,quotientExponent"
+ORACLE_CAP = 100  # largest order check_sink_oracle accepts
 
 
 def _gid(G: GroupTable) -> str:
@@ -65,13 +66,15 @@ def _gid(G: GroupTable) -> str:
 
 
 def check_heineken(G: GroupTable) -> CheckResult:
-    """Right Engel g implies left Engel g^-1, for every element."""
+    """Right Engel g (its sink is the identity alone) implies left Engel
+    g^-1, for every element."""
+    left_engel = left_engel_set(G)
     right_engel = 0
-    for g in G.elements():
-        if not is_right_engel(G, g):
+    for g, sink in sinks(G).items():
+        if sink.members != {0}:
             continue
         right_engel += 1
-        if not is_left_engel(G, G.inv(g)):
+        if G.inv(g) not in left_engel:
             return CheckResult(
                 "heineken",
                 _gid(G),
@@ -93,11 +96,11 @@ def _factorial_power(G: GroupTable, h: int, m: int) -> int:
 
 def check_centralizer_power(G: GroupTable) -> CheckResult:
     """For m = |sink(g)| and h centralizing g, h^(m!) centralizes sink(g)."""
-    reports = sinks(G)
+    sink_of = sinks(G)
     checked = 0
     for g in G.elements():
-        sink = reports[g].sink
-        m = reports[g].size_full
+        sink = sink_of[g]
+        m = len(sink)
         for h in centralizer(G, [g]):
             hp = _factorial_power(G, h, m)
             for z in sink:
@@ -159,14 +162,15 @@ def check_orbit_lemma(G: GroupTable, V: ElementSet, a: int, k: int) -> CheckResu
         )
 
     a_local = local[a]
-    reports = sinks(H, [local[v] for v in mem])
+    sink_of = sinks(H, [local[v] for v in mem])
     equality = 1
     max_orbit = 0
     for v in mem:
         vl = local[v]
-        orbit = orbit_under(H, a_local, vl)
+        tail = commutator_tail(H, vl, a_local)
+        orbit = tail.preperiod + tail.cycle
         max_orbit = max(max_orbit, len(orbit))
-        sink = reports[vl].sink
+        sink = sink_of[vl]
         if not all(z in sink for z in orbit):
             return CheckResult(
                 "orbit_lemma", _gid(G), False,
@@ -255,18 +259,18 @@ def check_component_sinks(p: int, s: int, order_cap: int = 10_000) -> CheckResul
                     counterexample={"component": i, "n": n, "w_tail": cw, "v_tail": cv},
                     stats={"order": G.n, "s": s},
                 )
-    report = sinks(G, [w])[w]
-    passed = report.size_nontrivial >= s
+    nontrivial = len(sinks(G, [w])[w]) - 1  # the identity is in every sink
+    passed = nontrivial >= s
     result = CheckResult(
         "component_sinks", _gid(G), passed,
-        stats={"order": G.n, "s": s, "sink_nontrivial": report.size_nontrivial},
+        stats={"order": G.n, "s": s, "sink_nontrivial": nontrivial},
     )
     if not passed:
-        result.counterexample = {"w": w, "sink_nontrivial": report.size_nontrivial}
+        result.counterexample = {"w": w, "sink_nontrivial": nontrivial}
     return result
 
 
-def check_sink_oracle(G: GroupTable, cap: int = 100) -> CheckResult:
+def check_sink_oracle(G: GroupTable, cap: int = ORACLE_CAP) -> CheckResult:
     """Cycle-union sinks equal the windowed brute-force recurrent-value sets.
 
     The oracle iterates every (g, x) pair for 3|G| steps with no cycle
@@ -288,15 +292,15 @@ def check_sink_oracle(G: GroupTable, cap: int = 100) -> CheckResult:
             for _ in range(2 * n):
                 c = step[c]
                 seen.add(c)
-    reports = sinks(G)
+    sink_of = sinks(G)
     for g in range(n):
-        if oracle[g] != reports[g].sink.members:
+        if oracle[g] != sink_of[g].members:
             return CheckResult(
                 "sink_oracle", _gid(G), False,
                 counterexample={
                     "g": g,
-                    "oracle_only": sorted(oracle[g] - reports[g].sink.members),
-                    "sink_only": sorted(reports[g].sink.members - oracle[g]),
+                    "oracle_only": sorted(oracle[g] - sink_of[g].members),
+                    "sink_only": sorted(sink_of[g].members - oracle[g]),
                 },
                 stats={"order": n},
             )

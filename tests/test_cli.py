@@ -7,6 +7,7 @@ from sinklab.cli import main, parse_element
 from sinklab.verify import CheckResult
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+SINK_BODIES = Path(__file__).resolve().parent / "data" / "sink_bodies.json"
 
 
 def run(capsys, *argv):
@@ -44,6 +45,20 @@ def test_sink_by_index_and_word(capsys):
     code2, out2, _ = run(capsys, "sink", spec_path("Q8"), "--element", "g0")
     assert code1 == code2 == 0
     assert json.loads(out1)["results"] == json.loads(out2)["results"]
+
+
+def test_sink_bodies_pinned(capsys):
+    """Every element's `sink` result, witnesses included, equals the pinned body.
+
+    Witnesses depend on index order (first direction, then depth), so this
+    guards the witness rule as well as the sink itself.
+    """
+    pinned = json.loads(SINK_BODIES.read_text(encoding="utf-8"))
+    for name, bodies in pinned.items():
+        for index, body in enumerate(bodies):
+            code, out, _ = run(capsys, "sink", spec_path(name), "--element", str(index))
+            assert code == 0
+            assert json.loads(out)["results"] == [body], (name, index)
 
 
 def test_gamma_a5(capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sinklab.engel import (
@@ -5,7 +6,7 @@ from sinklab.engel import (
     gamma_values,
     is_left_engel,
     is_right_engel,
-    orbit_under,
+    left_engel_set,
     right_engel_sink,
     sink_profile,
     sinks,
@@ -78,15 +79,17 @@ def test_sink_examples(s3, d4, q8):
 
 def test_sink_contains_identity(s4, frob732):
     for G in (s4, frob732):
-        for g, report in sinks(G).items():
-            assert 0 in report.sink
+        for g, sink in sinks(G).items():
+            assert 0 in sink
+            report = right_engel_sink(G, g)
+            assert report.sink == sink  # scalar tails agree with the landing-point kernel
             assert report.size_nontrivial == report.size_full - 1
 
 
 def test_sink_witnesses_replay(s4, ie32):
     for G in (s4, ie32):
-        for g, report in sinks(G).items():
-            for z, (x, n) in report.witnesses.items():
+        for g in G.elements():
+            for z, (x, n) in right_engel_sink(G, g).witnesses.items():
                 assert iterate_comm(G, g, x, n) == z
                 # z recurs: some m >= 1 brings the tail back to z
                 c = G.comm(z, x)
@@ -167,26 +170,32 @@ def test_sink_profile(s3, d4, q8, c12, ie32):
     assert sink_profile(ie32, 2)[:2] == (2, 1)
 
 
-def test_orbit_under(ie31, frob732):
-    assert orbit_under(ie31, ie31.generators[-1], 0) == [0]
+def orbit(G, a, v):
+    """v, [v,a], [v,a,a], ... up to (excluding) the first repeated value."""
+    tail = commutator_tail(G, v, a)
+    return list(tail.preperiod + tail.cycle)
+
+
+def test_commutator_orbit(ie31, frob732):
+    assert orbit(ie31, ie31.generators[-1], 0) == [0]
     t = ie31.generators[0]
     alpha = ie31.generators[-1]
-    assert orbit_under(ie31, alpha, t) == [t]
+    assert orbit(ie31, alpha, t) == [t]
     u = frob732.generators[0]
     a = frob732.generators[-1]
-    assert orbit_under(frob732, a, u) == [u]
+    assert orbit(frob732, a, u) == [u]
 
 
 def test_orbit_inclusion_under_lemma_hypotheses(ie32, frob732):
     for G in (ie32, frob732):
         V = nilpotent_residual(G)
         a = G.generators[-1]
-        reports = sinks(G, V.members)
+        sink_of = sinks(G, V.members)
         for v in V:
-            orbit = orbit_under(G, a, v)
-            assert all(z in reports[v].sink for z in orbit)
+            values = orbit(G, a, v)
+            assert all(z in sink_of[v] for z in values)
             if v != 0:
-                assert 0 not in orbit
+                assert 0 not in values
 
 
 def test_sink_monotone_under_quotient(s4, s3, ie32):
@@ -199,10 +208,10 @@ def test_sink_monotone_under_quotient(s4, s3, ie32):
     ]
     for G, N in cases:
         Q, proj = quotient(G, N)
-        q_reports = sinks(Q)
-        for g, report in sinks(G).items():
-            projected = {proj[z] for z in report.sink}
-            assert q_reports[proj[g]].sink.members <= projected
+        q_sinks = sinks(Q)
+        for g, sink in sinks(G).items():
+            projected = {proj[z] for z in sink}
+            assert q_sinks[proj[g]].members <= projected
 
 
 def test_heineken_implication(corpus):
@@ -210,3 +219,25 @@ def test_heineken_implication(corpus):
         for g in G.elements():
             if is_right_engel(G, g):
                 assert is_left_engel(G, G.inv(g))
+
+
+def test_engel_sets_match_iteration_oracle(corpus):
+    """Left and right Engel sets against n-fold iteration of comm_step, with
+    no pointer jumping and no cycle detection: after n steps every tail has
+    left its preperiod, so it ends in the identity iff it sits there."""
+    for group_id, G in corpus:
+        if G.n > 100:
+            continue
+        left, right = set(), set(G.elements())
+        for x in G.elements():
+            step = G.comm_step(x)
+            c = np.arange(G.n)
+            for _ in range(G.n):
+                c = step[c]
+            if not c.any():
+                left.add(x)
+            right -= set(np.flatnonzero(c).tolist())
+        assert left_engel_set(G).members == left, group_id
+        assert {x for x in G.elements() if is_left_engel(G, x)} == left, group_id
+        assert {g for g in G.elements() if is_right_engel(G, g)} == right, group_id
+        assert {g for g, sink in sinks(G).items() if sink.members == {0}} == right, group_id

@@ -3,8 +3,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from sinklab.engel import is_left_engel, is_right_engel, right_engel_sink, sinks
+from sinklab.engel import gamma_values, is_left_engel, is_right_engel, left_engel_set, right_engel_sink, sinks
 from sinklab.group import (
+    GroupTable,
     associativity_audit,
     close_generators,
     is_normal,
@@ -15,6 +16,8 @@ from sinklab.group import (
     validate_table,
 )
 from sinklab.perm import Permutation
+from sinklab.structure import fitting_index
+from sinklab.verify import scan_row
 
 MAX_ORDER = 200
 
@@ -100,8 +103,10 @@ def test_heineken_on_random_groups(G):
 @common
 @given(small_groups())
 def test_sinks_contain_identity_and_witnesses_replay(G):
-    for g, report in sinks(G).items():
-        assert 0 in report.sink
+    for g, sink in sinks(G).items():
+        assert 0 in sink
+        report = right_engel_sink(G, g)
+        assert report.sink == sink
         for z, (x, n) in report.witnesses.items():
             c = g
             for _ in range(n):
@@ -119,3 +124,36 @@ def test_rebuild_from_own_elements(G):
     assert H.n <= G.n
     sub = subgroup_closure(G, range(1, min(G.n, 3)))
     assert H.n == len(sub)
+
+
+def relabel(G, pi):
+    """The same group with element a renamed pi[a]: T'[pi a, pi b] = pi T[a, b]."""
+    table = np.empty_like(G.table)
+    table[np.ix_(pi, pi)] = pi[G.table]
+    inverse = np.empty_like(G.inverse)
+    inverse[pi] = pi[G.inverse]
+    labels = [""] * G.n
+    for a, label in enumerate(G.labels):
+        labels[pi[a]] = label
+    return GroupTable(G.n, table, inverse, labels, [int(pi[g]) for g in G.generators], name=G.name)
+
+
+@common
+@given(small_groups(), st.data())
+def test_relabelling_invariance(G, data):
+    pi = np.array([0] + data.draw(st.permutations(range(1, G.n))), dtype=G.table.dtype)
+    H = relabel(G, pi)
+    validate_table(H)
+
+    def moved(S):
+        return {int(pi[a]) for a in S}
+
+    sink_g, sink_h = sinks(G), sinks(H)
+    for g in G.elements():
+        assert sink_h[int(pi[g])].members == moved(sink_g[g])
+    assert left_engel_set(H).members == moved(left_engel_set(G))
+    right_g = {g for g in G.elements() if is_right_engel(G, g)}
+    assert {h for h in H.elements() if is_right_engel(H, h)} == moved(right_g)
+    assert gamma_values(H, 2).members == moved(gamma_values(G, 2))
+    assert fitting_index(H) == fitting_index(G)
+    assert scan_row(H, "G", 2) == scan_row(G, "G", 2)
