@@ -260,6 +260,14 @@ def cmd_contrast(args) -> int:
     return 0
 
 
+def weight(text: str) -> int:
+    """Argument type for -k: a commutator weight, at least 1."""
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"k must be at least 1, got {k}")
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sinklab",
@@ -283,20 +291,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="weight-k commutator value set")
     p.add_argument("spec")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=weight, required=True)
     add_cap(p)
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("verify", help="run lemma checks against one group")
     p.add_argument("spec")
     p.add_argument("--check", default="all", choices=VERIFY_CHECKS + ("all",))
-    p.add_argument("-k", type=int, default=2, help="weight for gamma-based checks (default 2)")
+    p.add_argument("-k", type=weight, default=2, help="weight for gamma-based checks (default 2)")
     add_cap(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="scan a corpus directory into a CSV table")
     p.add_argument("--corpus", required=True)
-    p.add_argument("-k", type=int, default=2)
+    p.add_argument("-k", type=weight, default=2)
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     add_cap(p)
     p.set_defaults(func=cmd_scan)

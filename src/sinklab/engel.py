@@ -29,9 +29,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .group import ElementSet, GroupTable
-
-BLOCK_ENTRIES = 1 << 22  # table entries gathered per block by every kernel here
+from .group import ElementSet, GroupTable, _blocks, _comm_grid, comm_values
 
 
 @dataclass(frozen=True)
@@ -74,21 +72,6 @@ def commutator_tail(G: GroupTable, g: int, x: int) -> TailTrace:
     return TailTrace(g, x, tuple(seq[:first]), tuple(seq[first:]))
 
 
-def _blocks(n: int, width: int) -> Iterable[np.ndarray]:
-    """Consecutive index ranges covering 0..n-1, with rows * width <= BLOCK_ENTRIES."""
-    rows = max(1, BLOCK_ENTRIES // max(width, 1))
-    for lo in range(0, n, rows):
-        yield np.arange(lo, min(n, lo + rows))
-
-
-def _comm_grid(G: GroupTable, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """grid[i, j] = [cs[j], xs[i]] = cs[j]^-1 xs[i]^-1 cs[j] xs[i]."""
-    t, inv = G.table, G.inverse
-    u = t[inv[cs][None, :], inv[xs][:, None]]
-    u = t[u, cs[None, :]]
-    return t[u, xs[:, None]]
-
-
 def _landing(G: GroupTable, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(steps, land) for the directions xs: steps[i, c] = [c, xs[i]], and
     land[i, c] is c after 2^L >= n steps, so it lies on its tail's cycle."""
@@ -113,12 +96,9 @@ def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> dict[int, 
     round its cycle; the walks of a block of directions advance together, and
     a walk drops out when it is back at its landing point.
     """
-    targets = sorted(set(G.elements() if elements is None else (int(e) for e in elements)))
-    for g in targets:
-        G._check(g)
     n = G.n
-    found = np.zeros(len(targets) * n, dtype=bool)
-    cols = np.array(targets, dtype=np.intp)
+    cols = np.arange(n) if elements is None else np.flatnonzero(ElementSet.of(n, elements).mask)
+    found = np.zeros(len(cols) * n, dtype=bool)
     for xs, steps, land in _landing_blocks(G):
         # walk (i, t) reads steps.flat[i * n + c] and sets found.flat[t * n + c]
         rows, who = np.divmod(np.arange(len(xs) * len(cols)), len(cols))
@@ -131,8 +111,7 @@ def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> dict[int, 
             cur = flat_steps[rows + cur]
             moving = cur != start
             rows, who, cur, start = rows[moving], who[moving], cur[moving], start[moving]
-    rows_found = found.reshape(-1, n)
-    return {g: ElementSet.of(n, np.flatnonzero(row).tolist()) for g, row in zip(targets, rows_found)}
+    return dict(zip(cols.tolist(), map(ElementSet, found.reshape(-1, n))))
 
 
 def right_engel_sink(G: GroupTable, g: int) -> SinkReport:
@@ -173,10 +152,10 @@ def is_left_engel(G: GroupTable, x: int) -> bool:
 
 def left_engel_set(G: GroupTable) -> ElementSet:
     """The left Engel elements, from one landing pass over all directions."""
-    found: list[int] = []
+    found = np.zeros(G.n, dtype=bool)
     for xs, _, land in _landing_blocks(G):
-        found.extend(xs[~land.any(axis=1)].tolist())
-    return ElementSet.of(G.n, found)
+        found[xs] = ~land.any(axis=1)
+    return ElementSet(found)
 
 
 def gamma_values(G: GroupTable, k: int) -> ElementSet:
@@ -187,33 +166,18 @@ def gamma_values(G: GroupTable, k: int) -> ElementSet:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = G.n
-    if k == 1:
-        return ElementSet.full(n)
-    X = np.arange(n)
+    full = X = ElementSet.full(G.n)
     for _ in range(k - 1):
-        found = np.zeros(n, dtype=bool)
-        for gs in _blocks(n, len(X)):
-            found[_comm_grid(G, gs, X)] = True
-        nxt = np.flatnonzero(found)
-        if np.array_equal(nxt, X):
+        nxt = comm_values(G, X, full)
+        if nxt == X:
             break
         X = nxt
-    return ElementSet.of(n, (int(v) for v in X))
+    return X
 
 
 def sink_profile(G: GroupTable, k: int) -> tuple[int, int, int]:
     """(max sink size, max identity-free sink size, witnessing element) over
     the weight-k commutator values, with the smallest witnessing index."""
-    values = gamma_values(G, k)
-    sink_of = sinks(G, values)
-    m_full = 0
-    m_nontrivial = 0
-    argmax = 0
-    for g in sorted(values.members):
-        full = len(sink_of[g])  # the identity is in every sink
-        if full > m_full:
-            m_full = full
-            argmax = g
-        m_nontrivial = max(m_nontrivial, full - 1)
-    return m_full, m_nontrivial, argmax
+    sink_of = sinks(G, gamma_values(G, k))
+    m_full, neg_argmax = max((len(sink), -g) for g, sink in sink_of.items())
+    return m_full, m_full - 1, -neg_argmax  # the identity is in every sink

@@ -4,6 +4,13 @@ Element 0 is always the identity. Commutators are left-normed with the
 convention [a, b] = a^-1 b^-1 a b, and conj(a, b) = b^-1 a b, matching the
 usual b^a notation. Tables are immutable after construction and every
 operation here is a pure function of its inputs.
+
+A subset of a group is an ElementSet: a read-only boolean mask over the
+element indices, with ``members`` a frozenset view derived from it. Every
+subgroup primitive (closure, subgroup and normality tests, normal closure,
+centralizer, quotient, subgroup table) is a table gather over index arrays,
+taken in blocks of at most BLOCK_ENTRIES entries so that memory stays
+bounded at the order cap.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .errors import (
 from .perm import Permutation, format_cycles
 
 DEFAULT_ORDER_CAP = 10_000
+BLOCK_ENTRIES = 1 << 22  # table entries gathered per block by every kernel
 
 
 def _index_dtype(n: int):
@@ -117,41 +125,60 @@ class GroupTable:
         return f"GroupTable(n={self.n}, name={self.name!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElementSet:
-    """A subset of element indices of a group of order n (set semantics)."""
+    """A subset of the elements of a group of order n, as a read-only mask."""
 
-    n: int
-    members: frozenset[int]
+    mask: np.ndarray  # (n,) bool
 
     def __post_init__(self):
-        for i in self.members:
-            if not 0 <= i < self.n:
-                raise IndexOutOfRange(f"member {i} out of range for owner order {self.n}")
+        self.mask.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return len(self.mask)
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(self)
 
     @staticmethod
-    def of(n: int, members: Iterable[int]) -> "ElementSet":
-        return ElementSet(n, frozenset(int(m) for m in members))
+    def of(n: int, members: "ElementSet | Iterable[int]") -> "ElementSet":
+        if isinstance(members, ElementSet):
+            return members
+        idx = np.fromiter(members, dtype=np.int64)
+        bad = idx[(idx < 0) | (idx >= n)]
+        if len(bad):
+            raise IndexOutOfRange(f"member {bad[0]} out of range for owner order {n}")
+        mask = np.zeros(n, dtype=bool)
+        mask[idx] = True
+        return ElementSet(mask)
 
     @staticmethod
     def full(n: int) -> "ElementSet":
-        return ElementSet(n, frozenset(range(n)))
+        return ElementSet(np.ones(n, dtype=bool))
 
     @staticmethod
     def trivial(n: int) -> "ElementSet":
-        return ElementSet(n, frozenset([0]))
+        return ElementSet.of(n, [0])
 
     def __len__(self) -> int:
-        return len(self.members)
+        return int(np.count_nonzero(self.mask))
 
     def __contains__(self, i: int) -> bool:
-        return i in self.members
+        return 0 <= i < self.n and bool(self.mask[i])
 
     def __iter__(self):
-        return iter(sorted(self.members))
+        return iter(np.flatnonzero(self.mask).tolist())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ElementSet) and np.array_equal(self.mask, other.mask)
+
+    def __hash__(self) -> int:
+        return hash(self.mask.tobytes())
 
     def union(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.n, self.members | other.members)
+        return ElementSet(self.mask | other.mask)
 
 
 @dataclass(frozen=True)
@@ -276,60 +303,108 @@ def close_generators(
     return G
 
 
-def subgroup_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> ElementSet:
-    """Smallest subgroup of G containing the seed elements."""
-    start = set(seed.members if isinstance(seed, ElementSet) else (int(s) for s in seed))
-    if not start:
-        raise NotASubgroup("cannot close an empty set")
-    for s in start:
-        G._check(s)
-    members = {0} | start
-    frontier = list(members)
-    gens = sorted(start)
+def _blocks(n: int, width: int) -> Iterable[np.ndarray]:
+    """Consecutive index ranges covering 0..n-1, with rows * width <= BLOCK_ENTRIES."""
+    rows = max(1, BLOCK_ENTRIES // max(width, 1))
+    for lo in range(0, n, rows):
+        yield np.arange(lo, min(n, lo + rows))
+
+
+def _product_grid(G: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """grid[i, j] = xs[i] * ys[j]."""
+    return G.table[xs[:, None], ys[None, :]]
+
+
+def _conj_grid(G: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """grid[i, j] = xs[i]^ys[j] = ys[j]^-1 xs[i] ys[j]."""
     t = G.table
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                p = int(t[a, g])
-                if p not in members:
-                    members.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return ElementSet.of(G.n, members)
+    return t[t[G.inverse[ys][None, :], xs[:, None]], ys[None, :]]
+
+
+def _comm_grid(G: GroupTable, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """grid[i, j] = [cs[j], xs[i]] = cs[j]^-1 xs[i]^-1 cs[j] xs[i]."""
+    t, inv = G.table, G.inverse
+    u = t[inv[cs][None, :], inv[xs][:, None]]
+    u = t[u, cs[None, :]]
+    return t[u, xs[:, None]]
+
+
+def _values(G: GroupTable, grid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of grid(G, xs, ys), gathered in blocks of xs."""
+    found = np.zeros(G.n, dtype=bool)
+    for rows in _blocks(len(xs), len(ys)):
+        found[grid(G, xs[rows], ys)] = True
+    return found
+
+
+def _row_minima(G: GroupTable, grid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Row minima of grid(G, xs, ys), gathered in blocks of xs."""
+    return np.concatenate([grid(G, xs[rows], ys).min(axis=1) for rows in _blocks(len(xs), len(ys))])
+
+
+def comm_values(G: GroupTable, left: ElementSet, right: ElementSet) -> ElementSet:
+    """The commutator values {[x, g] : x in left, g in right} (not a subgroup)."""
+    return ElementSet(_values(G, _comm_grid, np.flatnonzero(right.mask), np.flatnonzero(left.mask)))
+
+
+def subgroup_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> ElementSet:
+    """Smallest subgroup of G containing the seed elements, grown breadth
+    first by right products with the seeds, one gather per round."""
+    members = ElementSet.of(G.n, seed).mask.copy()
+    gens = np.flatnonzero(members)
+    if not len(gens):
+        raise NotASubgroup("cannot close an empty set")
+    members[0] = True
+    frontier = np.flatnonzero(members)
+    while len(frontier):
+        new = _values(G, _product_grid, frontier, gens) & ~members
+        members |= new
+        frontier = np.flatnonzero(new)
+    return ElementSet(members)
 
 
 def is_subgroup(G: GroupTable, S: ElementSet) -> bool:
-    if 0 not in S.members:
-        return False
-    mem = S.members
-    t = G.table
-    return all(int(t[a, b]) in mem for a in mem for b in mem)
+    mem = np.flatnonzero(S.mask)
+    return 0 in S and bool(S.mask[_values(G, _product_grid, mem, mem)].all())
 
 
 def is_normal(G: GroupTable, H: ElementSet) -> bool:
     """Whether the subgroup H is closed under conjugation by all of G."""
     if not is_subgroup(G, H):
         raise NotASubgroup("is_normal requires a subgroup")
-    mem = H.members
-    return all(G.conj(h, g) in mem for h in mem for g in range(G.n))
+    return bool(H.mask[_values(G, _conj_grid, np.flatnonzero(H.mask), np.arange(G.n))].all())
 
 
 def normal_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> ElementSet:
     """Smallest normal subgroup of G containing the seed elements."""
-    start = set(seed.members if isinstance(seed, ElementSet) else (int(s) for s in seed))
-    conjugates = {G.conj(s, g) for s in start for g in range(G.n)}
-    return subgroup_closure(G, conjugates | start)
+    seeds = np.flatnonzero(ElementSet.of(G.n, seed).mask)
+    return subgroup_closure(G, ElementSet(_values(G, _conj_grid, seeds, np.arange(G.n))))
 
 
 def centralizer(G: GroupTable, S: ElementSet | Iterable[int]) -> ElementSet:
-    members = set(S.members if isinstance(S, ElementSet) else (int(s) for s in S))
-    out = [x for x in range(G.n) if all(G.commute(x, s) for s in members)]
-    return ElementSet.of(G.n, out)
+    """Elements x with x s = s x for every s in S."""
+    ss = np.flatnonzero(ElementSet.of(G.n, S).mask)
+    found = np.zeros(G.n, dtype=bool)
+    for xs in _blocks(G.n, len(ss)):
+        found[xs] = (_product_grid(G, xs, ss) == _product_grid(G, ss, xs).T).all(axis=1)
+    return ElementSet(found)
 
 
 def center(G: GroupTable) -> ElementSet:
     return centralizer(G, ElementSet.full(G.n))
+
+
+def class_representatives(G: GroupTable) -> list[int]:
+    """The least element of each conjugacy class, ascending."""
+    return np.unique(_row_minima(G, _conj_grid, np.arange(G.n), np.arange(G.n))).tolist()
+
+
+def _induced_table(G: GroupTable, elems: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """table[i, j] = local[elems[i] * elems[j]], gathered in blocks of rows."""
+    table = np.empty((len(elems), len(elems)), dtype=_index_dtype(len(elems)))
+    for rows in _blocks(len(elems), len(elems)):
+        table[rows] = local[_product_grid(G, elems[rows], elems)]
+    return table
 
 
 def quotient(G: GroupTable, N: ElementSet) -> tuple[GroupTable, list[int]]:
@@ -342,42 +417,18 @@ def quotient(G: GroupTable, N: ElementSet) -> tuple[GroupTable, list[int]]:
         raise NotASubgroup("quotient requires a subgroup")
     if not is_normal(G, N):
         raise NotNormal("quotient requires a normal subgroup")
-    t = G.table
-    nmem = sorted(N.members)
-    canon: list[int] = [-1] * G.n
-    reps: list[int] = []
-    projection: list[int] = [-1] * G.n
-    for a in range(G.n):
-        if canon[a] >= 0:
-            continue
-        ci = len(reps)
-        reps.append(a)
-        for m in nmem:
-            e = int(t[a, m])
-            canon[e] = a
-            projection[e] = ci
-    q = len(reps)
-    dtype = _index_dtype(q)
-    qtable = np.empty((q, q), dtype=dtype)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            qtable[i, j] = projection[int(t[a, b])]
-    qinv = np.array([projection[G.inv(a)] for a in reps], dtype=dtype)
-    gen_indices = []
-    for g in G.generators:
-        gi = projection[g]
-        if gi != 0 and gi not in gen_indices:
-            gen_indices.append(gi)
+    minima = _row_minima(G, _product_grid, np.arange(G.n), np.flatnonzero(N.mask))
+    reps, projection = np.unique(minima, return_inverse=True)
     Q = GroupTable(
-        n=q,
-        table=qtable,
-        inverse=qinv,
+        n=len(reps),
+        table=_induced_table(G, reps, projection),
+        inverse=projection[G.inverse[reps]].astype(_index_dtype(len(reps))),
         labels=[G.labels[a] for a in reps],
-        generators=gen_indices,
+        generators=list(dict.fromkeys(int(projection[g]) for g in G.generators if projection[g])),
         name=f"{G.name}/N" if G.name else "",
     )
     validate_table(Q)
-    return Q, projection
+    return Q, projection.tolist()
 
 
 def _pair_labels(A: GroupTable, B: GroupTable) -> list[str]:
@@ -474,36 +525,22 @@ def subgroup_table(G: GroupTable, S: ElementSet) -> tuple[GroupTable, list[int]]
     embedding[i] is the G-index of the subgroup's element i. Elements keep
     ascending G-index order, so 0 stays the identity.
     """
-    mem = sorted(S.members)
-    local = {g: i for i, g in enumerate(mem)}
-    m = len(mem)
-    dtype = _index_dtype(m)
-    table = np.empty((m, m), dtype=dtype)
-    try:
-        for i, a in enumerate(mem):
-            row = G.table[a]
-            for j, b in enumerate(mem):
-                table[i, j] = local[int(row[b])]
-        inverse = np.array([local[G.inv(a)] for a in mem], dtype=dtype)
-    except KeyError:
-        raise NotASubgroup("set is not closed under multiplication") from None
-    # greedy generating set: lowest-index elements outside the running closure
+    if not is_subgroup(G, S):
+        raise NotASubgroup("set is not closed under multiplication")
+    mem = np.flatnonzero(S.mask)
+    local = np.cumsum(S.mask) - 1  # local[g] is g's subgroup index for g in S
     sub = GroupTable(
-        n=m,
-        table=table,
-        inverse=inverse,
+        n=len(mem),
+        table=_induced_table(G, mem, local),
+        inverse=local[G.inverse[mem]].astype(_index_dtype(len(mem))),
         labels=[G.labels[a] for a in mem],
         generators=[],
         name=f"{G.name}<sub>" if G.name else "",
     )
-    gens: list[int] = []
-    covered = {0}
-    for i in range(m):
-        if i not in covered:
-            gens.append(i)
-            covered = set(subgroup_closure(sub, gens).members)
-            if len(covered) == m:
-                break
-    sub.generators = gens
+    # greedy generating set: lowest-index elements outside the running closure
+    covered = ElementSet.trivial(sub.n)
+    while len(covered) < sub.n:
+        sub.generators.append(int(np.argmin(covered.mask)))
+        covered = subgroup_closure(sub, sub.generators)
     validate_table(sub)
-    return sub, mem
+    return sub, mem.tolist()

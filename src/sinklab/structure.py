@@ -16,6 +16,8 @@ from .errors import InternalInconsistency
 from .group import (
     ElementSet,
     GroupTable,
+    class_representatives,
+    comm_values,
     is_normal,
     is_subgroup,
     normal_closure,
@@ -36,27 +38,17 @@ class SeriesReport:
         return self.terms[-1]
 
 
-def _comm_values(G: GroupTable, left: ElementSet, right: ElementSet) -> set[int]:
-    return {G.comm(x, g) for x in left.members for g in right.members}
-
-
 def derived_subgroup(G: GroupTable) -> ElementSet:
     full = ElementSet.full(G.n)
-    return subgroup_closure(G, _comm_values(G, full, full))
+    return subgroup_closure(G, comm_values(G, full, full))
 
 
 def _series(G: GroupTable, kind: str) -> SeriesReport:
-    terms = [ElementSet.full(G.n)]
-    while True:
+    full = ElementSet.full(G.n)
+    terms = [full]
+    while len(terms) < 2 or terms[-1] != terms[-2]:
         cur = terms[-1]
-        if kind == "lower_central":
-            vals = _comm_values(G, cur, ElementSet.full(G.n))
-        else:
-            vals = _comm_values(G, cur, cur)
-        nxt = subgroup_closure(G, vals | {0})
-        terms.append(nxt)
-        if nxt.members == cur.members:
-            break
+        terms.append(subgroup_closure(G, comm_values(G, cur, full if kind == "lower_central" else cur)))
     return SeriesReport(kind=kind, terms=tuple(terms), stable=True)
 
 
@@ -111,10 +103,10 @@ def fitting_maximality_check(G: GroupTable) -> bool:
     """Certify maximality: adjoining the normal closure of any outside element
     to the Fitting subgroup must break nilpotency."""
     F = fitting_subgroup(G)
-    for x in G.elements():
+    for x in class_representatives(G):  # F is normal, so a class lies in F or outside it
         if x in F:
             continue
-        extended = subgroup_closure(G, F.members | normal_closure(G, [x]).members)
+        extended = subgroup_closure(G, F.union(normal_closure(G, [x])))
         sub, _ = subgroup_table(G, extended)
         if is_nilpotent(sub):
             return False
@@ -123,13 +115,14 @@ def fitting_maximality_check(G: GroupTable) -> bool:
 
 def fitting_via_normal_closures(G: GroupTable) -> ElementSet:
     """Independent Fitting construction: product of all nilpotent normal
-    closures of single elements. Used to cross-check the Baer route."""
-    pieces: set[int] = {0}
-    for x in G.elements():
+    closures of single elements, one per conjugacy class since the closure
+    depends only on the class. Used to cross-check the Baer route."""
+    pieces = ElementSet.trivial(G.n)
+    for x in class_representatives(G):
         ncl = normal_closure(G, [x])
         sub, _ = subgroup_table(G, ncl)
         if is_nilpotent(sub):
-            pieces |= ncl.members
+            pieces = pieces.union(ncl)
     return subgroup_closure(G, pieces)
 
 
@@ -140,18 +133,9 @@ def normal_subgroups(G: GroupTable) -> list[ElementSet]:
     so closing the atoms under pairwise join enumerates the whole lattice.
     Intended for small groups; cost grows with the lattice size.
     """
-    atoms = {frozenset([0])}
-    for x in range(1, G.n):
-        atoms.add(normal_closure(G, [x]).members)
-    found = set(atoms)
-    frontier = set(atoms)
+    atoms = {normal_closure(G, [x]) for x in class_representatives(G)}  # x = 0 gives the trivial one
+    found, frontier = set(atoms), set(atoms)
     while frontier:
-        fresh: set[frozenset[int]] = set()
-        for a in frontier:
-            for b in atoms:
-                j = subgroup_closure(G, a | b).members
-                if j not in found:
-                    found.add(j)
-                    fresh.add(j)
-        frontier = fresh
-    return [ElementSet(G.n, m) for m in sorted(found, key=lambda m: (len(m), sorted(m)))]
+        frontier = {subgroup_closure(G, a.union(b)) for a in frontier for b in atoms} - found
+        found |= frontier
+    return sorted(found, key=lambda N: (len(N), list(N)))

@@ -7,7 +7,8 @@ from sinklab.cli import main, parse_element
 from sinklab.verify import CheckResult
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
-SINK_BODIES = Path(__file__).resolve().parent / "data" / "sink_bodies.json"
+DATA_DIR = Path(__file__).resolve().parent / "data"
+SINK_BODIES = DATA_DIR / "sink_bodies.json"
 
 
 def run(capsys, *argv):
@@ -158,6 +159,7 @@ def test_scan_deterministic(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text(encoding="utf-8").splitlines()[0]
     assert header == "group,n,k,mFull,mNontrivial,fittingIndex,residualOrder,quotientExponent"
+    assert out1.read_bytes() == (DATA_DIR / "scan_k2.csv").read_bytes()
 
 
 def test_scan_collects_build_errors(capsys, tmp_path):
@@ -177,6 +179,26 @@ def test_contrast_table(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 4
     assert lines[1].startswith("inversion_extension_3_1,6,2,2,1,2,3,2")
+    _, out, _ = run(capsys, "contrast", "-p", "3", "--ranks", "1..5")
+    assert out == (DATA_DIR / "contrast_p3_1_5.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", spec_path("S3"), "-k", "0"],
+        ["verify", spec_path("S3"), "-k", "0"],
+        ["scan", "--corpus", str(CORPUS_DIR), "-k", "0"],
+    ],
+    ids=["gamma", "verify", "scan"],
+)
+def test_weight_below_one_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "k must be at least 1" in captured.err
+    assert captured.out == ""
 
 
 def test_report_bodies_reproducible(capsys):

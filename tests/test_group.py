@@ -104,6 +104,23 @@ def test_index_out_of_range(s3):
         s3.inv(-1)
 
 
+def test_element_set_surface():
+    S = ElementSet.of(6, [4, 0, 2, 4])
+    assert S.n == 6 and len(S) == 3
+    assert list(S) == [0, 2, 4] and S.members == {0, 2, 4}
+    assert 2 in S and 3 not in S and 6 not in S and -1 not in S
+    assert S == ElementSet.of(6, (4, 2, 0)) and hash(S) == hash(ElementSet.of(6, (4, 2, 0)))
+    assert S != ElementSet.of(7, [0, 2, 4])
+    assert S.union(ElementSet.trivial(6)) == S and len(ElementSet.full(6)) == 6
+    assert ElementSet.of(6, S) is S
+    with pytest.raises(ValueError):
+        S.mask[1] = True  # the mask is read-only
+    with pytest.raises(IndexOutOfRange):
+        ElementSet.of(6, [0, 6])
+    with pytest.raises(IndexOutOfRange):
+        ElementSet.of(6, [-1])
+
+
 def test_subgroup_closure_examples(s3, s4):
     assert subgroup_closure(s3, [0]).members == {0}
     rot = s3.labels.index("(1 2 3)")

@@ -78,6 +78,16 @@ def test_quotient_homomorphism(G, data):
     a = data.draw(st.integers(min_value=0, max_value=G.n - 1))
     b = data.draw(st.integers(min_value=0, max_value=G.n - 1))
     assert proj[G.mul(a, b)] == Q.mul(proj[a], proj[b])
+    # reference: scan elements in index order; each one not yet placed opens
+    # the next coset, so cosets are numbered by ascending least element
+    reps, ref = [], [-1] * G.n
+    for r in G.elements():
+        if ref[r] < 0:
+            for m in N:
+                ref[G.mul(r, m)] = len(reps)
+            reps.append(r)
+    assert proj == ref
+    assert all(Q.mul(i, j) == ref[G.mul(r, s)] for i, r in enumerate(reps) for j, s in enumerate(reps))
 
 
 @common
