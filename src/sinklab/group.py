@@ -3,14 +3,16 @@
 Element 0 is always the identity. Commutators are left-normed with the
 convention [a, b] = a^-1 b^-1 a b, and conj(a, b) = b^-1 a b, matching the
 usual b^a notation. Tables are immutable after construction and every
-operation here is a pure function of its inputs.
+operation here is a pure function of its inputs. Each table is certified
+once, where it is made: the GroupTable constructor runs validate_table.
 
 A subset of a group is an ElementSet: a read-only boolean mask over the
 element indices, with ``members`` a frozenset view derived from it. Every
 subgroup primitive (closure, subgroup and normality tests, normal closure,
 centralizer, quotient, subgroup table) is a table gather over index arrays,
 taken in blocks of at most BLOCK_ENTRIES entries so that memory stays
-bounded at the order cap.
+bounded at the order cap. Every primitive passes its sets through
+ElementSet.of, directly or via is_subgroup, which rejects wrong-order sets.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ class GroupTable:
     def __post_init__(self):
         self.table.setflags(write=False)
         self.inverse.setflags(write=False)
+        validate_table(self)
 
     @property
     def identity(self) -> int:
@@ -145,6 +148,8 @@ class ElementSet:
     @staticmethod
     def of(n: int, members: "ElementSet | Iterable[int]") -> "ElementSet":
         if isinstance(members, ElementSet):
+            if members.n != n:
+                raise IndexOutOfRange(f"set over {members.n} elements used in a group of order {n}")
             return members
         idx = np.fromiter(members, dtype=np.int64)
         bad = idx[(idx < 0) | (idx >= n)]
@@ -290,7 +295,7 @@ def close_generators(
         gi = index[g.image]
         if gi not in gen_indices:
             gen_indices.append(gi)
-    G = GroupTable(
+    return GroupTable(
         n=n,
         table=table,
         inverse=inverse,
@@ -299,8 +304,6 @@ def close_generators(
         perms=elems,
         name=name,
     )
-    validate_table(G)
-    return G
 
 
 def _blocks(n: int, width: int) -> Iterable[np.ndarray]:
@@ -344,7 +347,9 @@ def _row_minima(G: GroupTable, grid, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
 
 def comm_values(G: GroupTable, left: ElementSet, right: ElementSet) -> ElementSet:
     """The commutator values {[x, g] : x in left, g in right} (not a subgroup)."""
-    return ElementSet(_values(G, _comm_grid, np.flatnonzero(right.mask), np.flatnonzero(left.mask)))
+    xs = np.flatnonzero(ElementSet.of(G.n, left).mask)
+    gs = np.flatnonzero(ElementSet.of(G.n, right).mask)
+    return ElementSet(_values(G, _comm_grid, gs, xs))
 
 
 def subgroup_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> ElementSet:
@@ -364,6 +369,7 @@ def subgroup_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> Element
 
 
 def is_subgroup(G: GroupTable, S: ElementSet) -> bool:
+    S = ElementSet.of(G.n, S)
     mem = np.flatnonzero(S.mask)
     return 0 in S and bool(S.mask[_values(G, _product_grid, mem, mem)].all())
 
@@ -413,9 +419,7 @@ def quotient(G: GroupTable, N: ElementSet) -> tuple[GroupTable, list[int]]:
     Cosets are indexed by ascending minimal representative, so the identity
     coset is 0 and the result is deterministic.
     """
-    if not is_subgroup(G, N):
-        raise NotASubgroup("quotient requires a subgroup")
-    if not is_normal(G, N):
+    if not is_normal(G, N):  # raises NotASubgroup unless N is a subgroup
         raise NotNormal("quotient requires a normal subgroup")
     minima = _row_minima(G, _product_grid, np.arange(G.n), np.flatnonzero(N.mask))
     reps, projection = np.unique(minima, return_inverse=True)
@@ -427,7 +431,6 @@ def quotient(G: GroupTable, N: ElementSet) -> tuple[GroupTable, list[int]]:
         generators=list(dict.fromkeys(int(projection[g]) for g in G.generators if projection[g])),
         name=f"{G.name}/N" if G.name else "",
     )
-    validate_table(Q)
     return Q, projection.tolist()
 
 
@@ -447,7 +450,7 @@ def direct_product(A: GroupTable, B: GroupTable, order_cap: int = DEFAULT_ORDER_
     table = (part_a + part_b).astype(dtype)
     inverse = (A.inverse[ai].astype(np.int64) * B.n + B.inverse[bi]).astype(dtype)
     gens = [g * B.n for g in A.generators] + [int(g) for g in B.generators]
-    G = GroupTable(
+    return GroupTable(
         n=n,
         table=table,
         inverse=inverse,
@@ -455,8 +458,6 @@ def direct_product(A: GroupTable, B: GroupTable, order_cap: int = DEFAULT_ORDER_
         generators=gens,
         name=f"{A.name}x{B.name}" if A.name and B.name else "",
     )
-    validate_table(G)
-    return G
 
 
 def semidirect_product(
@@ -507,7 +508,7 @@ def semidirect_product(
     ninv = act[hi.astype(np.int64), N.inverse[ai].astype(np.int64)]
     inverse = (ninv * H.n + hinv).astype(dtype)
     gens = [a * H.n for a in N.generators] + [int(h) for h in H.generators]
-    G = GroupTable(
+    return GroupTable(
         n=n,
         table=table,
         inverse=inverse,
@@ -515,8 +516,6 @@ def semidirect_product(
         generators=gens,
         name=f"{N.name}:{H.name}" if N.name and H.name else "",
     )
-    validate_table(G)
-    return G
 
 
 def subgroup_table(G: GroupTable, S: ElementSet) -> tuple[GroupTable, list[int]]:
@@ -542,5 +541,4 @@ def subgroup_table(G: GroupTable, S: ElementSet) -> tuple[GroupTable, list[int]]
     while len(covered) < sub.n:
         sub.generators.append(int(np.argmin(covered.mask)))
         covered = subgroup_closure(sub, sub.generators)
-    validate_table(sub)
     return sub, mem.tolist()

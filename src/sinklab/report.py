@@ -15,6 +15,12 @@ from .engel import SinkReport
 from .group import GroupTable
 from .verify import CSV_COLUMNS, CheckResult, ScanRow
 
+# Counterexample keys whose values are element indices; only these get labels.
+ELEMENT_KEYS = frozenset({
+    "argmax", "fixed_point", "g", "g_inverse", "h", "h_power", "not_a_value",
+    "v", "v_not_gamma_value", "v_tail", "w", "w_tail", "z",
+})
+
 
 def canonical_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -58,13 +64,10 @@ def check_payload(G: GroupTable | None, result: CheckResult) -> dict:
     else:
         ce = dict(sorted(result.counterexample.items()))
         if G is not None:
-            labelled = {}
-            for key, value in ce.items():
-                if isinstance(value, int) and key not in ("k", "m", "n", "s") and 0 <= value < G.n:
-                    labelled[key] = {"index": value, "label": G.labels[value]}
-                else:
-                    labelled[key] = value
-            ce = labelled
+            ce = {
+                key: {"index": value, "label": G.labels[value]} if key in ELEMENT_KEYS else value
+                for key, value in ce.items()
+            }
         payload["counterexample"] = ce
     return payload
 

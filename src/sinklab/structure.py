@@ -3,8 +3,9 @@ nilpotency, the nilpotent residual, and the Fitting subgroup.
 
 The Fitting subgroup is computed by Baer's criterion: in a finite group the
 left Engel elements form exactly the largest normal nilpotent subgroup. The
-result is then certified (subgroup, normal, nilpotent) and can be
-cross-checked against an independent construction from normal closures.
+result is certified once, in fitting_subgroup (subgroup, normal, nilpotent),
+and can be cross-checked against an independent construction from normal
+closures. is_nilpotent(G, S) reads S's lower central series in G's table.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .group import (
     normal_closure,
     quotient,
     subgroup_closure,
-    subgroup_table,
 )
 
 
@@ -43,12 +43,12 @@ def derived_subgroup(G: GroupTable) -> ElementSet:
     return subgroup_closure(G, comm_values(G, full, full))
 
 
-def _series(G: GroupTable, kind: str) -> SeriesReport:
-    full = ElementSet.full(G.n)
-    terms = [full]
+def _series(G: GroupTable, kind: str, S: ElementSet | None = None) -> SeriesReport:
+    S = ElementSet.full(G.n) if S is None else ElementSet.of(G.n, S)
+    terms = [S]
     while len(terms) < 2 or terms[-1] != terms[-2]:
         cur = terms[-1]
-        terms.append(subgroup_closure(G, comm_values(G, cur, full if kind == "lower_central" else cur)))
+        terms.append(subgroup_closure(G, comm_values(G, cur, S if kind == "lower_central" else cur)))
     return SeriesReport(kind=kind, terms=tuple(terms), stable=True)
 
 
@@ -60,8 +60,9 @@ def derived_series(G: GroupTable) -> SeriesReport:
     return _series(G, "derived")
 
 
-def is_nilpotent(G: GroupTable) -> bool:
-    return len(lower_central_series(G).last) == 1
+def is_nilpotent(G: GroupTable, S: ElementSet | None = None) -> bool:
+    """Whether the subgroup S (default G) is nilpotent, by its own lower central series in G."""
+    return len(_series(G, "lower_central", S).last) == 1
 
 
 def nilpotency_class(G: GroupTable) -> int | None:
@@ -89,8 +90,7 @@ def fitting_subgroup(G: GroupTable) -> ElementSet:
         raise InternalInconsistency("left Engel set is not closed under multiplication")
     if not is_normal(G, F):
         raise InternalInconsistency("left Engel set is not normal")
-    sub, _ = subgroup_table(G, F)
-    if not is_nilpotent(sub):
+    if not is_nilpotent(G, F):
         raise InternalInconsistency("left Engel set is not nilpotent")
     return F
 
@@ -106,9 +106,7 @@ def fitting_maximality_check(G: GroupTable) -> bool:
     for x in class_representatives(G):  # F is normal, so a class lies in F or outside it
         if x in F:
             continue
-        extended = subgroup_closure(G, F.union(normal_closure(G, [x])))
-        sub, _ = subgroup_table(G, extended)
-        if is_nilpotent(sub):
+        if is_nilpotent(G, subgroup_closure(G, F.union(normal_closure(G, [x])))):
             return False
     return True
 
@@ -120,8 +118,7 @@ def fitting_via_normal_closures(G: GroupTable) -> ElementSet:
     pieces = ElementSet.trivial(G.n)
     for x in class_representatives(G):
         ncl = normal_closure(G, [x])
-        sub, _ = subgroup_table(G, ncl)
-        if is_nilpotent(sub):
+        if is_nilpotent(G, ncl):
             pieces = pieces.union(ncl)
     return subgroup_closure(G, pieces)
 

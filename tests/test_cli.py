@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from sinklab.cli import main, parse_element
+from sinklab.report import check_payload
 from sinklab.verify import CheckResult
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -107,6 +108,20 @@ def test_verify_failed_check_exits_one(capsys, monkeypatch):
     result = json.loads(out)["results"][0]
     assert result["passed"] is False
     assert result["counterexample"]["g"]["index"] == 1
+
+
+def test_counterexample_labels_only_elements(s3):
+    def counterexample(**ce):
+        return check_payload(s3, CheckResult("check", "S3", False, counterexample=ce))["counterexample"]
+
+    ce = counterexample(m_full=2, nilpotent=0, argmax=1)
+    assert ce["m_full"] == 2 and ce["nilpotent"] == 0
+    assert ce["argmax"] == {"index": 1, "label": s3.labels[1]}
+    ce = counterexample(v=2, identity_in_orbit=1)
+    assert ce["identity_in_orbit"] == 1 and ce["v"]["label"] == s3.labels[2]
+    ce = counterexample(component=1, n=2, w_tail=0, v_tail=0)
+    assert ce["component"] == 1 and ce["n"] == 2 and ce["w_tail"]["label"] == "e"
+    assert counterexample(w=3, sink_nontrivial=1)["sink_nontrivial"] == 1
 
 
 def test_parse_error_exit_two_names_line(capsys, tmp_path):

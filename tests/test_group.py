@@ -13,11 +13,13 @@ from sinklab.errors import (
 from sinklab.families import FamilySpec, build
 from sinklab.group import (
     ElementSet,
+    GroupTable,
     Word,
     associativity_audit,
     center,
     centralizer,
     close_generators,
+    comm_values,
     direct_product,
     is_normal,
     is_subgroup,
@@ -119,6 +121,43 @@ def test_element_set_surface():
         ElementSet.of(6, [0, 6])
     with pytest.raises(IndexOutOfRange):
         ElementSet.of(6, [-1])
+
+
+def test_wrong_order_sets_rejected(s3):
+    full = ElementSet.full(s3.n)
+    for S in (ElementSet.full(s3.n + 1), ElementSet.full(s3.n - 1)):
+        with pytest.raises(IndexOutOfRange):
+            ElementSet.of(s3.n, S)
+        for primitive in (is_subgroup, is_normal, quotient, subgroup_table):
+            with pytest.raises(IndexOutOfRange):
+                primitive(s3, S)
+        for left, right in ((S, full), (full, S)):
+            with pytest.raises(IndexOutOfRange):
+                comm_values(s3, left, right)
+
+
+def test_table_certified_at_construction(s3):
+    """Each broken table fails one law of validate_table, run by the constructor."""
+    t, inv, n = s3.table, s3.inverse, s3.n
+    rows_broken = t.copy()
+    rows_broken[:, 1] = t[:, 2]  # columns stay permutations, rows repeat a value
+    cols_broken = t.copy()
+    cols_broken[1] = t[2]  # rows stay permutations, columns repeat a value
+    pi = np.array([1, 0] + list(range(2, n)), dtype=t.dtype)  # the identity becomes element 1
+    moved, moved_inv = np.empty_like(t), np.empty_like(inv)
+    moved[np.ix_(pi, pi)] = pi[t]
+    moved_inv[pi] = pi[inv]
+    cases = [
+        (rows_broken, inv, "Latin square"),
+        (cols_broken, inv, "Latin square"),
+        (moved, moved_inv, "identity law"),
+        (t.copy(), np.arange(n, dtype=inv.dtype), "inverse law"),  # 3-cycles are not involutions
+        (t[:, :-1].copy(), inv, "shape"),
+    ]
+    for table, inverse, law in cases:
+        with pytest.raises(InvalidPermutation, match=law):
+            GroupTable(n, table, inverse.copy(), list(s3.labels), list(s3.generators))
+    assert GroupTable(n, t.copy(), inv.copy(), list(s3.labels), list(s3.generators)).n == n
 
 
 def test_subgroup_closure_examples(s3, s4):

@@ -13,10 +13,11 @@ from sinklab.group import (
     normal_closure,
     quotient,
     subgroup_closure,
+    subgroup_table,
     validate_table,
 )
 from sinklab.perm import Permutation
-from sinklab.structure import fitting_index
+from sinklab.structure import fitting_index, is_nilpotent
 from sinklab.verify import scan_row
 
 MAX_ORDER = 200
@@ -58,6 +59,7 @@ def test_subgroup_closure_is_subgroup(G, data):
     S = subgroup_closure(G, seed)
     assert is_subgroup(G, S)
     assert subgroup_closure(G, S).members == S.members
+    assert is_nilpotent(G, S) == is_nilpotent(subgroup_table(G, S)[0])
 
 
 @common

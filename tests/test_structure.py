@@ -49,6 +49,19 @@ def test_nilpotency(c12, q8, d4, s3):
     assert not is_nilpotent(s3) and nilpotency_class(s3) is None
 
 
+def test_nilpotency_of_a_subgroup_in_g(s4):
+    def closure(*labels):
+        return subgroup_closure(s4, [s4.labels.index(x) for x in labels])
+
+    v4 = closure("(1 2)(3 4)", "(1 3)(2 4)")
+    sylow2 = closure("(1 2 3 4)", "(1 3)")  # dihedral of order 8, not normal
+    s3 = closure("(1 2 3)", "(1 2)")
+    a4 = derived_subgroup(s4)
+    expected = [(v4, True), (sylow2, True), (s3, False), (a4, False)]
+    for S, nilpotent in expected:
+        assert is_nilpotent(s4, S) == nilpotent == is_nilpotent(subgroup_table(s4, S)[0])
+
+
 def test_d4_series_reaches_identity(d4):
     assert len(lower_central_series(d4).last) == 1
 

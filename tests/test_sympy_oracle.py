@@ -37,7 +37,9 @@ def assert_matches_sympy(G, elements):
     assert is_nilpotent(G) == P.is_nilpotent
     assert len(center(G)) == P.center().order()
     for x in elements:
-        assert len(normal_closure(G, [x])) == P.normal_closure(sym(G.perms[x])).order()
+        ours, theirs = normal_closure(G, [x]), P.normal_closure(sym(G.perms[x]))
+        assert len(ours) == theirs.order()
+        assert is_nilpotent(G, ours) == theirs.is_nilpotent
 
 
 @st.composite
