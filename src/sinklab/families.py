@@ -16,31 +16,6 @@ from .errors import InvalidParameters
 from .group import DEFAULT_ORDER_CAP, GroupTable, close_generators, direct_product, semidirect_product
 from .perm import Permutation
 
-FAMILY_NAMES = (
-    "cyclic",
-    "elementary_abelian",
-    "dihedral",
-    "symmetric",
-    "alternating",
-    "quaternion8",
-    "inversion_extension",
-    "frobenius",
-    "direct_power",
-)
-
-# parameter count per family (direct_power takes a count plus a base spec)
-_ARITY = {
-    "cyclic": 1,
-    "elementary_abelian": 2,
-    "dihedral": 1,
-    "symmetric": 1,
-    "alternating": 1,
-    "quaternion8": 0,
-    "inversion_extension": 2,
-    "frobenius": 3,
-}
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     family: str
@@ -86,8 +61,9 @@ def validate(spec: FamilySpec) -> None:
         return
     if spec.base is not None:
         raise InvalidParameters(f"{fam} does not take a base family")
-    if len(p) != _ARITY[fam]:
-        raise InvalidParameters(f"{fam} takes {_ARITY[fam]} parameter(s), got {len(p)}")
+    arity = _FAMILIES[fam][0]
+    if len(p) != arity:
+        raise InvalidParameters(f"{fam} takes {arity} parameter(s), got {len(p)}")
     if fam == "cyclic" and p[0] < 1:
         raise InvalidParameters(f"cyclic order must be >= 1, got {p[0]}")
     if fam == "elementary_abelian":
@@ -185,35 +161,34 @@ def _frobenius(p: int, q: int, t: int, cap: int) -> GroupTable:
     return G
 
 
+# name -> (parameter count, builder taking the parameters and the order cap);
+# direct_power takes a count plus a base spec and is folded in build
+_FAMILIES = {
+    "cyclic": (1, _cyclic),
+    "elementary_abelian": (2, _elementary_abelian),
+    "dihedral": (1, _dihedral),
+    "symmetric": (1, _symmetric),
+    "alternating": (1, _alternating),
+    "quaternion8": (0, _quaternion8),
+    "inversion_extension": (2, _inversion_extension),
+    "frobenius": (3, _frobenius),
+}
+FAMILY_NAMES = (*_FAMILIES, "direct_power")
+
+
 def build(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Build the group described by a validated family spec."""
     validate(spec)
-    fam, p = spec.family, spec.params
-    if fam == "cyclic":
-        return _cyclic(p[0], order_cap)
-    if fam == "elementary_abelian":
-        return _elementary_abelian(p[0], p[1], order_cap)
-    if fam == "dihedral":
-        return _dihedral(p[0], order_cap)
-    if fam == "symmetric":
-        return _symmetric(p[0], order_cap)
-    if fam == "alternating":
-        return _alternating(p[0], order_cap)
-    if fam == "quaternion8":
-        return _quaternion8(order_cap)
-    if fam == "inversion_extension":
-        return _inversion_extension(p[0], p[1], order_cap)
-    if fam == "frobenius":
-        return _frobenius(p[0], p[1], p[2], order_cap)
-    if fam == "direct_power":
-        base = build(spec.base, order_cap)
-        G = base
-        for _ in range(p[0] - 1):
-            G = direct_product(G, base, order_cap)
-        if p[0] > 1:
-            G.name = f"({base.name})^{p[0]}"
-        return G
-    raise InvalidParameters(f"unknown family {fam!r}")
+    if spec.family != "direct_power":
+        return _FAMILIES[spec.family][1](*spec.params, order_cap)
+    count = spec.params[0]
+    base = build(spec.base, order_cap)
+    G = base
+    for _ in range(count - 1):
+        G = direct_product(G, base, order_cap)
+    if count > 1:
+        G.name = f"({base.name})^{count}"
+    return G
 
 
 def component_embedding(factor_order: int, count: int, component: int) -> int:

@@ -13,6 +13,11 @@ centralizer, quotient, subgroup table) is a table gather over index arrays,
 taken in blocks of at most BLOCK_ENTRIES entries so that memory stays
 bounded at the order cap. Every primitive passes its sets through
 ElementSet.of, directly or via is_subgroup, which rejects wrong-order sets.
+
+Product tables come from one builder, semidirect_product, which checks the
+order cap before anything else and fills the table in row blocks of the
+same size, in the table's own dtype; direct_product is its trivial-action
+case.
 """
 
 from __future__ import annotations
@@ -183,7 +188,7 @@ class ElementSet:
         return hash(self.mask.tobytes())
 
     def union(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.mask | other.mask)
+        return ElementSet(self.mask | ElementSet.of(self.n, other).mask)
 
 
 @dataclass(frozen=True)
@@ -434,30 +439,12 @@ def quotient(G: GroupTable, N: ElementSet) -> tuple[GroupTable, list[int]]:
     return Q, projection.tolist()
 
 
-def _pair_labels(A: GroupTable, B: GroupTable) -> list[str]:
-    return [f"({la} {lb})" for la in A.labels for lb in B.labels]
-
-
 def direct_product(A: GroupTable, B: GroupTable, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """Direct product with pairs ordered A-major: index (a, b) = a*|B| + b."""
-    n = A.n * B.n
-    if n > order_cap:
-        raise CapExceeded(f"product order {n} exceeds cap {order_cap}")
-    dtype = _index_dtype(n)
-    ai, bi = np.divmod(np.arange(n), B.n)
-    part_a = A.table[np.ix_(ai, ai)].astype(np.int64) * B.n
-    part_b = B.table[np.ix_(bi, bi)].astype(np.int64)
-    table = (part_a + part_b).astype(dtype)
-    inverse = (A.inverse[ai].astype(np.int64) * B.n + B.inverse[bi]).astype(dtype)
-    gens = [g * B.n for g in A.generators] + [int(g) for g in B.generators]
-    return GroupTable(
-        n=n,
-        table=table,
-        inverse=inverse,
-        labels=_pair_labels(A, B),
-        generators=gens,
-        name=f"{A.name}x{B.name}" if A.name and B.name else "",
-    )
+    """Direct product A x B: the semidirect product with the trivial action,
+    so pairs are ordered A-major: index (a, b) = a*|B| + b."""
+    G = semidirect_product(A, B, [range(A.n)] * B.n, order_cap)
+    G.name = f"{A.name}x{B.name}" if A.name and B.name else ""
+    return G
 
 
 def semidirect_product(
@@ -471,10 +458,14 @@ def semidirect_product(
     action[h] is the permutation of N-indices induced by h. Composition reads
     left-to-right, consistent with the permutation convention: action[h1*h2]
     must equal action[h1] followed by action[h2]. In the product, conjugation
-    by (0, h) then moves N exactly as action[h]. Both the automorphism and
-    homomorphism conditions are verified. Pairs are ordered N-major:
-    index (a, h) = a*|H| + h, so the identity (0, 0) is element 0.
+    by (0, h) then moves N exactly as action[h]. The order cap is checked
+    first, then the automorphism and homomorphism conditions. Pairs are
+    ordered N-major: index (a, h) = a*|H| + h, so the identity (0, 0) is
+    element 0. The table is filled in blocks of rows, in its own dtype.
     """
+    n = N.n * H.n
+    if n > order_cap:
+        raise CapExceeded(f"product order {n} exceeds cap {order_cap}")
     if len(action) != H.n:
         raise NotAHomomorphism(f"action has {len(action)} entries for |H| = {H.n}")
     act = np.array(action, dtype=np.int64)
@@ -483,37 +474,37 @@ def semidirect_product(
     sorted_rows = np.sort(act, axis=1)
     if not np.array_equal(sorted_rows, np.broadcast_to(np.arange(N.n), (H.n, N.n))):
         raise NotAnAutomorphism("action entries must be bijections on N")
-    nt = N.table.astype(np.int64)
-    for h in range(H.n):
-        ah = act[h]
-        if not np.array_equal(ah[nt], nt[np.ix_(ah, ah)]):
-            raise NotAnAutomorphism(f"action of h={h} does not preserve N's multiplication")
-    for h1 in range(H.n):
-        for h2 in range(H.n):
-            if not np.array_equal(act[H.mul(h1, h2)], act[h2][act[h1]]):
-                raise NotAHomomorphism(
-                    f"action[h1*h2] != action[h1]-then-action[h2] for h1={h1}, h2={h2}"
-                )
+    for hs in _blocks(H.n, N.n * N.n):
+        a = act[hs]  # bad[i]: a[i](x*y) != a[i](x) * a[i](y) for some x, y
+        bad = (a[:, N.table] != N.table[a[:, :, None], a[:, None, :]]).any(axis=(1, 2))
+        if bad.any():
+            raise NotAnAutomorphism(f"action of h={hs[bad.argmax()]} does not preserve N's multiplication")
+    for h1 in _blocks(H.n, H.n * N.n):
+        # bad[i, h2]: action[h1*h2] != action[h2] applied after action[h1]
+        bad = (act[H.table[h1]] != act[np.arange(H.n)[:, None], act[h1][:, None, :]]).any(axis=2)
+        if bad.any():
+            i, h2 = np.argwhere(bad)[0]
+            raise NotAHomomorphism(
+                f"action[h1*h2] != action[h1]-then-action[h2] for h1={h1[i]}, h2={h2}"
+            )
 
-    n = N.n * H.n
-    if n > order_cap:
-        raise CapExceeded(f"product order {n} exceeds cap {order_cap}")
-    dtype = _index_dtype(n)
     ai, hi = np.divmod(np.arange(n), H.n)
     hinv = H.inverse[hi].astype(np.int64)
-    # (a1, h1)(a2, h2) = (a1 * act[h1^-1](a2), h1 h2), so that a2^(0,h) = act[h](a2)
-    twisted = act[np.ix_(hinv, ai)]  # twisted[i, j] = act[h_i^-1](a_j)
-    na = nt[ai[:, None], twisted]
-    table = (na * H.n + H.table[np.ix_(hi, hi)].astype(np.int64)).astype(dtype)
-    ninv = act[hi.astype(np.int64), N.inverse[ai].astype(np.int64)]
-    inverse = (ninv * H.n + hinv).astype(dtype)
-    gens = [a * H.n for a in N.generators] + [int(h) for h in H.generators]
+    nflat = N.table.ravel()
+    table = np.empty((n, n), dtype=_index_dtype(n))
+    for rows in _blocks(n, n):
+        # (a1, h1)(a2, h2) = (a1 * act[h1^-1](a2), h1 h2), so that a2^(0,h) = act[h](a2).
+        # Row i as an |N| x |H| grid: na[i, a2] * |H| + H.table[h_i, h2].
+        na = nflat[ai[rows, None] * N.n + act[hinv[rows]]].astype(np.int64)
+        grid = na[:, :, None] * H.n + H.table[hi[rows]][:, None, :]
+        table[rows] = grid.reshape(len(rows), n)
+    inverse = act[hi, N.inverse[ai]] * H.n + hinv
     return GroupTable(
         n=n,
         table=table,
-        inverse=inverse,
-        labels=_pair_labels(N, H),
-        generators=gens,
+        inverse=inverse.astype(table.dtype),
+        labels=[f"({la} {lh})" for la in N.labels for lh in H.labels],
+        generators=[a * H.n for a in N.generators] + [int(h) for h in H.generators],
         name=f"{N.name}:{H.name}" if N.name and H.name else "",
     )
 

@@ -1,10 +1,15 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sinklab.errors import InvalidParameters
 from sinklab.families import FamilySpec, build, component_embedding, validate
 from sinklab.group import center, subgroup_closure
+from sinklab.specfile import parse_spec_text
 from sinklab.structure import nilpotent_residual
 
 
@@ -85,6 +90,26 @@ def test_direct_power():
     S3sq = build(FamilySpec("direct_power", (2,), base=FamilySpec("symmetric", (3,))))
     assert S3sq.n == 36
     assert len(center(S3sq)) == 1
+
+
+PRODUCT_DIGESTS = Path(__file__).resolve().parent / "data" / "product_digests.json"
+
+
+def test_product_builds_pinned():
+    """Product and semidirect-product builds match their pinned tables,
+    inverses, labels, generators and names."""
+    for text, want in json.loads(PRODUCT_DIGESTS.read_text(encoding="utf-8")).items():
+        G = build(parse_spec_text(f"group construct {text}\n").family)
+        got = {
+            "order": G.n,
+            "dtype": str(G.table.dtype),
+            "table_sha256": hashlib.sha256(np.ascontiguousarray(G.table)).hexdigest(),
+            "inverse_sha256": hashlib.sha256(np.ascontiguousarray(G.inverse)).hexdigest(),
+            "labels": G.labels,
+            "generators": G.generators,
+            "name": G.name,
+        }
+        assert got == want, text
 
 
 def test_component_embedding_commutes_with_mul():

@@ -128,6 +128,8 @@ def test_wrong_order_sets_rejected(s3):
     for S in (ElementSet.full(s3.n + 1), ElementSet.full(s3.n - 1)):
         with pytest.raises(IndexOutOfRange):
             ElementSet.of(s3.n, S)
+        with pytest.raises(IndexOutOfRange):
+            full.union(S)
         for primitive in (is_subgroup, is_normal, quotient, subgroup_table):
             with pytest.raises(IndexOutOfRange):
                 primitive(s3, S)
@@ -258,6 +260,17 @@ def test_semidirect_inversion_is_s3_shaped(s3):
     )
 
 
+def assert_pair_formula(G, N, H, action):
+    """Every entry of G against (a1 * act[h1^-1](a2), h1 h2), element by element."""
+    for x in range(G.n):
+        a1, h1 = divmod(x, H.n)
+        assert G.inv(x) == action[h1][N.inv(a1)] * H.n + H.inv(h1)
+        for y in range(G.n):
+            a2, h2 = divmod(y, H.n)
+            expected = N.mul(a1, action[H.inv(h1)][a2]) * H.n + H.mul(h1, h2)
+            assert G.mul(x, y) == expected, (x, y)
+
+
 def test_semidirect_identity_action_equals_direct_product():
     c4 = build(FamilySpec("cyclic", (4,)))
     c3 = build(FamilySpec("cyclic", (3,)))
@@ -266,6 +279,24 @@ def test_semidirect_identity_action_equals_direct_product():
     dp = direct_product(c4, c3)
     assert np.array_equal(sd.table, dp.table)
     assert np.array_equal(sd.inverse, dp.inverse)
+    assert_pair_formula(dp, c4, c3, ident_action)
+    assert dp.labels == [f"({a} {h})" for a in c4.labels for h in c3.labels]
+    assert dp.generators == [a * 3 for a in c4.generators] + c3.generators
+    assert (dp.name, sd.name) == ("C4xC3", "C4:C3")
+    c7 = build(FamilySpec("cyclic", (7,)))
+    action = [[(k * pow(2, j, 7)) % 7 for k in range(7)] for j in range(3)]
+    assert_pair_formula(semidirect_product(c7, c3, action), c7, c3, action)
+
+
+def test_product_cap_checked_first():
+    c4 = build(FamilySpec("cyclic", (4,)))
+    c2 = build(FamilySpec("cyclic", (2,)))
+    swap_non_auto = [0, 2, 1, 3]
+    with pytest.raises(CapExceeded, match="product order 8 exceeds cap 7"):
+        semidirect_product(c4, c2, [list(range(4)), swap_non_auto], order_cap=7)
+    with pytest.raises(CapExceeded):
+        direct_product(c4, c2, order_cap=7)
+    assert direct_product(c4, c2, order_cap=8).n == 8
 
 
 def test_semidirect_conjugation_matches_action():
@@ -292,7 +323,7 @@ def test_semidirect_rejects_non_homomorphism():
     inversion = [int(v) for v in c3.inverse]
     # order-4 h acting by inversion twice would need action[2] = identity
     bad = [list(range(3)), inversion, inversion, inversion]
-    with pytest.raises(NotAHomomorphism):
+    with pytest.raises(NotAHomomorphism, match="h1=1, h2=1"):
         semidirect_product(c3, c4, bad)
 
 
