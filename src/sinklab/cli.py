@@ -18,7 +18,7 @@ from .group import DEFAULT_ORDER_CAP, GroupTable, Word
 from .perm import parse_cycles
 from .report import canonical_json, check_payload, report_envelope, scan_csv, sink_payload
 from .specfile import GroupSpec, build_spec, emit_spec, parse_spec_file
-from .structure import fitting_subgroup, is_nilpotent, nilpotency_class, nilpotent_residual
+from .structure import fitting_subgroup, nilpotency_class, nilpotent_residual
 from .verify import (
     ORACLE_CAP,
     check_centralizer_power,
@@ -113,12 +113,13 @@ def cmd_build(args) -> int:
     started = time.perf_counter()
     spec, G = _load(args)
     F = fitting_subgroup(G)
+    cls = nilpotency_class(G)
     summary = {
         "group": spec.display_name(),
         "order": G.n,
         "exponent": G.exponent(),
-        "nilpotent": is_nilpotent(G),
-        "nilpotency_class": nilpotency_class(G),
+        "nilpotent": cls is not None,
+        "nilpotency_class": cls,
         "fitting_index": G.n // len(F),
     }
     _emit(report_envelope("build", emit_spec(spec), [summary], (time.perf_counter() - started) * 1e3), sys.stdout)

@@ -15,11 +15,12 @@ every landing point lies on the cycle its tail ends in. Then x is left Engel
 iff row x of land is all identity, g is right Engel iff column g of land is
 all identity (over every direction), and the sink of g is the union of the
 cycles through column g of land, found by one walk per direction once round
-each cycle.
+each cycle. Conjugation is an automorphism, so sink(g^h) = sink(g)^h: left
+Engel, sink sizes and the value sets are class invariants, which
+left_engel_set, gamma_values and sink_profile compute on class minima only.
 
 ``commutator_tail`` is the one scalar walk. Recurrence witnesses come only
-from ``right_engel_sink`` (the ``sinklab sink`` command), which builds them
-from one tail per direction.
+from ``right_engel_sink`` (``sinklab sink``), one tail per direction.
 """
 
 from __future__ import annotations
@@ -151,18 +152,20 @@ def is_left_engel(G: GroupTable, x: int) -> bool:
 
 
 def left_engel_set(G: GroupTable) -> ElementSet:
-    """The left Engel elements, from one landing pass over all directions."""
+    """The left Engel elements, from one landing pass over the class minima."""
+    reps = np.flatnonzero(G.class_labels == np.arange(G.n))
     found = np.zeros(G.n, dtype=bool)
-    for xs, _, land in _landing_blocks(G):
-        found[xs] = ~land.any(axis=1)
-    return ElementSet(found)
+    for rows in _blocks(len(reps), G.n):
+        found[reps[rows]] = ~_landing(G, reps[rows])[1].any(axis=1)
+    return ElementSet(found[G.class_labels])
 
 
 def gamma_values(G: GroupTable, k: int) -> ElementSet:
     """Left-normed commutator values of weight k: X1 = G, X_{i+1} = {[x, g]}.
 
-    These are word values, not subgroup closures. Stops early once the value
-    set stabilizes, since the recurrence is then constant.
+    These are word values, not subgroup closures, and unions of classes, so
+    comm_values takes them from class minima. Stops early once the value set
+    stabilizes, since the recurrence is then constant.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -178,6 +181,7 @@ def gamma_values(G: GroupTable, k: int) -> ElementSet:
 def sink_profile(G: GroupTable, k: int) -> tuple[int, int, int]:
     """(max sink size, max identity-free sink size, witnessing element) over
     the weight-k commutator values, with the smallest witnessing index."""
-    sink_of = sinks(G, gamma_values(G, k))
+    minima = gamma_values(G, k).mask & (G.class_labels == np.arange(G.n))  # the least witness is one
+    sink_of = sinks(G, ElementSet(minima))
     m_full, neg_argmax = max((len(sink), -g) for g, sink in sink_of.items())
     return m_full, m_full - 1, -neg_argmax  # the identity is in every sink

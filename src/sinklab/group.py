@@ -7,12 +7,19 @@ operation here is a pure function of its inputs. Each table is certified
 once, where it is made: the GroupTable constructor runs validate_table.
 
 A subset of a group is an ElementSet: a read-only boolean mask over the
-element indices, with ``members`` a frozenset view derived from it. Every
-subgroup primitive (closure, subgroup and normality tests, normal closure,
-centralizer, quotient, subgroup table) is a table gather over index arrays,
-taken in blocks of at most BLOCK_ENTRIES entries so that memory stays
-bounded at the order cap. Every primitive passes its sets through
-ElementSet.of, directly or via is_subgroup, which rejects wrong-order sets.
+element indices, with ``members`` a frozenset view derived from it. Subgroup
+primitives are table gathers over index arrays in blocks of at most
+BLOCK_ENTRIES entries, so memory stays bounded at the order cap, and pass
+their sets through ElementSet.of, which rejects wrong-order sets.
+
+GroupTable.class_labels, made on first use and kept, maps each element to
+the least element of its conjugacy class: min-label propagation over
+conjugation by the generators, with pointer jumping (lab = lab[lab]). The
+generators are not trusted: their orbits refine the classes, and by
+Burnside's lemma there are (commuting pairs) / n classes, so equal counts
+certify the labels; the pairs are counted as sum |orbit| * |C(orbit minimum)|.
+Normality is then H.mask == H.mask[label], normal closure closes the seeds'
+classes, and comm_values of two class unions starts from class minima.
 
 Product tables come from one builder, semidirect_product, which checks the
 order cap before anything else and fills the table in row blocks of the
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -128,6 +135,24 @@ class GroupTable:
         u = t[inv, inv[x]]  # c^-1 x^-1
         u = t[u, np.arange(self.n)]  # (c^-1 x^-1) c
         return t[u, x]
+
+    @cached_property
+    def class_labels(self) -> np.ndarray:
+        """label[c] is the least element of c's conjugacy class (see the module docstring)."""
+        n, t, idx = self.n, self.table, np.arange(self.n)
+        gens = np.asarray(self.generators, dtype=np.int64)[:, None]
+        conj = t[t[self.inverse[gens], idx], gens]  # conj[i, c] = c^generators[i]
+        lab, prev = idx, -1
+        while (lab != prev).any():
+            prev, lab = lab, np.minimum(lab, lab[conj].min(axis=0, initial=n))
+            lab = lab[lab]
+        reps, orbit = np.flatnonzero(lab == idx), np.bincount(lab)  # |C(c)| is constant on orbits
+        blocks = (reps[b] for b in _blocks(len(reps), n))
+        commuting = sum(np.count_nonzero(t[r] == t[:, r].T, axis=1) @ orbit[r] for r in blocks)
+        if len(reps) * n != commuting:
+            raise InvalidPermutation("conjugation by the generators does not give the conjugacy classes")
+        lab.setflags(write=False)
+        return lab
 
     def __repr__(self) -> str:
         return f"GroupTable(n={self.n}, name={self.name!r})"
@@ -323,12 +348,6 @@ def _product_grid(G: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return G.table[xs[:, None], ys[None, :]]
 
 
-def _conj_grid(G: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """grid[i, j] = xs[i]^ys[j] = ys[j]^-1 xs[i] ys[j]."""
-    t = G.table
-    return t[t[G.inverse[ys][None, :], xs[:, None]], ys[None, :]]
-
-
 def _comm_grid(G: GroupTable, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """grid[i, j] = [cs[j], xs[i]] = cs[j]^-1 xs[i]^-1 cs[j] xs[i]."""
     t, inv = G.table, G.inverse
@@ -345,16 +364,16 @@ def _values(G: GroupTable, grid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return found
 
 
-def _row_minima(G: GroupTable, grid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Row minima of grid(G, xs, ys), gathered in blocks of xs."""
-    return np.concatenate([grid(G, xs[rows], ys).min(axis=1) for rows in _blocks(len(xs), len(ys))])
-
-
 def comm_values(G: GroupTable, left: ElementSet, right: ElementSet) -> ElementSet:
-    """The commutator values {[x, g] : x in left, g in right} (not a subgroup)."""
-    xs = np.flatnonzero(ElementSet.of(G.n, left).mask)
-    gs = np.flatnonzero(ElementSet.of(G.n, right).mask)
-    return ElementSet(_values(G, _comm_grid, gs, xs))
+    """The commutator values {[x, g] : x in left, g in right} (not a subgroup).
+
+    When left and right are unions of classes, so is the value set, since
+    [x, g]^h = [x^h, g^h]: it is spread from the class minima of left."""
+    lab, lm, rm = G.class_labels, ElementSet.of(G.n, left).mask, ElementSet.of(G.n, right).mask
+    if (lm ^ lm[lab]).any() or (rm ^ rm[lab]).any():
+        return ElementSet(_values(G, _comm_grid, np.flatnonzero(rm), np.flatnonzero(lm)))
+    minima = np.flatnonzero(lm & (lab == np.arange(G.n)))
+    return classes_meeting(G, ElementSet(_values(G, _comm_grid, np.flatnonzero(rm), minima)))
 
 
 def subgroup_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> ElementSet:
@@ -380,16 +399,15 @@ def is_subgroup(G: GroupTable, S: ElementSet) -> bool:
 
 
 def is_normal(G: GroupTable, H: ElementSet) -> bool:
-    """Whether the subgroup H is closed under conjugation by all of G."""
+    """Whether the subgroup H is a union of conjugacy classes."""
     if not is_subgroup(G, H):
         raise NotASubgroup("is_normal requires a subgroup")
-    return bool(H.mask[_values(G, _conj_grid, np.flatnonzero(H.mask), np.arange(G.n))].all())
+    return not (H.mask ^ H.mask[G.class_labels]).any()
 
 
 def normal_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> ElementSet:
     """Smallest normal subgroup of G containing the seed elements."""
-    seeds = np.flatnonzero(ElementSet.of(G.n, seed).mask)
-    return subgroup_closure(G, ElementSet(_values(G, _conj_grid, seeds, np.arange(G.n))))
+    return subgroup_closure(G, classes_meeting(G, ElementSet.of(G.n, seed)))
 
 
 def centralizer(G: GroupTable, S: ElementSet | Iterable[int]) -> ElementSet:
@@ -407,7 +425,13 @@ def center(G: GroupTable) -> ElementSet:
 
 def class_representatives(G: GroupTable) -> list[int]:
     """The least element of each conjugacy class, ascending."""
-    return np.unique(_row_minima(G, _conj_grid, np.arange(G.n), np.arange(G.n))).tolist()
+    return np.unique(G.class_labels).tolist()
+
+
+def classes_meeting(G: GroupTable, S: ElementSet) -> ElementSet:
+    """The union of the conjugacy classes that meet S."""
+    lab = G.class_labels
+    return ElementSet(np.bincount(lab[ElementSet.of(G.n, S).mask], minlength=G.n)[lab] > 0)
 
 
 def _induced_table(G: GroupTable, elems: np.ndarray, local: np.ndarray) -> np.ndarray:
@@ -426,7 +450,8 @@ def quotient(G: GroupTable, N: ElementSet) -> tuple[GroupTable, list[int]]:
     """
     if not is_normal(G, N):  # raises NotASubgroup unless N is a subgroup
         raise NotNormal("quotient requires a normal subgroup")
-    minima = _row_minima(G, _product_grid, np.arange(G.n), np.flatnonzero(N.mask))
+    ns = np.flatnonzero(N.mask)
+    minima = np.concatenate([_product_grid(G, xs, ns).min(axis=1) for xs in _blocks(G.n, len(ns))])
     reps, projection = np.unique(minima, return_inverse=True)
     Q = GroupTable(
         n=len(reps),
@@ -468,9 +493,9 @@ def semidirect_product(
         raise CapExceeded(f"product order {n} exceeds cap {order_cap}")
     if len(action) != H.n:
         raise NotAHomomorphism(f"action has {len(action)} entries for |H| = {H.n}")
-    act = np.array(action, dtype=np.int64)
-    if act.shape != (H.n, N.n):
+    if any(len(a) != N.n for a in action):
         raise NotAnAutomorphism("each action entry must be a permutation of N's indices")
+    act = np.array(action, dtype=np.int64)
     sorted_rows = np.sort(act, axis=1)
     if not np.array_equal(sorted_rows, np.broadcast_to(np.arange(N.n), (H.n, N.n))):
         raise NotAnAutomorphism("action entries must be bijections on N")

@@ -6,6 +6,7 @@ left Engel elements form exactly the largest normal nilpotent subgroup. The
 result is certified once, in fitting_subgroup (subgroup, normal, nilpotent),
 and can be cross-checked against an independent construction from normal
 closures. is_nilpotent(G, S) reads S's lower central series in G's table.
+When S is normal, so is every term, and comm_values uses class minima.
 """
 
 from __future__ import annotations

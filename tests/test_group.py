@@ -192,6 +192,39 @@ def test_is_normal(s3):
         is_normal(s3, ElementSet.of(s3.n, [1, 2]))
 
 
+def test_comm_values_of_sets_that_are_not_class_unions(s3):
+    """[x, g] for x in S3 and g = (1 2 3) is never (1 2 3) itself, so this
+    value set is not a union of classes and must not be spread to one."""
+    full, c = ElementSet.full(s3.n), s3.labels.index("(1 2 3)")
+    assert comm_values(s3, full, [c]).members == {0, s3.labels.index("(1 3 2)")}
+    assert comm_values(s3, [c], full).members == {0, c}
+
+
+def test_class_labels_lazy_and_read_only(s4):
+    G = build(FamilySpec("symmetric", (4,)))
+    assert "class_labels" not in vars(G)  # the constructor does not pay for them
+    labels = G.class_labels
+    assert G.class_labels is labels
+    assert not labels.flags.writeable
+    assert np.array_equal(labels, s4.class_labels)
+    assert sorted(np.bincount(labels)[np.unique(labels)]) == [1, 3, 6, 6, 8]
+
+
+def test_class_labels_certified_without_trusting_generators(s4):
+    """A table whose generators do not generate G gives finer orbits than the
+    classes; the Burnside count rejects them rather than answer wrongly."""
+    g = s4.generators[:1]
+    bad = GroupTable(s4.n, s4.table.copy(), s4.inverse.copy(), list(s4.labels), list(g))
+    with pytest.raises(InvalidPermutation, match="conjugacy classes"):
+        bad.class_labels
+    H = subgroup_closure(s4, g)  # invariant under conjugation by g, yet not normal in S4
+    assert not is_normal(s4, H)
+    with pytest.raises(InvalidPermutation):
+        is_normal(bad, H)
+    with pytest.raises(InvalidPermutation):
+        normal_closure(bad, g)
+
+
 def test_normal_closure_minimal_small(s3, s4, corpus):
     from sinklab.structure import normal_subgroups
 
@@ -315,6 +348,14 @@ def test_semidirect_rejects_non_automorphism():
     swap_non_auto = [0, 2, 1, 3]  # swaps an order-4 element with the involution
     with pytest.raises(NotAnAutomorphism):
         semidirect_product(c4, c2, [list(range(4)), swap_non_auto])
+
+
+def test_semidirect_rejects_ragged_action():
+    c4 = build(FamilySpec("cyclic", (4,)))
+    c2 = build(FamilySpec("cyclic", (2,)))
+    for entry in ([0, 1, 2], [0, 1, 2, 3, 0]):
+        with pytest.raises(NotAnAutomorphism, match="permutation of N's indices"):
+            semidirect_product(c4, c2, [range(4), entry])
 
 
 def test_semidirect_rejects_non_homomorphism():

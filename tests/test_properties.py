@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from sinklab.engel import gamma_values, is_left_engel, is_right_engel, left_engel_set, right_engel_sink, sinks
 from sinklab.group import (
+    ElementSet,
     GroupTable,
     associativity_audit,
     close_generators,
+    comm_values,
     is_normal,
     is_subgroup,
     normal_closure,
@@ -17,7 +19,7 @@ from sinklab.group import (
     validate_table,
 )
 from sinklab.perm import Permutation
-from sinklab.structure import fitting_index, is_nilpotent
+from sinklab.structure import derived_series, fitting_index, is_nilpotent, lower_central_series
 from sinklab.verify import scan_row
 
 MAX_ORDER = 200
@@ -60,6 +62,22 @@ def test_subgroup_closure_is_subgroup(G, data):
     assert is_subgroup(G, S)
     assert subgroup_closure(G, S).members == S.members
     assert is_nilpotent(G, S) == is_nilpotent(subgroup_table(G, S)[0])
+
+
+@common
+@given(small_groups(), st.data())
+def test_comm_values_match_brute_force(G, data):
+    """Unions of classes take the class-minima route, other sets the full grid."""
+    def some_set():
+        x = data.draw(st.integers(min_value=0, max_value=G.n - 1))
+        kind = data.draw(st.sampled_from(["full", "normal closure", "subgroup", "subset"]))
+        if kind == "subset":
+            return ElementSet.of(G.n, data.draw(st.sets(st.integers(min_value=0, max_value=G.n - 1), min_size=1)))
+        return {"full": ElementSet.full(G.n), "normal closure": normal_closure(G, [x]),
+                "subgroup": subgroup_closure(G, [x])}[kind]
+
+    left, right = some_set(), some_set()
+    assert comm_values(G, left, right).members == {G.comm(x, g) for x in left for g in right}
 
 
 @common
@@ -169,3 +187,51 @@ def test_relabelling_invariance(G, data):
     assert gamma_values(H, 2).members == moved(gamma_values(G, 2))
     assert fitting_index(H) == fitting_index(G)
     assert scan_row(H, "G", 2) == scan_row(G, "G", 2)
+
+
+def conj_grid(G):
+    """Slow oracle, the full n x n conjugation grid: grid[c, h] = h^-1 c h."""
+    t, idx = G.table, np.arange(G.n)
+    return t[t[G.inverse[None, :], idx[:, None]], idx[None, :]]
+
+
+def is_class_union(grid, S):
+    return bool(S.mask[grid[S.mask]].all())
+
+
+def relabelled_corpus_group(corpus, data):
+    _, G = data.draw(st.sampled_from(corpus))
+    pi = np.array([0] + data.draw(st.permutations(range(1, G.n))), dtype=G.table.dtype)
+    return relabel(G, pi)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_class_invariance(corpus, data):
+    """Conjugation is an automorphism: sink(g^h) = sink(g)^h, and the value
+    sets, the left Engel set and every lower central term are class unions."""
+    G = relabelled_corpus_group(corpus, data)
+    grid = conj_grid(G)
+    sink_of = sinks(G)
+    for h in data.draw(st.lists(st.integers(min_value=0, max_value=G.n - 1), min_size=1, max_size=3)):
+        for g, sink in sink_of.items():
+            image = np.zeros(G.n, dtype=bool)
+            image[grid[sink.mask, h]] = True
+            assert np.array_equal(sink_of[int(grid[g, h])].mask, image)
+    for S in (gamma_values(G, 2), gamma_values(G, 3), left_engel_set(G), *lower_central_series(G).terms):
+        assert is_class_union(grid, S)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_class_labels_are_conjugation_grid_row_minima(corpus, data):
+    G = relabelled_corpus_group(corpus, data)
+    assert np.array_equal(G.class_labels, conj_grid(G).min(axis=1))
+
+
+def test_class_labels_on_corpus(corpus):
+    for _, G in corpus:
+        grid = conj_grid(G)
+        assert np.array_equal(G.class_labels, grid.min(axis=1))
+        for S in (*lower_central_series(G).terms, *derived_series(G).terms):
+            assert is_class_union(grid, S)

@@ -7,6 +7,7 @@ sinklab's [a, b] = a^-1 b^-1 a b is sympy's ~p_a * ~p_b * p_a * p_b, which
 sympy calls p_b.commutator(p_a).
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +37,8 @@ def assert_matches_sympy(G, elements):
         assert chain(len(t) for t in ours.terms) == chain(H.order() for H in theirs)
     assert is_nilpotent(G) == P.is_nilpotent
     assert len(center(G)) == P.center().order()
+    sizes = np.bincount(G.class_labels)
+    assert sorted(sizes[sizes > 0]) == sorted(len(c) for c in P.conjugacy_classes())
     for x in elements:
         ours, theirs = normal_closure(G, [x]), P.normal_closure(sym(G.perms[x]))
         assert len(ours) == theirs.order()
