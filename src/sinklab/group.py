@@ -22,14 +22,18 @@ Normality is then H.mask == H.mask[label], normal closure closes the seeds'
 classes, and comm_values of two class unions starts from class minima.
 
 Product tables come from one builder, semidirect_product, which checks the
-order cap before anything else and fills the table in row blocks of the
-same size, in the table's own dtype; direct_product is its trivial-action
-case.
+order cap before anything else; direct_product is its trivial-action case.
+Every n x n table comes from _new_table, which raises CapExceeded first when
+the table plus 16 * BLOCK_ENTRIES bytes of transients exceed physical memory.
+Products are filled, and every table is validated, in blocks of at most
+BLOCK_ENTRIES entries in the table's own dtype: a build peaks at its table
+plus O(BLOCK_ENTRIES).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Optional, Sequence
@@ -232,17 +236,21 @@ class Word:
 
 
 def validate_table(G: GroupTable) -> None:
-    """Latin-square, identity and inverse laws. Raises on violation."""
-    n, t = G.n, G.table
-    if t.shape != (n, n):
-        raise InvalidPermutation(f"table shape {t.shape} does not match order {n}")
+    """Integer entries, shapes, then the Latin-square, identity and inverse
+    laws, in blocks of rows and of columns. Raises on violation."""
+    n, t, inv = G.n, G.table, G.inverse
+    if t.dtype.kind not in "iu" or inv.dtype.kind not in "iu":
+        raise InvalidPermutation(f"table and inverse must hold integers, not {t.dtype} and {inv.dtype}")
+    if t.shape != (n, n) or inv.shape != (n,):
+        raise InvalidPermutation(f"table shape {t.shape} or inverse shape {inv.shape} does not fit order {n}")
     idx = np.arange(n)
-    if not (np.array_equal(np.sort(t, axis=1), np.broadcast_to(idx, (n, n)))
-            and np.array_equal(np.sort(t, axis=0), np.broadcast_to(idx[:, None], (n, n)))):
-        raise InvalidPermutation("multiplication table is not a Latin square")
+    for rows in _blocks(n, n):
+        s = slice(rows[0], rows[-1] + 1)  # rows s, then columns s read as rows
+        if not all((np.sort(b, axis=1) == idx).all() for b in (t[s], t[:, s].T)):
+            raise InvalidPermutation("multiplication table is not a Latin square")
     if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
         raise InvalidPermutation("identity law fails: element 0 is not the identity")
-    if not (np.all(t[idx, G.inverse] == 0) and np.all(t[G.inverse, idx] == 0)):
+    if ((inv < 0) | (inv >= n)).any() or (t[idx, inv] != 0).any() or (t[inv, idx] != 0).any():
         raise InvalidPermutation("inverse law fails")
 
 
@@ -297,8 +305,7 @@ def close_generators(
                 via.append(gi)
 
     n = len(elems)
-    dtype = _index_dtype(n)
-    table = np.empty((n, n), dtype=dtype)
+    table = _new_table(n)
     images = np.array([p.image for p in elems], dtype=np.int64)  # (n, degree)
     # Columns for the generator elements need hashing; every other column j
     # follows by one gather, since p_i * p_j = (p_i * p_parent[j]) * gen.
@@ -309,16 +316,16 @@ def close_generators(
             continue
         composed = images[ge][images - 1]  # row i = (elems[i] then g)'s image
         col = np.fromiter(
-            (index[tuple(map(int, composed[i]))] for i in range(n)), dtype=dtype, count=n
+            (index[tuple(map(int, composed[i]))] for i in range(n)), dtype=table.dtype, count=n
         )
         gen_cols[ge] = col
-    table[:, 0] = np.arange(n, dtype=dtype)
+    table[:, 0] = np.arange(n, dtype=table.dtype)
     for j in range(1, n):
         col = gen_cols[index[gens[via[j]].image]]
         pj = parent[j]
         table[:, j] = col[table[:, pj]] if pj != 0 else col
     inverse = np.fromiter(
-        (index[p.inverse().image] for p in elems), dtype=dtype, count=n
+        (index[p.inverse().image] for p in elems), dtype=table.dtype, count=n
     )
     gen_indices = []
     for g in gens:
@@ -334,6 +341,19 @@ def close_generators(
         perms=elems,
         name=name,
     )
+
+
+def _memory_budget() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _new_table(n: int) -> np.ndarray:
+    """An empty n x n table in _index_dtype(n), once it and its build fit in memory."""
+    dtype, budget = np.dtype(_index_dtype(n)), _memory_budget()
+    need = n * n * dtype.itemsize + 16 * BLOCK_ENTRIES  # the table plus blocked transients
+    if need > budget:
+        raise CapExceeded(f"a table of order {n} needs about {need >> 20} MiB; memory is {budget >> 20} MiB")
+    return np.empty((n, n), dtype=dtype)
 
 
 def _blocks(n: int, width: int) -> Iterable[np.ndarray]:
@@ -436,7 +456,7 @@ def classes_meeting(G: GroupTable, S: ElementSet) -> ElementSet:
 
 def _induced_table(G: GroupTable, elems: np.ndarray, local: np.ndarray) -> np.ndarray:
     """table[i, j] = local[elems[i] * elems[j]], gathered in blocks of rows."""
-    table = np.empty((len(elems), len(elems)), dtype=_index_dtype(len(elems)))
+    table = _new_table(len(elems))
     for rows in _blocks(len(elems), len(elems)):
         table[rows] = local[_product_grid(G, elems[rows], elems)]
     return table
@@ -516,13 +536,13 @@ def semidirect_product(
     ai, hi = np.divmod(np.arange(n), H.n)
     hinv = H.inverse[hi].astype(np.int64)
     nflat = N.table.ravel()
-    table = np.empty((n, n), dtype=_index_dtype(n))
+    table = _new_table(n)
     for rows in _blocks(n, n):
         # (a1, h1)(a2, h2) = (a1 * act[h1^-1](a2), h1 h2), so that a2^(0,h) = act[h](a2).
-        # Row i as an |N| x |H| grid: na[i, a2] * |H| + H.table[h_i, h2].
-        na = nflat[ai[rows, None] * N.n + act[hinv[rows]]].astype(np.int64)
-        grid = na[:, :, None] * H.n + H.table[hi[rows]][:, None, :]
-        table[rows] = grid.reshape(len(rows), n)
+        # Row i as an |N| x |H| grid: na[i, a2] * |H| + H.table[h_i, h2], all below n.
+        na = nflat[ai[rows, None] * N.n + act[hinv[rows]]].astype(table.dtype) * H.n
+        grid = table[rows[0] : rows[-1] + 1].reshape(len(rows), N.n, H.n)
+        np.add(na[:, :, None], H.table[hi[rows]].astype(table.dtype)[:, None, :], out=grid)
     inverse = act[hi, N.inverse[ai]] * H.n + hinv
     return GroupTable(
         n=n,

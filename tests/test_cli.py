@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from sinklab import group
 from sinklab.cli import main, parse_element
 from sinklab.report import check_payload
 from sinklab.verify import CheckResult
@@ -138,6 +140,25 @@ def test_cap_exceeded_exit_three(capsys, tmp_path):
     code, _, err = run(capsys, "build", str(spec), "--cap", "100")
     assert code == 3
     assert "cap" in err.lower()
+
+
+@pytest.mark.parametrize("construct,mib", [("direct_power 2 dihedral 50", 254), ("symmetric 7", 112)])
+def test_build_beyond_memory_exits_three_before_allocating(capsys, tmp_path, monkeypatch, construct, mib):
+    """With a 100 MiB memory budget the order-10000 product (a 191 MiB table)
+    and the closure of S7 (48 MiB, plus the block transients) fail with
+    exit 3, naming the estimate, before their table is allocated."""
+    spec = tmp_path / "big.grp"
+    spec.write_text(f"group construct {construct}\n", encoding="utf-8")
+    monkeypatch.setattr(group, "_memory_budget", lambda: 100 << 20)
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "build", str(spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert f"needs about {mib} MiB" in err
+    assert peak < 32 << 20  # below either table's bytes
 
 
 def test_env_cap_flag_precedence(capsys, tmp_path, monkeypatch):

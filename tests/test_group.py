@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sinklab import group
 from sinklab.errors import (
     CapExceeded,
     IndexOutOfRange,
@@ -149,17 +152,90 @@ def test_table_certified_at_construction(s3):
     moved, moved_inv = np.empty_like(t), np.empty_like(inv)
     moved[np.ix_(pi, pi)] = pi[t]
     moved_inv[pi] = pi[inv]
+    out_of_range = inv.copy()
+    out_of_range[1] = 9
     cases = [
         (rows_broken, inv, "Latin square"),
         (cols_broken, inv, "Latin square"),
         (moved, moved_inv, "identity law"),
         (t.copy(), np.arange(n, dtype=inv.dtype), "inverse law"),  # 3-cycles are not involutions
         (t[:, :-1].copy(), inv, "shape"),
+        (t.copy(), inv[:-1], "shape"),  # an inverse one entry short
+        (t.copy(), inv[None, :], "shape"),  # an inverse of shape (1, n)
+        (t.copy(), out_of_range, "inverse law"),  # 9 in a group of order 6
+        (t.astype(np.float64), inv, "integers"),
     ]
     for table, inverse, law in cases:
         with pytest.raises(InvalidPermutation, match=law):
             GroupTable(n, table, inverse.copy(), list(s3.labels), list(s3.generators))
     assert GroupTable(n, t.copy(), inv.copy(), list(s3.labels), list(s3.generators)).n == n
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """BLOCK_ENTRIES cut to 4096 entries, so that (D12)^2 (n = 576) spans many blocks."""
+    monkeypatch.setattr(group, "BLOCK_ENTRIES", 1 << 12)
+    return build(FamilySpec("dihedral", (12,)))
+
+
+def test_latin_square_checked_up_to_the_last_block(small_blocks):
+    """Two rows (then two columns) swap one entry, so only they break the law:
+    both in the last block, then the last and then the first rows of the last
+    two blocks."""
+    G = direct_product(small_blocks, small_blocks)
+    t, n, blocks = G.table, G.n, list(group._blocks(G.n, G.n))
+    assert len(blocks) > 10 and n - 2 in blocks[-1]
+    for pair in ([n - 2, n - 1], [blocks[-2][-1], n - 1], [blocks[-2][0], blocks[-1][0]]):
+        rows_broken = t.copy()
+        rows_broken[pair, n - 1] = t[pair[::-1], n - 1]  # column n-1 stays a permutation
+        cols_broken = t.copy()
+        cols_broken[n - 1, pair] = t[n - 1, pair[::-1]]  # row n-1 stays a permutation
+        for table in (rows_broken, cols_broken):
+            with pytest.raises(InvalidPermutation, match="Latin square"):
+                GroupTable(n, table, G.inverse.copy(), list(G.labels), list(G.generators))
+
+
+def test_build_transients_bounded_by_blocks(small_blocks):
+    """The tracemalloc peak above what stays live is a fixed multiple of
+    BLOCK_ENTRIES, for the product fill and for validate_table, whatever n is."""
+    bound = 64 * group.BLOCK_ENTRIES  # bytes
+    tracemalloc.start()
+    try:
+        G = direct_product(small_blocks, small_blocks)
+        live, peak = tracemalloc.get_traced_memory()
+        assert peak - live <= bound
+        tracemalloc.reset_peak()
+        validate_table(G)
+        live, peak = tracemalloc.get_traced_memory()
+        assert peak - live <= bound
+    finally:
+        tracemalloc.stop()
+    assert G.table.nbytes > 2 * bound
+
+
+def test_product_fill_widens_to_the_table_dtype(monkeypatch):
+    """Factors of order <= 255 in uint8 and a product of order 486 in uint16:
+    the fill must compute in the product's dtype, not in the factors'."""
+    monkeypatch.setattr(group, "_index_dtype", lambda n: np.uint8 if n <= 255 else np.uint16)
+    G = build(FamilySpec("inversion_extension", (3, 5)))
+    T, C2 = build(FamilySpec("elementary_abelian", (3, 5))), build(FamilySpec("cyclic", (2,)))
+    assert (T.table.dtype, C2.table.dtype, G.table.dtype) == (np.uint8, np.uint8, np.uint16)
+    assert_pair_formula(G, T, C2, [list(range(T.n)), T.inverse.tolist()])
+
+
+def test_every_table_allocation_checks_memory_first(s4, monkeypatch):
+    """Each n x n table comes from one helper, which raises CapExceeded and
+    names its estimate when the table does not fit the memory budget."""
+    monkeypatch.setattr(group, "_memory_budget", lambda: 16 * group.BLOCK_ENTRIES)
+    z = center(s4)  # trivial; any table exceeds this budget, even Z's of order 1
+    for make in (
+        lambda: close_generators(gens(3, "(1 2 3)")),
+        lambda: direct_product(s4, s4),
+        lambda: quotient(s4, z),
+        lambda: subgroup_table(s4, z),
+    ):
+        with pytest.raises(CapExceeded, match="needs about .* MiB"):
+            make()
 
 
 def test_subgroup_closure_examples(s3, s4):
