@@ -21,6 +21,15 @@ certify the labels; the pairs are counted as sum |orbit| * |C(orbit minimum)|.
 Normality is then H.mask == H.mask[label], normal closure closes the seeds'
 classes, and comm_values of two class unions starts from class minima.
 
+Permutation groups are closed by close_generators, which grows a Schreier
+tree (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
+sec. 4.1) breadth first, in rounds of numpy gathers over the elements' image
+rows in blocks of at most BLOCK_ENTRIES points, with one dict from row bytes
+to element index. The search's right Cayley maps give the left ones down the
+tree, and the table is filled by contiguous rows, each from its parent's row.
+GroupTable.lower_central, also made on first use and kept, is G's lower
+central series; the structure layer reads it whenever it asks for G's own.
+
 Product tables come from one builder, semidirect_product, which checks the
 order cap before anything else; direct_product is its trivial-action case.
 Every n x n table comes from _new_table, which raises CapExceeded first when
@@ -158,6 +167,11 @@ class GroupTable:
         lab.setflags(write=False)
         return lab
 
+    @cached_property
+    def lower_central(self) -> tuple[ElementSet, ...]:
+        """G's lower central series down to its stable term; made on first use and kept."""
+        return _series_terms(self, ElementSet.full(self.n))
+
     def __repr__(self) -> str:
         return f"GroupTable(n={self.n}, name={self.name!r})"
 
@@ -272,73 +286,67 @@ def close_generators(
 
     Elements are indexed in breadth-first discovery order from the identity,
     applying generators in input order; this makes tables reproducible
-    byte-for-byte. Labels are the elements' cycle notations.
+    byte-for-byte. Labels are the elements' cycle notations. Each search
+    round composes the last round's image rows with every generator, one
+    gather per block, and appends new rows in (head, generator) order with
+    their Schreier-tree parent and generator. This gives rmul[v, i] = p_i * g_v,
+    then lmul[v, j] = g_v * p_j = rmul[via[j], lmul[v, parent[j]]] down the
+    tree, and table[i] = table[parent[i]][lmul[via[i]]] by rows, since
+    p_i * p_j = p_parent[i] * (g_via[i] * p_j). Inverses are the argsorted image rows.
     """
     if not gens:
         raise InvalidPermutation("need at least one generator")
     if order_cap < 1:
         raise CapExceeded("order cap must be at least 1")
-    degree = gens[0].degree
+    degree, k = gens[0].degree, len(gens)
     for g in gens:
         if g.degree != degree:
             raise InvalidPermutation("generators must share one degree")
+    step = (np.array([g.image for g in gens]) - 1).astype(_index_dtype(degree))  # step[v, x] = g_v(x), 0-based
 
-    ident = Permutation.identity(degree)
-    elems: list[Permutation] = [ident]
-    index: dict[tuple[int, ...], int] = {ident.image: 0}
-    parent: list[int] = [0]  # elems[j] = elems[parent[j]] then gens[via[j]]
-    via: list[int] = [0]
-    head = 0
-    while head < len(elems):
-        base = elems[head]
-        head += 1
-        for gi, g in enumerate(gens):
-            p = base.compose(g)
-            if p.image not in index:
-                if len(elems) >= order_cap:
-                    raise CapExceeded(
-                        f"closure exceeded order cap {order_cap} (degree {degree})"
-                    )
-                index[p.image] = len(elems)
-                elems.append(p)
-                parent.append(head - 1)
-                via.append(gi)
+    def keys(images: np.ndarray) -> list[bytes]:
+        return np.ascontiguousarray(images, dtype=step.dtype).view(f"V{step.itemsize * degree}").ravel().tolist()
 
-    n = len(elems)
+    frontier = np.arange(degree, dtype=step.dtype)[None, :]  # the identity
+    index = {keys(frontier)[0]: 0}
+    chunks, rounds, found, parent, via = [frontier], [0], [], [[0]], [[0]]
+    while len(frontier):
+        new = []
+        for rows in _blocks(len(frontier), k * degree):
+            cand = step[np.arange(k)[None, :, None], frontier[rows][:, None, :]].reshape(-1, degree)
+            known = len(index)
+            ids = np.array([index.setdefault(b, len(index)) for b in keys(cand)])
+            if len(index) > order_cap:
+                raise CapExceeded(f"closure exceeded order cap {order_cap} (degree {degree})")
+            first, at = np.unique(ids, return_index=True)
+            at = at[first >= known]  # the new elements' first (head, generator) positions
+            new.append(cand[at])
+            parent.append(rounds[-1] + rows[0] + at // k)
+            via.append(at % k)
+            found.append(ids)
+        rounds.append(rounds[-1] + len(frontier))
+        frontier = np.concatenate(new)
+        chunks.append(frontier)
+
+    n, img = len(index), np.concatenate(chunks)
+    inverse = [index[b] for rows in _blocks(n, degree) for b in keys(np.argsort(img[rows], axis=1))]
     table = _new_table(n)
-    images = np.array([p.image for p in elems], dtype=np.int64)  # (n, degree)
-    # Columns for the generator elements need hashing; every other column j
-    # follows by one gather, since p_i * p_j = (p_i * p_parent[j]) * gen.
-    gen_cols: dict[int, np.ndarray] = {}
-    for g in gens:
-        ge = index[g.image]
-        if ge in gen_cols:
-            continue
-        composed = images[ge][images - 1]  # row i = (elems[i] then g)'s image
-        col = np.fromiter(
-            (index[tuple(map(int, composed[i]))] for i in range(n)), dtype=table.dtype, count=n
-        )
-        gen_cols[ge] = col
-    table[:, 0] = np.arange(n, dtype=table.dtype)
-    for j in range(1, n):
-        col = gen_cols[index[gens[via[j]].image]]
-        pj = parent[j]
-        table[:, j] = col[table[:, pj]] if pj != 0 else col
-    inverse = np.fromiter(
-        (index[p.inverse().image] for p in elems), dtype=table.dtype, count=n
-    )
-    gen_indices = []
-    for g in gens:
-        gi = index[g.image]
-        if gi not in gen_indices:
-            gen_indices.append(gi)
+    rmul = np.concatenate(found).reshape(n, k).T  # rmul[v, i]: p_i * g_v
+    lmul, parent, via = rmul.copy(), np.concatenate(parent), np.concatenate(via)
+    for lo, hi in zip(rounds[1:], rounds[2:]):
+        lmul[:, lo:hi] = rmul[via[lo:hi], lmul[:, parent[lo:hi]]]
+    table[0] = np.arange(n)
+    for i in range(1, n):
+        table[i] = table[parent[i]][lmul[via[i]]]
+    points = list(range(1, degree + 1))  # the perms' tuples share these ints
+    perms = [Permutation(degree, tuple(map(points.__getitem__, row.tolist()))) for row in img]
     return GroupTable(
         n=n,
         table=table,
-        inverse=inverse,
-        labels=[format_cycles(p) for p in elems],
-        generators=gen_indices,
-        perms=elems,
+        inverse=np.array(inverse, dtype=table.dtype),
+        labels=[format_cycles(p) for p in perms],
+        generators=list(dict.fromkeys(rmul[:, 0].tolist())),
+        perms=perms,
         name=name,
     )
 
@@ -412,6 +420,14 @@ def subgroup_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> Element
     return ElementSet(members)
 
 
+def _series_terms(G: GroupTable, S: ElementSet, derived: bool = False) -> tuple[ElementSet, ...]:
+    """S, then [T, S] after each term T (or [T, T] if derived), down to the first repeat."""
+    terms = [S]
+    while len(terms) < 2 or terms[-1] != terms[-2]:
+        terms.append(subgroup_closure(G, comm_values(G, terms[-1], terms[-1] if derived else S)))
+    return tuple(terms)
+
+
 def is_subgroup(G: GroupTable, S: ElementSet) -> bool:
     S = ElementSet.of(G.n, S)
     mem = np.flatnonzero(S.mask)
@@ -466,11 +482,13 @@ def quotient(G: GroupTable, N: ElementSet) -> tuple[GroupTable, list[int]]:
     """Coset table of G/N plus the projection map element -> coset index.
 
     Cosets are indexed by ascending minimal representative, so the identity
-    coset is 0 and the result is deterministic.
+    coset is 0 and the result is deterministic. G/1 is G itself.
     """
     if not is_normal(G, N):  # raises NotASubgroup unless N is a subgroup
         raise NotNormal("quotient requires a normal subgroup")
     ns = np.flatnonzero(N.mask)
+    if len(ns) == 1:
+        return G, list(range(G.n))
     minima = np.concatenate([_product_grid(G, xs, ns).min(axis=1) for xs in _blocks(G.n, len(ns))])
     reps, projection = np.unique(minima, return_inverse=True)
     Q = GroupTable(
@@ -516,9 +534,9 @@ def semidirect_product(
     if any(len(a) != N.n for a in action):
         raise NotAnAutomorphism("each action entry must be a permutation of N's indices")
     act = np.array(action, dtype=np.int64)
-    sorted_rows = np.sort(act, axis=1)
-    if not np.array_equal(sorted_rows, np.broadcast_to(np.arange(N.n), (H.n, N.n))):
+    if not np.array_equal(np.sort(act, axis=1), np.broadcast_to(np.arange(N.n), (H.n, N.n))):
         raise NotAnAutomorphism("action entries must be bijections on N")
+    act = act.astype(_index_dtype(N.n))  # the checks below gather in N's index dtype
     for hs in _blocks(H.n, N.n * N.n):
         a = act[hs]  # bad[i]: a[i](x*y) != a[i](x) * a[i](y) for some x, y
         bad = (a[:, N.table] != N.table[a[:, :, None], a[:, None, :]]).any(axis=(1, 2))
@@ -543,7 +561,7 @@ def semidirect_product(
         na = nflat[ai[rows, None] * N.n + act[hinv[rows]]].astype(table.dtype) * H.n
         grid = table[rows[0] : rows[-1] + 1].reshape(len(rows), N.n, H.n)
         np.add(na[:, :, None], H.table[hi[rows]].astype(table.dtype)[:, None, :], out=grid)
-    inverse = act[hi, N.inverse[ai]] * H.n + hinv
+    inverse = act[hi, N.inverse[ai]].astype(np.int64) * H.n + hinv
     return GroupTable(
         n=n,
         table=table,

@@ -50,18 +50,18 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles of length >= 2, each starting at its smallest point."""
-        seen = [False] * self.degree
+        img, seen = self.image, [False] * self.degree
         out = []
         for start in range(1, self.degree + 1):
             if seen[start - 1]:
                 continue
             cyc = [start]
             seen[start - 1] = True
-            p = self.apply(start)
+            p = img[start - 1]
             while p != start:
                 cyc.append(p)
                 seen[p - 1] = True
-                p = self.apply(p)
+                p = img[p - 1]
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
@@ -75,7 +75,7 @@ def format_cycles(perm: Permutation) -> str:
     cycs = perm.cycles()
     if not cycs:
         return "e"
-    return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycs)
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:

@@ -7,6 +7,8 @@ result is certified once, in fitting_subgroup (subgroup, normal, nilpotent),
 and can be cross-checked against an independent construction from normal
 closures. is_nilpotent(G, S) reads S's lower central series in G's table.
 When S is normal, so is every term, and comm_values uses class minima.
+G's own series is kept with its table (GroupTable.lower_central) and read
+whenever S is all of G; G/1 is G, so the residual's certificate reads it too.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from .errors import InternalInconsistency
 from .group import (
     ElementSet,
     GroupTable,
+    _series_terms,
     class_representatives,
+    classes_meeting,
     comm_values,
-    is_normal,
     is_subgroup,
     normal_closure,
     quotient,
@@ -46,11 +49,9 @@ def derived_subgroup(G: GroupTable) -> ElementSet:
 
 def _series(G: GroupTable, kind: str, S: ElementSet | None = None) -> SeriesReport:
     S = ElementSet.full(G.n) if S is None else ElementSet.of(G.n, S)
-    terms = [S]
-    while len(terms) < 2 or terms[-1] != terms[-2]:
-        cur = terms[-1]
-        terms.append(subgroup_closure(G, comm_values(G, cur, S if kind == "lower_central" else cur)))
-    return SeriesReport(kind=kind, terms=tuple(terms), stable=True)
+    if kind == "lower_central" and len(S) == G.n:
+        return SeriesReport(kind=kind, terms=G.lower_central, stable=True)
+    return SeriesReport(kind=kind, terms=_series_terms(G, S, kind == "derived"), stable=True)
 
 
 def lower_central_series(G: GroupTable) -> SeriesReport:
@@ -89,7 +90,7 @@ def fitting_subgroup(G: GroupTable) -> ElementSet:
     F = left_engel_set(G)
     if not is_subgroup(G, F):
         raise InternalInconsistency("left Engel set is not closed under multiplication")
-    if not is_normal(G, F):
+    if classes_meeting(G, F) != F:
         raise InternalInconsistency("left Engel set is not normal")
     if not is_nilpotent(G, F):
         raise InternalInconsistency("left Engel set is not nilpotent")

@@ -158,7 +158,7 @@ def test_build_beyond_memory_exits_three_before_allocating(capsys, tmp_path, mon
         tracemalloc.stop()
     assert code == 3
     assert f"needs about {mib} MiB" in err
-    assert peak < 32 << 20  # below either table's bytes
+    assert peak < 8 << 20  # far below either table's bytes
 
 
 def test_env_cap_flag_precedence(capsys, tmp_path, monkeypatch):

@@ -225,13 +225,15 @@ def test_product_fill_widens_to_the_table_dtype(monkeypatch):
 
 def test_every_table_allocation_checks_memory_first(s4, monkeypatch):
     """Each n x n table comes from one helper, which raises CapExceeded and
-    names its estimate when the table does not fit the memory budget."""
+    names its estimate when the table does not fit the memory budget. (G/1
+    is G itself and allocates nothing, so the quotient is taken by V4.)"""
     monkeypatch.setattr(group, "_memory_budget", lambda: 16 * group.BLOCK_ENTRIES)
     z = center(s4)  # trivial; any table exceeds this budget, even Z's of order 1
+    v4 = subgroup_closure(s4, [s4.labels.index("(1 2)(3 4)"), s4.labels.index("(1 3)(2 4)")])
     for make in (
         lambda: close_generators(gens(3, "(1 2 3)")),
         lambda: direct_product(s4, s4),
-        lambda: quotient(s4, z),
+        lambda: quotient(s4, v4),
         lambda: subgroup_table(s4, z),
     ):
         with pytest.raises(CapExceeded, match="needs about .* MiB"):

@@ -1,8 +1,12 @@
+from functools import cached_property
+
 import pytest
 
+from sinklab import structure
 from sinklab.engel import is_left_engel
+from sinklab.errors import InternalInconsistency
 from sinklab.families import FamilySpec, build
-from sinklab.group import is_normal, quotient, subgroup_closure, subgroup_table
+from sinklab.group import ElementSet, GroupTable, is_normal, quotient, subgroup_closure, subgroup_table
 from sinklab.structure import (
     derived_series,
     derived_subgroup,
@@ -17,6 +21,7 @@ from sinklab.structure import (
     nilpotent_residual,
     normal_subgroups,
 )
+from sinklab.verify import scan_row
 
 
 def test_derived_subgroup(s3, c12):
@@ -78,6 +83,61 @@ def test_nilpotent_residual(s3, q8):
 def test_residual_iff_nilpotent(corpus):
     for _, G in corpus:
         assert (nilpotent_residual(G).members == {0}) == is_nilpotent(G)
+
+
+def counted_property(monkeypatch, name):
+    """Wrap GroupTable.<name> so that each computation (not each read) is listed."""
+    made = []
+
+    def compute(G, func=getattr(GroupTable, name).func):
+        made.append(G)
+        return func(G)
+
+    prop = cached_property(compute)
+    prop.__set_name__(GroupTable, name)
+    monkeypatch.setattr(GroupTable, name, prop)
+    return made
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("dihedral", (8,)), FamilySpec("quaternion8", ())])
+def test_scan_row_makes_one_series_and_one_labelling(monkeypatch, spec):
+    """For a nilpotent G, F = G and G/R = G/1 = G: one lower central series and
+    one class labelling serve sink_profile, fitting_subgroup and the residual."""
+    series, labels = counted_property(monkeypatch, "lower_central"), counted_property(monkeypatch, "class_labels")
+    G = build(spec)
+    scan_row(G, spec.describe(), 2)
+    assert series == [G] and labels == [G]
+    assert quotient(G, nilpotent_residual(G))[0] is G and series == [G]
+
+
+def test_residual_certificate_runs_on_every_path(monkeypatch, q8):
+    """nilpotent_residual certifies G/R whether R is trivial (Q8, where G/R is
+    G) or not (S4, where G/R is C2)."""
+    real = structure.is_nilpotent
+    monkeypatch.setattr(structure, "is_nilpotent", lambda G, S=None: G.n != 2 and real(G, S))
+    with pytest.raises(InternalInconsistency, match="nilpotent residual"):
+        nilpotent_residual(build(FamilySpec("symmetric", (4,))))
+    monkeypatch.setattr(structure, "is_nilpotent", lambda G, S=None: False)
+    with pytest.raises(InternalInconsistency, match="nilpotent residual"):
+        nilpotent_residual(q8)
+
+
+@pytest.mark.parametrize(
+    "cycles,close,message",
+    [
+        (["e", "(1 2 3)"], False, "not closed"),
+        (["(1 2)"], True, "not normal"),
+        (["(1 2)(3 4)", "(1 2 3)"], True, "not nilpotent"),
+    ],
+)
+def test_fitting_certificates_reject_a_wrong_left_engel_set(monkeypatch, s4, cycles, close, message):
+    """Each certificate of fitting_subgroup fires on its own: a set that is not
+    a subgroup, a subgroup that is not normal, and A4, normal but not nilpotent."""
+    S = [s4.labels.index(c) for c in cycles]
+    S = subgroup_closure(s4, S) if close else ElementSet.of(s4.n, S)
+    monkeypatch.setattr(structure, "left_engel_set", lambda G: S)
+    with pytest.raises(InternalInconsistency, match=message):
+        fitting_subgroup(s4)
 
 
 def test_residual_minimality_small(s3, s4):
