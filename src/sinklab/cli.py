@@ -69,14 +69,11 @@ def parse_element(G: GroupTable, text: str) -> int:
         return 0
     if s.startswith("("):
         if G.perms is None:
-            raise CliInputError(
-                "cycle-notation addressing needs a permutation-built group; use an index or a word"
-            )
+            raise CliInputError("cycle-notation addressing needs a permutation-built group; use an index or a word")
         perm = parse_cycles(s, G.perms[0].degree)
-        for i, p in enumerate(G.perms):
-            if p.image == perm.image:
-                return i
-        raise CliInputError(f"permutation {s} is not an element of this group")
+        if perm not in G.perms:
+            raise CliInputError(f"permutation {s} is not an element of this group")
+        return G.perms.index(perm)
     factors = []
     for token in s.split("*"):
         token = token.strip()
@@ -174,9 +171,7 @@ def _run_checks(spec: GroupSpec, G: GroupTable, which: str, k: int):
         if inputs is not None:
             results.append(check_orbit_lemma(G, inputs[0], inputs[1], k))
         elif which == "orbit_lemma":
-            raise CliInputError(
-                "orbit_lemma needs a group constructed as inversion_extension or frobenius"
-            )
+            raise CliInputError("orbit_lemma needs a group constructed as inversion_extension or frobenius")
     for result in results:
         result.group = spec.display_name()
     return results

@@ -27,6 +27,7 @@ sec. 4.1) breadth first, in rounds of numpy gathers over the elements' image
 rows in blocks of at most BLOCK_ENTRIES points, with one dict from row bytes
 to element index. The search's right Cayley maps give the left ones down the
 tree, and the table is filled by contiguous rows, each from its parent's row.
+No build makes labels or perms: each passes LazyLists, made whole on first read.
 GroupTable.lower_central, also made on first use and kept, is G's lower
 central series; the structure layer reads it whenever it asks for G's own.
 
@@ -44,8 +45,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -68,6 +69,29 @@ def _index_dtype(n: int):
     return np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32
 
 
+@dataclass(repr=False)
+class LazyList(Sequence):
+    """A read-only list made whole by make() on first read, which is then dropped."""
+
+    make: Callable[[], list]  # a builder's make holds the data it reads, never a GroupTable
+
+    @cached_property
+    def items(self) -> list:
+        return self.__dict__.pop("make")()
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, i):
+        return self.items[i]
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __eq__(self, other) -> bool:
+        return self.items == other
+
+
 @dataclass
 class GroupTable:
     """A finite group materialized as a full n x n multiplication table."""
@@ -75,9 +99,9 @@ class GroupTable:
     n: int
     table: np.ndarray  # (n, n), table[a, b] = a * b
     inverse: np.ndarray  # (n,)
-    labels: list[str]
+    labels: Sequence[str]  # a LazyList from every builder: made on first read
     generators: list[int]
-    perms: Optional[list[Permutation]] = None  # set when built from a permutation action
+    perms: Optional[Sequence[Permutation]] = None  # set when built from a permutation action
     name: str = ""
 
     def __post_init__(self):
@@ -133,7 +157,14 @@ class GroupTable:
         return k
 
     def exponent(self) -> int:
-        return reduce(math.lcm, (self.element_order(a) for a in range(self.n)), 1)
+        """lcm of the element orders, with c = a^k for all a at once until c is the identity."""
+        a = c = np.arange(self.n)
+        k = e = 1
+        while len(a):
+            live = c != 0
+            e = e if live.all() else math.lcm(e, k)
+            a, c, k = a[live], self.table[c[live], a[live]], k + 1
+        return e
 
     def elements(self) -> range:
         return range(self.n)
@@ -286,7 +317,7 @@ def close_generators(
 
     Elements are indexed in breadth-first discovery order from the identity,
     applying generators in input order; this makes tables reproducible
-    byte-for-byte. Labels are the elements' cycle notations. Each search
+    byte-for-byte. Labels (cycle notations) and perms are made on first read. Each search
     round composes the last round's image rows with every generator, one
     gather per block, and appends new rows in (head, generator) order with
     their Schreier-tree parent and generator. This gives rmul[v, i] = p_i * g_v,
@@ -329,6 +360,8 @@ def close_generators(
         chunks.append(frontier)
 
     n, img = len(index), np.concatenate(chunks)
+    if any((np.sort(img[rows], axis=1) != np.arange(degree)).any() for rows in _blocks(n, degree)):
+        raise InvalidPermutation("closure made an image row that is not a bijection")
     inverse = [index[b] for rows in _blocks(n, degree) for b in keys(np.argsort(img[rows], axis=1))]
     table = _new_table(n)
     rmul = np.concatenate(found).reshape(n, k).T  # rmul[v, i]: p_i * g_v
@@ -339,12 +372,12 @@ def close_generators(
     for i in range(1, n):
         table[i] = table[parent[i]][lmul[via[i]]]
     points = list(range(1, degree + 1))  # the perms' tuples share these ints
-    perms = [Permutation(degree, tuple(map(points.__getitem__, row.tolist()))) for row in img]
+    perms = LazyList(lambda: [Permutation(degree, tuple(map(points.__getitem__, row.tolist()))) for row in img])
     return GroupTable(
         n=n,
         table=table,
         inverse=np.array(inverse, dtype=table.dtype),
-        labels=[format_cycles(p) for p in perms],
+        labels=LazyList(lambda: [format_cycles(p) for p in perms]),
         generators=list(dict.fromkeys(rmul[:, 0].tolist())),
         perms=perms,
         name=name,
@@ -495,7 +528,7 @@ def quotient(G: GroupTable, N: ElementSet) -> tuple[GroupTable, list[int]]:
         n=len(reps),
         table=_induced_table(G, reps, projection),
         inverse=projection[G.inverse[reps]].astype(_index_dtype(len(reps))),
-        labels=[G.labels[a] for a in reps],
+        labels=LazyList(lambda labels=G.labels: [labels[a] for a in reps.tolist()]),
         generators=list(dict.fromkeys(int(projection[g]) for g in G.generators if projection[g])),
         name=f"{G.name}/N" if G.name else "",
     )
@@ -547,9 +580,7 @@ def semidirect_product(
         bad = (act[H.table[h1]] != act[np.arange(H.n)[:, None], act[h1][:, None, :]]).any(axis=2)
         if bad.any():
             i, h2 = np.argwhere(bad)[0]
-            raise NotAHomomorphism(
-                f"action[h1*h2] != action[h1]-then-action[h2] for h1={h1[i]}, h2={h2}"
-            )
+            raise NotAHomomorphism(f"action[h1*h2] != action[h1]-then-action[h2] for h1={h1[i]}, h2={h2}")
 
     ai, hi = np.divmod(np.arange(n), H.n)
     hinv = H.inverse[hi].astype(np.int64)
@@ -566,7 +597,7 @@ def semidirect_product(
         n=n,
         table=table,
         inverse=inverse.astype(table.dtype),
-        labels=[f"({la} {lh})" for la in N.labels for lh in H.labels],
+        labels=LazyList(lambda nl=N.labels, hl=H.labels: [f"({a} {h})" for a in nl for h in hl]),
         generators=[a * H.n for a in N.generators] + [int(h) for h in H.generators],
         name=f"{N.name}:{H.name}" if N.name and H.name else "",
     )
@@ -586,7 +617,7 @@ def subgroup_table(G: GroupTable, S: ElementSet) -> tuple[GroupTable, list[int]]
         n=len(mem),
         table=_induced_table(G, mem, local),
         inverse=local[G.inverse[mem]].astype(_index_dtype(len(mem))),
-        labels=[G.labels[a] for a in mem],
+        labels=LazyList(lambda labels=G.labels: [labels[a] for a in mem.tolist()]),
         generators=[],
         name=f"{G.name}<sub>" if G.name else "",
     )

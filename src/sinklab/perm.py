@@ -20,9 +20,7 @@ class Permutation:
         if self.degree <= 0:
             raise InvalidPermutation(f"degree must be positive, got {self.degree}")
         if len(self.image) != self.degree:
-            raise InvalidPermutation(
-                f"image has {len(self.image)} entries for degree {self.degree}"
-            )
+            raise InvalidPermutation(f"image has {len(self.image)} entries for degree {self.degree}")
         if sorted(self.image) != list(range(1, self.degree + 1)):
             raise InvalidPermutation(f"image {self.image} is not a bijection on 1..{self.degree}")
 

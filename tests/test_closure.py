@@ -98,8 +98,8 @@ def closure_digest(G):
 
 
 def test_closure_builds_pinned():
-    """Every closure of the corpus, and S6, S7, A7, D50, C24, Q8 and E3^5,
-    match their pinned tables, inverses, labels, generators and names."""
+    """Every closure of the corpus, and S6, S7, A7, D50, C24, Q8, E3^5, D300
+    and C500, match their pinned tables, inverses, labels, generators and names."""
     for key, want in json.loads(CLOSURE_DIGESTS.read_text(encoding="utf-8")).items():
         if key.endswith(".grp"):
             G = build_spec(parse_spec_file(REPO / key))
@@ -121,7 +121,8 @@ def test_closure_cap_at_the_order(spec):
 
 def test_closure_transients_bounded_by_blocks(monkeypatch):
     """With BLOCK_ENTRIES cut to 4096, the tracemalloc peak of closing S6
-    above what stays live (its table, perms and labels) is within 64 blocks."""
+    above what stays live (its table, and the image rows that its perms and
+    labels are made from on first read) is within 64 blocks."""
     want = build(FamilySpec("symmetric", (6,)))
     monkeypatch.setattr(group, "BLOCK_ENTRIES", 1 << 12)
     bound = 64 * group.BLOCK_ENTRIES  # bytes

@@ -1,9 +1,16 @@
+import gc
+import math
 import tracemalloc
+import weakref
+from collections import Counter
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sinklab import group
+from sinklab import families, group, perm
+from sinklab.cli import load_corpus
 from sinklab.errors import (
     CapExceeded,
     IndexOutOfRange,
@@ -17,6 +24,7 @@ from sinklab.families import FamilySpec, build
 from sinklab.group import (
     ElementSet,
     GroupTable,
+    LazyList,
     Word,
     associativity_audit,
     center,
@@ -33,7 +41,9 @@ from sinklab.group import (
     subgroup_table,
     validate_table,
 )
-from sinklab.perm import parse_cycles
+from sinklab.perm import Permutation, parse_cycles
+from sinklab.specfile import build_spec, parse_spec_file
+from sinklab.verify import scan_row
 
 
 def gens(degree, *texts):
@@ -452,6 +462,15 @@ def test_element_order_and_exponent(s3):
     assert s3.exponent() == 6
 
 
+def test_exponent_matches_scalar_element_orders(corpus):
+    """The one-pass exponent equals the lcm of the scalar element_order of
+    every element, on the corpus, on C2000 and on (D50)^2 at the order cap."""
+    big = [build(FamilySpec("cyclic", (2000,))),
+           build(FamilySpec("direct_power", (2,), base=FamilySpec("dihedral", (50,))))]
+    for G in [G for _, G in corpus] + big:
+        assert G.exponent() == reduce(math.lcm, (G.element_order(a) for a in range(G.n)), 1), G.name
+
+
 def test_validate_and_audit(q8, d4, s3):
     for G in (q8, d4, s3):
         validate_table(G)
@@ -495,3 +514,116 @@ def test_power(s3):
     assert s3.power(g, 3) == 0
     assert s3.power(g, -1) == s3.inv(g)
     assert s3.power(g, 100) == s3.power(g, 100 % 3)
+
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+# The build_cap benchmark workload's groups: products, semidirect products and closures.
+BUILD_CAP_SPECS = (
+    FamilySpec("direct_power", (2,), base=FamilySpec("dihedral", (12,))),
+    FamilySpec("direct_power", (3,), base=FamilySpec("symmetric", (3,))),
+    FamilySpec("inversion_extension", (3, 5)),
+    FamilySpec("inversion_extension", (5, 3)),
+    FamilySpec("alternating", (6,)),
+    FamilySpec("symmetric", (5,)),
+)
+
+
+@pytest.fixture
+def label_work(monkeypatch):
+    """Counts of format_cycles calls, Permutation constructions, and the
+    generators handed to close_generators, from the time of the fixture on."""
+    counts = Counter()
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(group, "format_cycles", counting("format_cycles", group.format_cycles))
+    monkeypatch.setattr(perm, "format_cycles", counting("format_cycles", perm.format_cycles))
+    monkeypatch.setattr(Permutation, "__post_init__", counting("Permutation", Permutation.__post_init__))
+    close = group.close_generators
+
+    def close_counting(gens, *args, **kwargs):
+        counts["generators"] += len(gens)
+        return close(gens, *args, **kwargs)
+
+    monkeypatch.setattr(families, "close_generators", close_counting)
+    return counts
+
+
+def test_builds_make_no_labels_or_perms(label_work):
+    """Closures and products format no cycle notation and construct no
+    Permutation beyond their generators; reading labels then makes them."""
+    for spec in BUILD_CAP_SPECS:
+        G = build(spec)
+        assert label_work["format_cycles"] == 0, spec
+        assert label_work["Permutation"] == label_work["generators"], spec
+    generators = label_work["Permutation"]
+    assert G.labels[1] == "(1 2 3 4 5)"  # S5: the first read makes all perms, then all labels
+    assert (label_work["Permutation"], label_work["format_cycles"]) == (generators + G.n, G.n)
+    assert G.labels[-1] == str(G.perms[-1])
+    assert label_work["Permutation"] == generators + G.n  # both lists were kept
+
+
+def test_scan_rows_make_no_labels_or_perms(label_work):
+    """scan_row on freshly built corpus groups, with their quotients and
+    subgroup work, formats and constructs nothing."""
+    corpus = [build_spec(parse_spec_file(path)) for _, path in load_corpus(CORPUS_DIR)]
+    label_work.clear()
+    for G in corpus:
+        scan_row(G, G.name, 2)
+    assert label_work == Counter()
+
+
+def test_lazy_list_reads_like_a_read_only_list():
+    made = []
+    items = LazyList(lambda: made.append(1) or ["e", "(1 2)", "(1 2 3)"])
+    assert not made
+    assert len(items) == 3 and items[-1] == "(1 2 3)" and items[0] == "e"
+    with pytest.raises(IndexError):
+        items[3]
+    assert items[1:] == ["(1 2)", "(1 2 3)"] and type(items[1:]) is list
+    assert list(items) == ["e", "(1 2)", "(1 2 3)"] and items.index("(1 2)") == 1
+    assert "(1 2)" in items and "(2 3)" not in items
+    assert items == ["e", "(1 2)", "(1 2 3)"] and ["e", "(1 2)", "(1 2 3)"] == items
+    assert items != ["e"] and ["e"] != items
+    with pytest.raises(TypeError):
+        items[0] = "x"
+    assert made == [1]  # made whole on the first read, then kept
+
+
+def test_lazy_labels_hold_no_table():
+    """The quotient, the subgroup table and the semidirect product keep the
+    labels of their source, not the source table: it is collected once
+    dropped, and the labels read afterwards are the source's."""
+    want = build(FamilySpec("symmetric", (4,)))
+    v4 = [want.labels.index("(1 2)(3 4)"), want.labels.index("(1 3)(2 4)")]
+    G = build(FamilySpec("symmetric", (4,)))
+    ref, N = weakref.ref(G), subgroup_closure(G, v4)
+    Q, projection = quotient(G, N)
+    sub, embedding = subgroup_table(G, N)
+    del G
+    gc.collect()
+    assert ref() is None
+    assert Q.labels == [want.labels[projection.index(c)] for c in range(Q.n)]  # each coset's least element
+    assert sub.labels == [want.labels[g] for g in embedding]
+
+    T, C2 = build(FamilySpec("elementary_abelian", (3, 2))), build(FamilySpec("cyclic", (2,)))
+    ref, T_labels = weakref.ref(T), build(FamilySpec("elementary_abelian", (3, 2))).labels
+    G = semidirect_product(T, C2, [list(range(T.n)), T.inverse.tolist()])
+    del T
+    gc.collect()
+    assert ref() is None
+    assert G.labels == [f"({a} {h})" for a in T_labels for h in C2.labels]
+
+
+def test_closure_checks_every_row_is_a_bijection():
+    """A generator that slipped past Permutation's own check is caught by the
+    closure's row check, not later by the Latin-square law."""
+    fake = object.__new__(Permutation)
+    object.__setattr__(fake, "degree", 3)
+    object.__setattr__(fake, "image", (1, 1, 3))
+    with pytest.raises(InvalidPermutation, match="not a bijection"):
+        close_generators([fake])
