@@ -12,6 +12,7 @@ from sinklab.verify import CheckResult
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 DATA_DIR = Path(__file__).resolve().parent / "data"
 SINK_BODIES = DATA_DIR / "sink_bodies.json"
+VERIFY_BODIES = DATA_DIR / "verify_bodies.json"
 
 
 def run(capsys, *argv):
@@ -63,6 +64,22 @@ def test_sink_bodies_pinned(capsys):
             code, out, _ = run(capsys, "sink", spec_path(name), "--element", str(index))
             assert code == 0
             assert json.loads(out)["results"] == [body], (name, index)
+
+
+def test_verify_bodies_pinned(capsys, tmp_path):
+    """`verify --check all` bodies, timing aside, equal the pinned ones: every
+    stat (pairs_checked, right_engel_count, max_orbit, the equality flag) and
+    every verdict, on the corpus and on inversion_extension 3 5 and 3 6."""
+    pinned = json.loads(VERIFY_BODIES.read_text(encoding="utf-8"))
+    for name, body in pinned.items():
+        path = CORPUS_DIR / f"{name}.grp"
+        if not path.exists():  # inversion_extension_3_<r>
+            path = tmp_path / f"{name}.grp"
+            path.write_text(f"name {name}\ngroup construct {' '.join(name.rsplit('_', 2))}\n", encoding="utf-8")
+        code, out, _ = run(capsys, "verify", str(path), "--check", "all")
+        result = json.loads(out)
+        result.pop("timing_ms")
+        assert (code, result) == (0, body), name
 
 
 def test_gamma_a5(capsys):
