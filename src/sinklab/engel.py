@@ -84,12 +84,6 @@ def _landing(G: GroupTable, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return steps, land
 
 
-def _landing_blocks(G: GroupTable) -> Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(xs, steps, land) for blocks of directions covering all of G."""
-    for xs in _blocks(G.n, G.n):
-        yield (xs, *_landing(G, xs))
-
-
 def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> dict[int, ElementSet]:
     """Minimal right Engel sinks for the given elements (default: all of G).
 
@@ -100,7 +94,8 @@ def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> dict[int, 
     n = G.n
     cols = np.arange(n) if elements is None else np.flatnonzero(ElementSet.of(n, elements).mask)
     found = np.zeros(len(cols) * n, dtype=bool)
-    for xs, steps, land in _landing_blocks(G):
+    for xs in _blocks(n, n):
+        steps, land = _landing(G, xs)
         # walk (i, t) reads steps.flat[i * n + c] and sets found.flat[t * n + c]
         rows, who = np.divmod(np.arange(len(xs) * len(cols)), len(cols))
         rows, who = rows * n, who * n
@@ -135,9 +130,9 @@ def right_engel_sink(G: GroupTable, g: int) -> SinkReport:
 
 
 def is_right_engel(G: GroupTable, g: int) -> bool:
-    """Whether every commutator tail from g ends in the identity."""
+    """Whether every commutator tail from g ends in the identity: its sink is {1}."""
     G._check(g)
-    return not any(land[:, g].any() for _, _, land in _landing_blocks(G))
+    return len(sinks(G, [g])[g]) == 1
 
 
 def is_left_engel(G: GroupTable, x: int) -> bool:

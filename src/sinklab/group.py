@@ -92,9 +92,10 @@ class LazyList(Sequence):
         return self.items == other
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupTable:
-    """A finite group materialized as a full n x n multiplication table."""
+    """A finite group materialized as a full n x n multiplication table;
+    equal and hashed by identity, as tables are never compared by value."""
 
     n: int
     table: np.ndarray  # (n, n), table[a, b] = a * b
@@ -135,18 +136,21 @@ class GroupTable:
         self._check(a), self._check(b)
         return int(t[t[t[self.inverse[a], self.inverse[b]], a], b])
 
-    def power(self, a: int, e: int) -> int:
-        """a**e for any integer e, by square-and-multiply on the table."""
-        self._check(a)
+    def power(self, a: int | np.ndarray, e: int) -> int | np.ndarray:
+        """a**e for any integer e, by square-and-multiply on the table; for
+        an index array a, the array of powers, elementwise."""
+        scalar = np.ndim(a) == 0
+        if scalar:
+            self._check(a)
         if e < 0:
-            a, e = self.inv(a), -e
-        result, base = 0, a
+            a, e = self.inverse[a], -e
+        result, base = np.zeros_like(a), a
         while e:
             if e & 1:
-                result = int(self.table[result, base])
-            base = int(self.table[base, base])
+                result = self.table[result, base]
+            base = self.table[base, base]
             e >>= 1
-        return result
+        return int(result) if scalar else result
 
     def element_order(self, a: int) -> int:
         self._check(a)

@@ -10,17 +10,30 @@ blindly (no cycle detection) and collects the values met at steps
 |G| .. 3|G|. Pigeonhole makes this window exact: a walk on |G| states
 repeats within its first |G| steps, so the preperiod is shorter than |G|,
 and the remaining 2|G| steps cover every cycle at least twice.
+
+check_heineken and check_centralizer_power test statements about single
+elements that are invariant under conjugation: sink(g^x) = sink(g)^x and
+C(g^x) = C(g)^x. So if g fails, so does the least element of its class,
+and the least failing g, which each counterexample names, is a class
+minimum; both checkers visit class minima only, in ascending order. Their
+counts are sums over all elements, taken as a class minimum's term times
+its class size, np.bincount(G.class_labels)[g].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .engel import commutator_tail, gamma_values, left_engel_set, sink_profile, sinks
 from .errors import HypothesisFailed
 from .families import FamilySpec, build, component_embedding
-from .group import ElementSet, GroupTable, centralizer, is_subgroup, quotient, subgroup_closure, subgroup_table
+from .group import (
+    ElementSet, GroupTable, centralizer, class_representatives, is_subgroup, quotient, subgroup_closure, subgroup_table,
+)
 from .structure import fitting_subgroup, is_nilpotent, nilpotent_residual
 
 
@@ -68,12 +81,12 @@ def _gid(G: GroupTable) -> str:
 def check_heineken(G: GroupTable) -> CheckResult:
     """Right Engel g (its sink is the identity alone) implies left Engel
     g^-1, for every element."""
-    left_engel = left_engel_set(G)
+    left_engel, size = left_engel_set(G), np.bincount(G.class_labels)
     right_engel = 0
-    for g, sink in sinks(G).items():
+    for g, sink in sinks(G, class_representatives(G)).items():
         if len(sink) > 1:  # the identity is in every sink
             continue
-        right_engel += 1
+        right_engel += int(size[g])
         if G.inv(g) not in left_engel:
             return CheckResult(
                 "heineken",
@@ -85,34 +98,28 @@ def check_heineken(G: GroupTable) -> CheckResult:
     return CheckResult("heineken", _gid(G), True, stats={"order": G.n, "right_engel_count": right_engel})
 
 
-def _factorial_power(G: GroupTable, h: int, m: int) -> int:
-    """h**(m!) using the exponent reduced modulo the order of h."""
-    ord_h = G.element_order(h)
-    e = 1
-    for i in range(2, m + 1):
-        e = (e * i) % ord_h
-    return G.power(h, e)
-
-
 def check_centralizer_power(G: GroupTable) -> CheckResult:
-    """For m = |sink(g)| and h centralizing g, h^(m!) centralizes sink(g)."""
-    sink_of = sinks(G)
+    """For m = |sink(g)| and h centralizing g, h^(m!) centralizes sink(g).
+
+    All of C(g) is raised to m! mod exponent(G) at once and read on the
+    centralizer of sink(g); a failure names the least failing h, then the
+    least z in sink(g) that its power does not commute with."""
+    t, size, exponent = G.table, np.bincount(G.class_labels), G.exponent()
     checked = 0
-    for g in G.elements():
-        sink = sink_of[g]
+    for g, sink in sinks(G, class_representatives(G)).items():
         m = len(sink)
-        for h in centralizer(G, [g]):
-            hp = _factorial_power(G, h, m)
-            for z in sink:
-                checked += 1
-                if not G.commute(hp, z):
-                    return CheckResult(
-                        "centralizer_power",
-                        _gid(G),
-                        False,
-                        counterexample={"g": g, "h": h, "h_power": hp, "z": z, "m": m},
-                        stats={"order": G.n},
-                    )
+        hs = np.flatnonzero(centralizer(G, [g]).mask)
+        hp = G.power(hs, math.factorial(m) % exponent)
+        bad = np.flatnonzero(~centralizer(G, sink).mask[hp])
+        if len(bad):
+            h, p = int(hs[bad[0]]), int(hp[bad[0]])
+            z = int(np.flatnonzero(sink.mask & (t[p] != t[:, p]))[0])
+            return CheckResult(
+                "centralizer_power", _gid(G), False,
+                counterexample={"g": g, "h": h, "h_power": p, "z": z, "m": m},
+                stats={"order": G.n},
+            )
+        checked += int(size[g]) * len(hs) * m
     return CheckResult("centralizer_power", _gid(G), True, stats={"order": G.n, "pairs_checked": checked})
 
 
@@ -127,51 +134,43 @@ def check_orbit_lemma(G: GroupTable, V: ElementSet, a: int, k: int) -> CheckResu
     """
     if not is_subgroup(G, V):
         raise HypothesisFailed("V is not a subgroup")
-    mem = sorted(V.members)
-    if not all(G.commute(u, v) for u in mem for v in mem):
+    if not centralizer(G, V).mask[V.mask].all():
         raise HypothesisFailed("V is not abelian")
-    if not all(G.conj(v, a) in V for v in mem):
+    mem = np.flatnonzero(V.mask)
+    conj = G.table[G.table[G.inv(a), mem], a]  # conj[i] = mem[i]^a
+    if not V.mask[conj].all():
         raise HypothesisFailed("a does not normalize V")
-    image = {G.comm(u, a) for u in mem}
-    if image != V.members:
+    if ElementSet.of(G.n, G.table[G.inverse[mem], conj]) != V:  # [v, a] = v^-1 v^a
         raise HypothesisFailed("V != [V, a]")
 
-    fixed = [v for v in mem if G.conj(v, a) == v]
-    if fixed != [0]:
+    fixed = mem[conj == mem]
+    if len(fixed) > 1:
         return CheckResult(
             "orbit_lemma", _gid(G), False,
-            counterexample={"fixed_point": next(v for v in fixed if v != 0)},
-            stats={"order": G.n},
-        )
-    if len(image) != len(mem):
-        return CheckResult(
-            "orbit_lemma", _gid(G), False,
-            counterexample={"reason_not_injective": 1},
+            counterexample={"fixed_point": int(fixed[1])},
             stats={"order": G.n},
         )
 
-    H, embed = subgroup_table(G, subgroup_closure(G, V.members | {a}))
-    local = {g: i for i, g in enumerate(embed)}
-    values = gamma_values(H, k)
-    missing = [v for v in mem if local[v] not in values]
-    if missing:
+    S = subgroup_closure(G, [a, *V])
+    H, _ = subgroup_table(G, S)
+    local = np.cumsum(S.mask) - 1  # local[g] is g's index in H for g in S
+    missing = mem[~gamma_values(H, k).mask[local[mem]]]
+    if len(missing):
         return CheckResult(
             "orbit_lemma", _gid(G), False,
-            counterexample={"v_not_gamma_value": missing[0], "k": k},
+            counterexample={"v_not_gamma_value": int(missing[0]), "k": k},
             stats={"order": G.n},
         )
 
-    a_local = local[a]
-    sink_of = sinks(H, [local[v] for v in mem])
+    a_local, sink_of = int(local[a]), sinks(H, local[mem])
     equality = 1
     max_orbit = 0
-    for v in mem:
-        vl = local[v]
+    for v, vl in zip(mem.tolist(), local[mem].tolist()):
         tail = commutator_tail(H, vl, a_local)
         orbit = tail.preperiod + tail.cycle
         max_orbit = max(max_orbit, len(orbit))
         sink = sink_of[vl]
-        if not all(z in sink for z in orbit):
+        if not sink.mask[list(orbit)].all():
             return CheckResult(
                 "orbit_lemma", _gid(G), False,
                 counterexample={"v": v, "orbit_value_outside_sink": 1},
@@ -183,7 +182,7 @@ def check_orbit_lemma(G: GroupTable, V: ElementSet, a: int, k: int) -> CheckResu
                 counterexample={"v": v, "identity_in_orbit": 1},
                 stats={"order": G.n},
             )
-        if sink.members != set(orbit) | {0}:
+        if len(sink) != len({0, *orbit}):  # orbit and the identity lie in sink
             equality = 0
     return CheckResult(
         "orbit_lemma", _gid(G), True,

@@ -110,10 +110,13 @@ def test_engel_element_examples(s4):
     assert not is_left_engel(s4, t)
 
 
-def test_is_right_engel_iff_trivial_sink(s3, s4):
-    for G in (s3, s4):
+def test_is_right_engel_iff_trivial_sink(corpus):
+    """is_right_engel, a read of the sink kernel, against the scalar tails."""
+    for group_id, G in corpus:
+        if G.n > 60:
+            continue
         for g in G.elements():
-            assert is_right_engel(G, g) == (right_engel_sink(G, g).size_full == 1)
+            assert is_right_engel(G, g) == (right_engel_sink(G, g).size_full == 1), (group_id, g)
 
 
 def test_recurrent_value_characterization(s3, q8, d4):

@@ -516,6 +516,23 @@ def test_power(s3):
     assert s3.power(g, 100) == s3.power(g, 100 % 3)
 
 
+def test_power_of_an_index_array_is_elementwise(corpus):
+    """An index array's powers are its elements' scalar powers; a scalar stays an int."""
+    for group_id, G in corpus:
+        a = np.arange(G.n)
+        for e in (-7, -1, 0, 1, 2, 5, 24, 121):
+            assert G.power(a, e).tolist() == [G.power(x, e) for x in range(G.n)], (group_id, e)
+    assert type(G.power(G.n - 1, 3)) is int
+    with pytest.raises(IndexOutOfRange):
+        G.power(G.n, 2)
+
+
+def test_group_tables_compare_and_hash_by_identity():
+    G, H = build(FamilySpec("symmetric", (3,))), build(FamilySpec("symmetric", (3,)))
+    assert G == G and G != H
+    assert len({G, H, G}) == 2
+
+
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 # The build_cap benchmark workload's groups: products, semidirect products and closures.
 BUILD_CAP_SPECS = (

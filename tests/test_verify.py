@@ -1,12 +1,16 @@
+import math
+
 import pytest
 
-from sinklab.engel import gamma_values, right_engel_sink
+from sinklab import verify
+from sinklab.engel import commutator_tail, gamma_values, right_engel_sink
 from sinklab.errors import HypothesisFailed
 from sinklab.families import FamilySpec, build
-from sinklab.group import ElementSet, centralizer, subgroup_closure
+from sinklab.group import ElementSet, GroupTable, center, centralizer, classes_meeting, subgroup_closure, subgroup_table
 from sinklab.structure import nilpotent_residual
 from sinklab.verify import (
     CSV_COLUMNS,
+    CheckResult,
     check_centralizer_power,
     check_component_sinks,
     check_heineken,
@@ -164,3 +168,150 @@ def test_scan_row_invariants(corpus):
         assert row.m_full >= 1
         assert row.n % row.fitting_index == 0
         assert row.n % row.residual_order == 0
+
+
+# Reference checkers: the element-by-element loops that check_heineken,
+# check_centralizer_power and check_orbit_lemma replace. They read sinks,
+# left_engel_set, centralizer and gamma_values through the verify module, so
+# a fault patched in there reaches both sides.
+
+
+def ref_heineken(G):
+    left_engel = verify.left_engel_set(G)
+    right_engel = 0
+    for g, sink in verify.sinks(G).items():
+        if len(sink) > 1:
+            continue
+        right_engel += 1
+        if G.inv(g) not in left_engel:
+            return CheckResult("heineken", verify._gid(G), False, {"g": g, "g_inverse": G.inv(g)}, {"order": G.n})
+    return CheckResult("heineken", verify._gid(G), True, stats={"order": G.n, "right_engel_count": right_engel})
+
+
+def ref_centralizer_power(G):
+    sink_of = verify.sinks(G)
+    checked = 0
+    for g in G.elements():
+        sink = sink_of[g]
+        m = len(sink)
+        for h in verify.centralizer(G, [g]):
+            hp = G.power(h, math.factorial(m) % G.element_order(h))
+            for z in sink:
+                checked += 1
+                if not G.commute(hp, z):
+                    ce = {"g": g, "h": h, "h_power": hp, "z": z, "m": m}
+                    return CheckResult("centralizer_power", verify._gid(G), False, ce, {"order": G.n})
+    return CheckResult("centralizer_power", verify._gid(G), True, stats={"order": G.n, "pairs_checked": checked})
+
+
+def ref_orbit_lemma(G, V, a, k):
+    def fail(ce):
+        return CheckResult("orbit_lemma", verify._gid(G), False, ce, {"order": G.n})
+
+    mem = sorted(V.members)
+    if not verify.is_subgroup(G, V):
+        raise HypothesisFailed("V is not a subgroup")
+    if not all(G.commute(u, v) for u in mem for v in mem):
+        raise HypothesisFailed("V is not abelian")
+    if not all(G.conj(v, a) in V for v in mem):
+        raise HypothesisFailed("a does not normalize V")
+    if {G.comm(u, a) for u in mem} != V.members:
+        raise HypothesisFailed("V != [V, a]")
+    fixed = [v for v in mem if G.conj(v, a) == v]
+    if fixed != [0]:
+        return fail({"fixed_point": next(v for v in fixed if v != 0)})
+    H, embed = subgroup_table(G, subgroup_closure(G, V.members | {a}))
+    local = {g: i for i, g in enumerate(embed)}
+    values = verify.gamma_values(H, k)
+    missing = [v for v in mem if local[v] not in values]
+    if missing:
+        return fail({"v_not_gamma_value": missing[0], "k": k})
+    sink_of = verify.sinks(H, [local[v] for v in mem])
+    equality, max_orbit = 1, 0
+    for v in mem:
+        tail = commutator_tail(H, local[v], local[a])
+        orbit = tail.preperiod + tail.cycle
+        max_orbit = max(max_orbit, len(orbit))
+        sink = sink_of[local[v]]
+        if not all(z in sink for z in orbit):
+            return fail({"v": v, "orbit_value_outside_sink": 1})
+        if v != 0 and 0 in orbit:
+            return fail({"v": v, "identity_in_orbit": 1})
+        if sink.members != set(orbit) | {0}:
+            equality = 0
+    stats = {"order": G.n, "v_count": len(mem), "k": k, "max_orbit": max_orbit}
+    return CheckResult("orbit_lemma", verify._gid(G), True, stats={**stats, "sink_equals_orbit_plus_identity": equality})
+
+
+def _sinks_spread_to_classes(G, elements=None):
+    return {g: classes_meeting(G, sink) for g, sink in REAL_SINKS(G, elements).items()}
+
+
+def _trivial_sinks(G, elements=None):
+    return {g: ElementSet.trivial(G.n) for g in REAL_SINKS(G, elements)}
+
+
+REAL_SINKS, REAL_FACTORIAL, REAL_POWER = verify.sinks, math.factorial, GroupTable.power
+# Conjugation-invariant faults, each as (patches, the checks it makes fail on some corpus group).
+FAULTS = {
+    "none": ([], set()),
+    "left_engel_set_is_center": ([(verify, "left_engel_set", center)], {"heineken"}),
+    "trivial_sinks": ([(verify, "sinks", _trivial_sinks)], {"heineken"}),
+    "factorial_plus_one": ([(math, "factorial", lambda m: REAL_FACTORIAL(m) + 1)], {"centralizer_power"}),
+    # No group fails; on A5, (m-1)! is 0 mod every element order but not mod m.
+    "factorial_of_m_minus_one": ([(math, "factorial", lambda m: REAL_FACTORIAL(m - 1))], set()),
+    "power_plus_one": ([(GroupTable, "power", lambda G, a, e: REAL_POWER(G, a, e + 1))], {"centralizer_power"}),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_class_minimum_checkers_match_references(corpus, monkeypatch, fault):
+    """Under each fault, the checkers on class minima return the same
+    CheckResult, counterexample or stats, as the element-by-element
+    references on every corpus group, and the fault fails the checks named."""
+    patches, fails = FAULTS[fault]
+    for target, name, value in patches:
+        monkeypatch.setattr(target, name, value)
+    failed = set()
+    for group_id, G in corpus:
+        for check, ref in ((check_heineken, ref_heineken), (check_centralizer_power, ref_centralizer_power)):
+            result = check(G)
+            assert result == ref(G), (fault, group_id)
+            if not result.passed:
+                failed.add(result.check)
+    assert failed == fails
+
+
+@pytest.mark.parametrize("fault", ("none", "no_gamma_values", "trivial_sinks", "sinks_spread_to_classes"))
+def test_orbit_lemma_matches_reference(ie31, ie32, frob732, s4, monkeypatch, fault):
+    """The orbit lemma on masks and gathers against the element loops, with
+    faults that reach its gamma-value and sink failures or flip the equality flag."""
+    patch = {
+        "none": {},
+        "no_gamma_values": {"gamma_values": lambda H, k: ElementSet.trivial(H.n)},
+        "trivial_sinks": {"sinks": _trivial_sinks},
+        "sinks_spread_to_classes": {"sinks": _sinks_spread_to_classes},
+    }[fault]
+    for name, value in patch.items():
+        monkeypatch.setattr(verify, name, value)
+    for G, k in ((ie31, 3), (ie32, 2), (frob732, 2)):
+        V, a = nilpotent_residual(G), G.generators[-1]
+        result = check_orbit_lemma(G, V, a, k)
+        assert result == ref_orbit_lemma(G, V, a, k), (fault, G.name)
+        assert result.passed == (fault in ("none", "sinks_spread_to_classes"))
+
+
+def test_orbit_lemma_hypotheses_match_reference(s4, ie31):
+    bad_inputs = [
+        (s4, ElementSet.of(s4.n, [0, 1, 2]), 1),
+        (s4, ElementSet.full(s4.n), 0),
+        (ie31, nilpotent_residual(ie31), ie31.generators[0]),
+        (s4, subgroup_closure(s4, [s4.labels.index("(1 2)(3 4)")]), s4.labels.index("(1 2 3)")),
+    ]
+    for G, V, a in bad_inputs:
+        messages = []
+        for check in (check_orbit_lemma, ref_orbit_lemma):
+            with pytest.raises(HypothesisFailed) as exc:
+                check(G, V, a, 2)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1], messages
