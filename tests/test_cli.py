@@ -69,13 +69,16 @@ def test_sink_bodies_pinned(capsys):
 def test_verify_bodies_pinned(capsys, tmp_path):
     """`verify --check all` bodies, timing aside, equal the pinned ones: every
     stat (pairs_checked, right_engel_count, max_orbit, the equality flag) and
-    every verdict, on the corpus and on inversion_extension 3 5 and 3 6."""
+    every verdict, on the corpus, on inversion_extension 3 5, 3 6 and 5 1,
+    and on frobenius 7 3 4, 13 3 9 and 11 5 3."""
     pinned = json.loads(VERIFY_BODIES.read_text(encoding="utf-8"))
     for name, body in pinned.items():
         path = CORPUS_DIR / f"{name}.grp"
-        if not path.exists():  # inversion_extension_3_<r>
+        if not path.exists():  # <family>_<p1>_<p2>[_<p3>]
+            family = name.rstrip("0123456789_")
+            params = name[len(family):].replace("_", " ")
             path = tmp_path / f"{name}.grp"
-            path.write_text(f"name {name}\ngroup construct {' '.join(name.rsplit('_', 2))}\n", encoding="utf-8")
+            path.write_text(f"name {name}\ngroup construct {family}{params}\n", encoding="utf-8")
         code, out, _ = run(capsys, "verify", str(path), "--check", "all")
         result = json.loads(out)
         result.pop("timing_ms")
