@@ -97,51 +97,45 @@ def parse_element(G: GroupTable, text: str) -> int:
     return Word(tuple(factors)).evaluate(G)
 
 
-def _load(args) -> tuple[GroupSpec, GroupTable]:
+def _report(args, command: str, results) -> list[dict]:
+    """Parse and build args.spec, compute results(spec, G) -> payloads, and
+    write them to stdout in the report envelope, timed from start to payloads."""
+    started = time.perf_counter()
     spec = parse_spec_file(args.spec)
-    return spec, build_spec(spec, _order_cap(args))
-
-
-def _emit(payload: dict, out) -> None:
-    out.write(canonical_json(payload))
+    G = build_spec(spec, _order_cap(args))
+    payloads = results(spec, G)
+    envelope = report_envelope(command, emit_spec(spec), payloads, (time.perf_counter() - started) * 1e3)
+    sys.stdout.write(canonical_json(envelope))
+    return payloads
 
 
 def cmd_build(args) -> int:
-    started = time.perf_counter()
-    spec, G = _load(args)
-    F = fitting_subgroup(G)
-    cls = nilpotency_class(G)
-    summary = {
-        "group": spec.display_name(),
-        "order": G.n,
-        "exponent": G.exponent(),
-        "nilpotent": cls is not None,
-        "nilpotency_class": cls,
-        "fitting_index": G.n // len(F),
-    }
-    _emit(report_envelope("build", emit_spec(spec), [summary], (time.perf_counter() - started) * 1e3), sys.stdout)
+    def summary(spec: GroupSpec, G: GroupTable) -> list[dict]:
+        F, cls = fitting_subgroup(G), nilpotency_class(G)
+        return [{
+            "group": spec.display_name(),
+            "order": G.n,
+            "exponent": G.exponent(),
+            "nilpotent": cls is not None,
+            "nilpotency_class": cls,
+            "fitting_index": G.n // len(F),
+        }]
+
+    _report(args, "build", summary)
     return 0
 
 
 def cmd_sink(args) -> int:
-    started = time.perf_counter()
-    spec, G = _load(args)
-    g = parse_element(G, args.element)
-    payload = sink_payload(G, right_engel_sink(G, g))
-    _emit(report_envelope("sink", emit_spec(spec), [payload], (time.perf_counter() - started) * 1e3), sys.stdout)
+    _report(args, "sink", lambda spec, G: [sink_payload(G, right_engel_sink(G, parse_element(G, args.element)))])
     return 0
 
 
 def cmd_gamma(args) -> int:
-    started = time.perf_counter()
-    spec, G = _load(args)
-    values = gamma_values(G, args.k)
-    payload = {
-        "k": args.k,
-        "size": len(values),
-        "values": sorted(G.labels[v] for v in values),
-    }
-    _emit(report_envelope("gamma", emit_spec(spec), [payload], (time.perf_counter() - started) * 1e3), sys.stdout)
+    def payload(spec: GroupSpec, G: GroupTable) -> list[dict]:
+        values = gamma_values(G, args.k)
+        return [{"k": args.k, "size": len(values), "values": sorted(G.labels[v] for v in values)}]
+
+    _report(args, "gamma", payload)
     return 0
 
 
@@ -178,12 +172,10 @@ def _run_checks(spec: GroupSpec, G: GroupTable, which: str, k: int):
 
 
 def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    spec, G = _load(args)
-    results = _run_checks(spec, G, args.check, args.k)
-    payloads = [check_payload(G, r) for r in results]
-    _emit(report_envelope("verify", emit_spec(spec), payloads, (time.perf_counter() - started) * 1e3), sys.stdout)
-    return 0 if all(r.passed for r in results) else 1
+    payloads = _report(
+        args, "verify", lambda spec, G: [check_payload(G, r) for r in _run_checks(spec, G, args.check, args.k)]
+    )
+    return 0 if all(p["passed"] for p in payloads) else 1
 
 
 def load_corpus(corpus_dir: str | Path) -> list[tuple[str, Path]]:

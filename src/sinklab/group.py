@@ -303,15 +303,6 @@ def validate_table(G: GroupTable) -> None:
         raise InvalidPermutation("inverse law fails")
 
 
-def associativity_audit(G: GroupTable) -> None:
-    """Full O(n^3) associativity check. Opt-in; intended for n <= a few hundred."""
-    t = G.table
-    left = t[t, :]  # left[a, b, c] = (a*b)*c
-    right = t[:, t]  # right[a, b, c] = a*(b*c)
-    if not np.array_equal(left, right):
-        raise InvalidPermutation("associativity audit failed")
-
-
 def close_generators(
     gens: Sequence[Permutation],
     order_cap: int = DEFAULT_ORDER_CAP,
@@ -327,7 +318,7 @@ def close_generators(
     their Schreier-tree parent and generator. This gives rmul[v, i] = p_i * g_v,
     then lmul[v, j] = g_v * p_j = rmul[via[j], lmul[v, parent[j]]] down the
     tree, and table[i] = table[parent[i]][lmul[via[i]]] by rows, since
-    p_i * p_j = p_parent[i] * (g_via[i] * p_j). Inverses are the argsorted image rows.
+    p_i * p_j = p_parent[i] * (g_via[i] * p_j). An inverse is the column holding 0 in its row.
     """
     if not gens:
         raise InvalidPermutation("need at least one generator")
@@ -366,7 +357,6 @@ def close_generators(
     n, img = len(index), np.concatenate(chunks)
     if any((np.sort(img[rows], axis=1) != np.arange(degree)).any() for rows in _blocks(n, degree)):
         raise InvalidPermutation("closure made an image row that is not a bijection")
-    inverse = [index[b] for rows in _blocks(n, degree) for b in keys(np.argsort(img[rows], axis=1))]
     table = _new_table(n)
     rmul = np.concatenate(found).reshape(n, k).T  # rmul[v, i]: p_i * g_v
     lmul, parent, via = rmul.copy(), np.concatenate(parent), np.concatenate(via)
@@ -375,12 +365,13 @@ def close_generators(
     table[0] = np.arange(n)
     for i in range(1, n):
         table[i] = table[parent[i]][lmul[via[i]]]
+    inverse = np.concatenate([table[rows].argmin(axis=1) for rows in _blocks(n, n)])  # the column of 0 in each row
     points = list(range(1, degree + 1))  # the perms' tuples share these ints
     perms = LazyList(lambda: [Permutation(degree, tuple(map(points.__getitem__, row.tolist()))) for row in img])
     return GroupTable(
         n=n,
         table=table,
-        inverse=np.array(inverse, dtype=table.dtype),
+        inverse=inverse.astype(table.dtype),
         labels=LazyList(lambda: [format_cycles(p) for p in perms]),
         generators=list(dict.fromkeys(rmul[:, 0].tolist())),
         perms=perms,

@@ -17,7 +17,7 @@ from .verify import CSV_COLUMNS, CheckResult, ScanRow
 
 # Counterexample keys whose values are element indices; only these get labels.
 ELEMENT_KEYS = frozenset({
-    "argmax", "fixed_point", "g", "g_inverse", "h", "h_power", "not_a_value",
+    "argmax", "g", "g_inverse", "h", "h_power", "not_a_value",
     "v", "v_not_gamma_value", "v_tail", "w", "w_tail", "z",
 })
 

@@ -124,17 +124,3 @@ def fitting_via_normal_closures(G: GroupTable) -> ElementSet:
             pieces = pieces.union(ncl)
     return subgroup_closure(G, pieces)
 
-
-def normal_subgroups(G: GroupTable) -> list[ElementSet]:
-    """All normal subgroups, as joins of single-element normal closures.
-
-    Every normal subgroup is the join of the normal closures of its elements,
-    so closing the atoms under pairwise join enumerates the whole lattice.
-    Intended for small groups; cost grows with the lattice size.
-    """
-    atoms = {normal_closure(G, [x]) for x in class_representatives(G)}  # x = 0 gives the trivial one
-    found, frontier = set(atoms), set(atoms)
-    while frontier:
-        frontier = {subgroup_closure(G, a.union(b)) for a in frontier for b in atoms} - found
-        found |= frontier
-    return sorted(found, key=lambda N: (len(N), list(N)))

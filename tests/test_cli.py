@@ -139,8 +139,8 @@ def test_counterexample_labels_only_elements(s3):
     ce = counterexample(m_full=2, nilpotent=0, argmax=1)
     assert ce["m_full"] == 2 and ce["nilpotent"] == 0
     assert ce["argmax"] == {"index": 1, "label": s3.labels[1]}
-    ce = counterexample(v=2, identity_in_orbit=1)
-    assert ce["identity_in_orbit"] == 1 and ce["v"]["label"] == s3.labels[2]
+    ce = counterexample(v=2, orbit_value_outside_sink=1)
+    assert ce["orbit_value_outside_sink"] == 1 and ce["v"]["label"] == s3.labels[2]
     ce = counterexample(component=1, n=2, w_tail=0, v_tail=0)
     assert ce["component"] == 1 and ce["n"] == 2 and ce["w_tail"]["label"] == "e"
     assert counterexample(w=3, sink_nontrivial=1)["sink_nontrivial"] == 1

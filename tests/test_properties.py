@@ -7,7 +7,6 @@ from sinklab.engel import gamma_values, is_left_engel, is_right_engel, left_enge
 from sinklab.group import (
     ElementSet,
     GroupTable,
-    associativity_audit,
     close_generators,
     comm_values,
     is_normal,
@@ -21,6 +20,8 @@ from sinklab.group import (
 from sinklab.perm import Permutation
 from sinklab.structure import derived_series, fitting_index, is_nilpotent, lower_central_series
 from sinklab.verify import scan_row
+
+from oracles import associativity_audit
 
 MAX_ORDER = 200
 

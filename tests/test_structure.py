@@ -19,9 +19,10 @@ from sinklab.structure import (
     lower_central_series,
     nilpotency_class,
     nilpotent_residual,
-    normal_subgroups,
 )
 from sinklab.verify import scan_row
+
+from oracles import normal_subgroups
 
 
 def test_derived_subgroup(s3, c12):
