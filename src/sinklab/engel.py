@@ -7,16 +7,17 @@ Engel sink of g is exactly the union over x of those eventual cycles: every
 cycle value recurs at arbitrarily long iteration depths (so any sink must
 contain it), and past the preperiods nothing else ever appears.
 
-Every set-valued Engel question reads from one kernel, ``_landing``. For a
-block of directions it gathers the step maps steps[i, c] = [c, xs[i]] from
-the table and squares them L times with 2^L >= n (pointer jumping), giving
-the landing points land = steps^(2^L). A preperiod is shorter than n, so
-every landing point lies on the cycle its tail ends in. Then x is left Engel
-iff row x of land is all identity, g is right Engel iff column g of land is
-all identity (over every direction), and the sink of g is the union of the
-cycles through column g of land, found by one walk per direction once round
-each cycle. Conjugation is an automorphism, so sink(g^h) = sink(g)^h: left
-Engel, sink sizes and the value sets are class invariants, which
+``sinks`` walks from its targets only. For a block of directions it gathers
+the step grid steps[i, c] = [c, xs[i]] and starts one walker per (direction,
+target) at the target; all advance by one flat gather per step. A walker's
+saved point is reset at each power-of-two step count (Brent, BIT 20 (1980);
+Knuth, TAOCP vol. 2, sec. 3.1 ex. 7); once a reset falls past the preperiod
+and the cycle fits in the gap to the next, the walker meets it on the cycle.
+One joint pass goes once round each such cycle and marks the target's sink.
+Left Engel needs every start: ``_landing`` squares the step grid L times,
+2^L >= n (pointer jumping), and x is left Engel iff its row of landing points
+is all identity. Conjugation is an automorphism, so sink(g^h) = sink(g)^h:
+left Engel, sink sizes and the value sets are class invariants, which
 left_engel_set, gamma_values and sink_profile compute on class minima only.
 
 ``commutator_tail`` is the one scalar walk. Recurrence witnesses come only
@@ -69,38 +70,40 @@ def commutator_tail(G: GroupTable, g: int, x: int) -> TailTrace:
         pos[c] = len(seq)
         seq.append(c)
         c = G.comm(c, x)
-    first = pos[c]
-    return TailTrace(g, x, tuple(seq[:first]), tuple(seq[first:]))
+    return TailTrace(g, x, tuple(seq[:pos[c]]), tuple(seq[pos[c]:]))
 
 
-def _landing(G: GroupTable, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(steps, land) for the directions xs: steps[i, c] = [c, xs[i]], and
-    land[i, c] is c after 2^L >= n steps, so it lies on its tail's cycle."""
-    steps = _comm_grid(G, xs, np.arange(G.n))
+def _landing(G: GroupTable, xs: np.ndarray) -> np.ndarray:
+    """land[i, c] is c after 2^L >= n steps c -> [c, xs[i]], so it lies on its tail's cycle."""
+    land = _comm_grid(G, xs, np.arange(G.n))
     row_starts = np.arange(len(xs))[:, None] * G.n  # a flat gather beats take_along_axis
-    land = steps
     for _ in range((G.n - 1).bit_length()):
         land = land.ravel()[land + row_starts]
-    return steps, land
+    return land
 
 
 def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> dict[int, ElementSet]:
-    """Minimal right Engel sinks for the given elements (default: all of G).
-
-    In each direction the walk from an element's landing point goes once
-    round its cycle; the walks of a block of directions advance together, and
-    a walk drops out when it is back at its landing point.
-    """
+    """Minimal right Engel sinks for the given elements (default: all of G),
+    by a Brent walk per (direction, target) on a block of step grids."""
     n = G.n
     cols = np.arange(n) if elements is None else np.flatnonzero(ElementSet.of(n, elements).mask)
     found = np.zeros(len(cols) * n, dtype=bool)
-    for xs in _blocks(n, n):
-        steps, land = _landing(G, xs)
-        # walk (i, t) reads steps.flat[i * n + c] and sets found.flat[t * n + c]
-        rows, who = np.divmod(np.arange(len(xs) * len(cols)), len(cols))
-        rows, who = rows * n, who * n
-        flat_steps = steps.ravel()
-        start = land[:, cols].ravel()
+    # a block's grid rows, their transient in _comm_grid and 48 bytes a walker take at most BLOCK_ENTRIES bytes
+    for xs in _blocks(n, 2 * n * G.table.itemsize + 48 * len(cols)):
+        flat_steps = _comm_grid(G, xs, np.arange(n)).ravel()
+        # walker (i, t) reads flat_steps[i * n + c] and sets found[t * n + c]
+        rows, who = np.repeat(np.arange(len(xs)) * n, len(cols)), np.tile(np.arange(len(cols)) * n, len(xs))
+        cur = saved = np.tile(cols.astype(flat_steps.dtype), len(xs))
+        on_cycle, step = [(rows[:0], who[:0], cur[:0])], 0
+        while len(cur):
+            cur, step = flat_steps[rows + cur], step + 1
+            met = cur == saved
+            if met.any():
+                on_cycle.append((rows[met], who[met], cur[met]))
+                rows, who, cur, saved = rows[~met], who[~met], cur[~met], saved[~met]
+            if step & (step - 1) == 0:  # Brent's reset
+                saved = cur
+        rows, who, start = map(np.concatenate, zip(*on_cycle))
         cur = start
         while len(cur):
             found[who + cur] = True
@@ -136,14 +139,10 @@ def is_right_engel(G: GroupTable, g: int) -> bool:
 
 
 def is_left_engel(G: GroupTable, x: int) -> bool:
-    """Whether every tail in direction x ends in the identity.
-
-    Equivalent to: the functional graph of c -> [c, x] has no cycle other
-    than the fixed point at the identity.
-    """
+    """Whether every tail in direction x ends in the identity: the functional
+    graph of c -> [c, x] has no cycle other than the fixed point at 1."""
     G._check(x)
-    _, land = _landing(G, np.array([x]))
-    return not land.any()
+    return not _landing(G, np.array([x])).any()
 
 
 def left_engel_set(G: GroupTable) -> ElementSet:
@@ -151,7 +150,7 @@ def left_engel_set(G: GroupTable) -> ElementSet:
     reps = np.flatnonzero(G.class_labels == np.arange(G.n))
     found = np.zeros(G.n, dtype=bool)
     for rows in _blocks(len(reps), G.n):
-        found[reps[rows]] = ~_landing(G, reps[rows])[1].any(axis=1)
+        found[reps[rows]] = ~_landing(G, reps[rows]).any(axis=1)
     return ElementSet(found[G.class_labels])
 
 

@@ -474,13 +474,17 @@ def normal_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> ElementSe
     return subgroup_closure(G, classes_meeting(G, ElementSet.of(G.n, seed)))
 
 
+def _commuting(G: GroupTable, xs: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    """Mask over xs of the x with x s = s x for every s in ss, in blocks of xs."""
+    found = np.zeros(len(xs), dtype=bool)
+    for rows in _blocks(len(xs), len(ss)):
+        found[rows] = (_product_grid(G, xs[rows], ss) == _product_grid(G, ss, xs[rows]).T).all(axis=1)
+    return found
+
+
 def centralizer(G: GroupTable, S: ElementSet | Iterable[int]) -> ElementSet:
     """Elements x with x s = s x for every s in S."""
-    ss = np.flatnonzero(ElementSet.of(G.n, S).mask)
-    found = np.zeros(G.n, dtype=bool)
-    for xs in _blocks(G.n, len(ss)):
-        found[xs] = (_product_grid(G, xs, ss) == _product_grid(G, ss, xs).T).all(axis=1)
-    return ElementSet(found)
+    return ElementSet(_commuting(G, np.arange(G.n), np.flatnonzero(ElementSet.of(G.n, S).mask)))
 
 
 def center(G: GroupTable) -> ElementSet:

@@ -39,7 +39,8 @@ from .engel import commutator_tail, gamma_values, left_engel_set, sink_profile, 
 from .errors import HypothesisFailed
 from .families import FamilySpec, build, component_embedding
 from .group import (
-    ElementSet, GroupTable, centralizer, class_representatives, is_subgroup, quotient, subgroup_closure, subgroup_table,
+    ElementSet, GroupTable, _commuting, centralizer, class_representatives, is_subgroup, quotient, subgroup_closure,
+    subgroup_table,
 )
 from .structure import fitting_subgroup, is_nilpotent, nilpotent_residual
 
@@ -108,18 +109,18 @@ def check_heineken(G: GroupTable) -> CheckResult:
 def check_centralizer_power(G: GroupTable) -> CheckResult:
     """For m = |sink(g)| and h centralizing g, h^(m!) centralizes sink(g).
 
-    All of C(g) is raised to m! mod exponent(G) at once and read on the
-    centralizer of sink(g); a failure names the least failing h, then the
-    least z in sink(g) that its power does not commute with."""
+    All of C(g) is raised to m! mod exponent(G) at once, and only the
+    distinct powers are tested against sink(g); a failure names the least
+    failing h, then the least z in sink(g) that its power does not commute with."""
     t, size, exponent = G.table, np.bincount(G.class_labels), G.exponent()
     checked = 0
     for g, sink in sinks(G, class_representatives(G)).items():
         m = len(sink)
         hs = np.flatnonzero(centralizer(G, [g]).mask)
-        hp = G.power(hs, math.factorial(m) % exponent)
-        bad = np.flatnonzero(~centralizer(G, sink).mask[hp])
+        powers, back = np.unique(G.power(hs, math.factorial(m) % exponent), return_inverse=True)
+        bad = np.flatnonzero(~_commuting(G, powers, np.flatnonzero(sink.mask))[back])
         if len(bad):
-            h, p = int(hs[bad[0]]), int(hp[bad[0]])
+            h, p = int(hs[bad[0]]), int(powers[back[bad[0]]])
             z = int(np.flatnonzero(sink.mask & (t[p] != t[:, p]))[0])
             return CheckResult(
                 "centralizer_power", _gid(G), False,
@@ -153,8 +154,10 @@ def check_orbit_lemma(G: GroupTable, V: ElementSet, a: int, k: int) -> CheckResu
         raise HypothesisFailed("V != [V, a]")
 
     S = subgroup_closure(G, [a, *V])
-    H, _ = subgroup_table(G, S)
-    local = (np.cumsum(S.mask) - 1)[mem]  # local[i] is mem[i]'s index in H
+    if S.mask.all():  # <V, a> is G: no copy
+        H, local = G, mem
+    else:
+        H, local = subgroup_table(G, S)[0], (np.cumsum(S.mask) - 1)[mem]  # local[i] is mem[i]'s index in H
     missing = mem[~gamma_values(H, k).mask[local]]
     if len(missing):
         return CheckResult(

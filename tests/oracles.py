@@ -1,10 +1,14 @@
-"""Slow oracles that only the tests use: the full associativity audit and
-the lattice of normal subgroups."""
+"""Slow oracles that only the tests use: the full associativity audit, the
+lattice of normal subgroups, and two routes to right Engel sinks that share
+nothing with the Brent walk of ``engel.sinks`` but the step grid."""
 
 import numpy as np
 
+from sinklab.engel import _landing
 from sinklab.errors import InvalidPermutation
-from sinklab.group import ElementSet, GroupTable, class_representatives, normal_closure, subgroup_closure
+from sinklab.group import (
+    ElementSet, GroupTable, _blocks, _comm_grid, class_representatives, normal_closure, subgroup_closure,
+)
 
 
 def associativity_audit(G: GroupTable) -> None:
@@ -29,3 +33,40 @@ def normal_subgroups(G: GroupTable) -> list[ElementSet]:
         frontier = {subgroup_closure(G, a.union(b)) for a in frontier for b in atoms} - found
         found |= frontier
     return sorted(found, key=lambda N: (len(N), list(N)))
+
+
+def landing_sinks(G: GroupTable, elements=None) -> dict[int, ElementSet]:
+    """Sinks by the landing route: per direction, the walk from each target's
+    landing point goes once round its cycle (every landing point is on one)."""
+    n = G.n
+    cols = np.arange(n) if elements is None else np.flatnonzero(ElementSet.of(n, elements).mask)
+    found = np.zeros(len(cols) * n, dtype=bool)
+    for xs in _blocks(n, n):
+        flat_steps, land = _comm_grid(G, xs, np.arange(n)).ravel(), _landing(G, xs)
+        # walk (i, t) reads flat_steps[i * n + c] and sets found[t * n + c]
+        rows, who = np.divmod(np.arange(len(xs) * len(cols)), len(cols))
+        rows, who = rows * n, who * n
+        start = land[:, cols].ravel()
+        cur = start
+        while len(cur):
+            found[who + cur] = True
+            cur = flat_steps[rows + cur]
+            moving = cur != start
+            rows, who, cur, start = rows[moving], who[moving], cur[moving], start[moving]
+    return dict(zip(cols.tolist(), map(ElementSet, found.reshape(-1, n))))
+
+
+def window_sinks(G: GroupTable) -> np.ndarray:
+    """found[g, z]: z is met from g, in some direction, at a step count in
+    n .. 3n, with no cycle detection. Every preperiod is shorter than n, and
+    the 2n steps after it go round every cycle, so this is the sink of g."""
+    n = G.n
+    found, starts = np.zeros((n, n), dtype=bool), np.arange(n)
+    for xs in _blocks(n, n):
+        steps, rows = _comm_grid(G, xs, starts), np.arange(len(xs))[:, None]
+        cur = np.broadcast_to(starts, steps.shape)
+        for step in range(1, 3 * n + 1):
+            cur = steps[rows, cur]
+            if step >= n:
+                found[starts, cur] = True
+    return found

@@ -11,9 +11,12 @@ from sinklab.engel import (
     sink_profile,
     sinks,
 )
+from sinklab import group
 from sinklab.families import FamilySpec, build
 from sinklab.group import quotient, subgroup_closure
 from sinklab.structure import nilpotent_residual
+
+from oracles import landing_sinks, window_sinks
 
 
 def brute_commutator_set(G, xs):
@@ -82,7 +85,7 @@ def test_sink_contains_identity(s4, frob732):
         for g, sink in sinks(G).items():
             assert 0 in sink
             report = right_engel_sink(G, g)
-            assert report.sink == sink  # scalar tails agree with the landing-point kernel
+            assert report.sink == sink  # scalar tails agree with the Brent walk
             assert report.size_nontrivial == report.size_full - 1
 
 
@@ -244,3 +247,33 @@ def test_engel_sets_match_iteration_oracle(corpus):
         assert {x for x in G.elements() if is_left_engel(G, x)} == left, group_id
         assert {g for g in G.elements() if is_right_engel(G, g)} == right, group_id
         assert {g for g, sink in sinks(G).items() if sink.members == {0}} == right, group_id
+
+
+def test_sinks_match_landing_and_window_oracles(corpus):
+    """The Brent walk against the landing route and the plain window, for
+    every element of every corpus group, and on targets taken alone."""
+    for group_id, G in corpus:
+        walk, landing, window = sinks(G), landing_sinks(G), window_sinks(G)
+        for g in G.elements():
+            assert walk[g] == landing[g], (group_id, g)
+            assert np.array_equal(walk[g].mask, window[g]), (group_id, g)
+        odd = range(1, G.n, 2)
+        assert sinks(G, odd) == {g: walk[g] for g in odd}, group_id
+
+
+def test_sinks_over_many_direction_blocks(corpus, monkeypatch):
+    """With a small BLOCK_ENTRIES the walk runs in several direction blocks,
+    and the sinks, of all elements and of one, do not change."""
+    whole = {group_id: (sinks(G), sinks(G, [G.n - 1])) for group_id, G in corpus}
+    blocks = []
+
+    def counted_grid(G, xs, cs):
+        blocks.append(len(xs))
+        return group._comm_grid(G, xs, cs)
+
+    monkeypatch.setattr(group, "BLOCK_ENTRIES", 1000)
+    monkeypatch.setattr("sinklab.engel._comm_grid", counted_grid)
+    for group_id, G in corpus:
+        del blocks[:]
+        assert (sinks(G), sinks(G, [G.n - 1])) == whole[group_id], group_id
+        assert sum(blocks) == 2 * G.n and (G.n < 16 or len(blocks) > 2), group_id

@@ -21,7 +21,7 @@ from sinklab.perm import Permutation
 from sinklab.structure import derived_series, fitting_index, is_nilpotent, lower_central_series
 from sinklab.verify import scan_row
 
-from oracles import associativity_audit
+from oracles import associativity_audit, landing_sinks
 
 MAX_ORDER = 200
 
@@ -221,6 +221,17 @@ def test_class_invariance(corpus, data):
             assert np.array_equal(sink_of[int(grid[g, h])].mask, image)
     for S in (gamma_values(G, 2), gamma_values(G, 3), left_engel_set(G), *lower_central_series(G).terms):
         assert is_class_union(grid, S)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_sinks_match_landing_oracle_relabelled(corpus, data):
+    """The Brent walk against the landing route on a relabelled corpus group,
+    for all elements and for a random target set."""
+    G = relabelled_corpus_group(corpus, data)
+    assert sinks(G) == landing_sinks(G)
+    targets = data.draw(st.sets(st.integers(min_value=0, max_value=G.n - 1), max_size=8))
+    assert sinks(G, targets) == landing_sinks(G, targets)
 
 
 @settings(max_examples=25, deadline=None)
