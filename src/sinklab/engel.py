@@ -88,8 +88,8 @@ def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> dict[int, 
     n = G.n
     cols = np.arange(n) if elements is None else np.flatnonzero(ElementSet.of(n, elements).mask)
     found = np.zeros(len(cols) * n, dtype=bool)
-    # a block's grid rows, their transient in _comm_grid and 48 bytes a walker take at most BLOCK_ENTRIES bytes
-    for xs in _blocks(n, 2 * n * G.table.itemsize + 48 * len(cols)):
+    # a block's grid rows with _comm_grid's transients, and 48 bytes a walker: about BLOCK_ENTRIES bytes
+    for xs in _blocks(n, n * (8 + 2 * G.table.itemsize) + 48 * len(cols)):
         flat_steps = _comm_grid(G, xs, np.arange(n)).ravel()
         # walker (i, t) reads flat_steps[i * n + c] and sets found[t * n + c]
         rows, who = np.repeat(np.arange(len(xs)) * n, len(cols)), np.tile(np.arange(len(cols)) * n, len(xs))

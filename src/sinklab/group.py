@@ -405,11 +405,15 @@ def _product_grid(G: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def _comm_grid(G: GroupTable, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """grid[i, j] = [cs[j], xs[i]] = cs[j]^-1 xs[i]^-1 cs[j] xs[i]."""
-    t, inv = G.table, G.inverse
-    u = t[inv[cs][None, :], inv[xs][:, None]]
-    u = t[u, cs[None, :]]
-    return t[u, xs[:, None]]
+    """grid[i, j] = [cs[j], xs[i]] = cs[j]^-1 xs[i]^-1 cs[j] xs[i], by three
+    flat gathers on the table through one reused buffer of flat indices: it
+    peaks at 8 bytes an entry plus two grids in the table's dtype."""
+    n, flat = G.n, G.table.ravel()
+    at = np.multiply(G.inverse[xs][:, None], n, dtype=np.intp) + cs  # xs[i]^-1 cs[j]
+    np.multiply(flat.take(at), n, out=at, dtype=np.intp)
+    at += xs[:, None]  # xs[i]^-1 cs[j] xs[i]
+    np.add(flat.take(at), np.multiply(G.inverse[cs], n, dtype=np.intp), out=at)
+    return flat.take(at)
 
 
 def _values(G: GroupTable, grid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Slow oracles that only the tests use: the full associativity audit, the
-lattice of normal subgroups, and two routes to right Engel sinks that share
-nothing with the Brent walk of ``engel.sinks`` but the step grid."""
+lattice of normal subgroups, and two routes to right Engel sinks besides the
+Brent walk of ``engel.sinks``: the landing route, on the same step grid, and
+a plain window over the steps of ``GroupTable.comm_step``."""
 
 import numpy as np
 
@@ -59,14 +60,14 @@ def landing_sinks(G: GroupTable, elements=None) -> dict[int, ElementSet]:
 def window_sinks(G: GroupTable) -> np.ndarray:
     """found[g, z]: z is met from g, in some direction, at a step count in
     n .. 3n, with no cycle detection. Every preperiod is shorter than n, and
-    the 2n steps after it go round every cycle, so this is the sink of g."""
+    the 2n steps after it go round every cycle, so this is the sink of g.
+    The steps come from GroupTable.comm_step, one direction at a time, and
+    all n^2 walks advance together: intended for small groups."""
     n = G.n
-    found, starts = np.zeros((n, n), dtype=bool), np.arange(n)
-    for xs in _blocks(n, n):
-        steps, rows = _comm_grid(G, xs, starts), np.arange(len(xs))[:, None]
-        cur = np.broadcast_to(starts, steps.shape)
-        for step in range(1, 3 * n + 1):
-            cur = steps[rows, cur]
-            if step >= n:
-                found[starts, cur] = True
+    steps, starts = np.array([G.comm_step(x) for x in G.elements()]), np.arange(n)
+    found, rows, cur = np.zeros((n, n), dtype=bool), starts[:, None], np.broadcast_to(starts, (n, n))
+    for step in range(1, 3 * n + 1):
+        cur = steps[rows, cur]
+        if step >= n:
+            found[starts, cur] = True
     return found

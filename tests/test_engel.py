@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sinklab import group
 from sinklab.engel import (
     commutator_tail,
     gamma_values,
@@ -11,7 +14,6 @@ from sinklab.engel import (
     sink_profile,
     sinks,
 )
-from sinklab import group
 from sinklab.families import FamilySpec, build
 from sinklab.group import quotient, subgroup_closure
 from sinklab.structure import nilpotent_residual
@@ -277,3 +279,21 @@ def test_sinks_over_many_direction_blocks(corpus, monkeypatch):
         del blocks[:]
         assert (sinks(G), sinks(G, [G.n - 1])) == whole[group_id], group_id
         assert sum(blocks) == 2 * G.n and (G.n < 16 or len(blocks) > 2), group_id
+
+
+def test_sink_transients_bounded_by_blocks(monkeypatch):
+    """The walk's peak above what stays live is within the 16 * BLOCK_ENTRIES
+    bytes of transients that a table reserves, though one n x n step grid of
+    (D12)^2 would not fit in it."""
+    G = build(FamilySpec("direct_power", (2,), base=FamilySpec("dihedral", (12,))))
+    monkeypatch.setattr(group, "BLOCK_ENTRIES", 1 << 14)
+    assert G.n * G.n * G.table.itemsize > 16 * group.BLOCK_ENTRIES
+    for targets in (np.flatnonzero(G.class_labels == np.arange(G.n)), None):
+        tracemalloc.start()
+        try:
+            sink_of = sinks(G, targets)  # kept, so that live holds the result
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - live <= 16 * group.BLOCK_ENTRIES
+        assert len(sink_of) == (G.n if targets is None else len(targets))

@@ -106,6 +106,18 @@ def test_comm_zero_iff_commute(s4):
             assert (s4.comm(a, b) == 0) == s4.commute(a, b)
 
 
+def test_comm_grid_matches_scalar_comm(corpus):
+    """The flat-gather commutator grid against G.comm, on every corpus group
+    of order up to 60, for all columns and for the class minima."""
+    for group_id, G in corpus:
+        if G.n > 60:
+            continue
+        xs, minima = np.arange(G.n), np.flatnonzero(G.class_labels == np.arange(G.n))
+        for cs in (xs, minima):
+            want = [[G.comm(int(c), int(x)) for c in cs] for x in xs]
+            assert np.array_equal(group._comm_grid(G, xs, cs), want), group_id
+
+
 def test_conj_matches_definition(s4):
     for a in range(0, s4.n, 5):
         for b in range(s4.n):
