@@ -12,8 +12,9 @@ the step grid steps[i, c] = [c, xs[i]] and starts one walker per (direction,
 target) at the target; all advance by one flat gather per step. A walker's
 saved point is reset at each power-of-two step count (Brent, BIT 20 (1980);
 Knuth, TAOCP vol. 2, sec. 3.1 ex. 7); once a reset falls past the preperiod
-and the cycle fits in the gap to the next, the walker meets it on the cycle.
-One joint pass goes once round each such cycle and marks the target's sink.
+and the cycle fits in the gap to the next, the walker meets it on the cycle,
+whose length is the steps since the reset. The walkers that meet at one step
+then go once round their cycles together and mark their targets' sinks.
 Left Engel needs every start: ``_landing`` squares the step grid L times,
 2^L >= n (pointer jumping), and x is left Engel iff its row of landing points
 is all identity. Conjugation is an automorphism, so sink(g^h) = sink(g)^h:
@@ -94,22 +95,20 @@ def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> dict[int, 
         # walker (i, t) reads flat_steps[i * n + c] and sets found[t * n + c]
         rows, who = np.repeat(np.arange(len(xs)) * n, len(cols)), np.tile(np.arange(len(cols)) * n, len(xs))
         cur = saved = np.tile(cols.astype(flat_steps.dtype), len(xs))
-        on_cycle, step = [(rows[:0], who[:0], cur[:0])], 0
+        on_cycle, step, reset = [], 0, 0
         while len(cur):
             cur, step = flat_steps[rows + cur], step + 1
             met = cur == saved
-            if met.any():
-                on_cycle.append((rows[met], who[met], cur[met]))
-                rows, who, cur, saved = rows[~met], who[~met], cur[~met], saved[~met]
+            if met.any():  # these walkers are on their cycles, all of length step - reset
+                on_cycle.append((step - reset, rows[met], who[met], cur[met]))
+                keep = ~met
+                rows, who, cur, saved = rows[keep], who[keep], cur[keep], saved[keep]
             if step & (step - 1) == 0:  # Brent's reset
-                saved = cur
-        rows, who, start = map(np.concatenate, zip(*on_cycle))
-        cur = start
-        while len(cur):
-            found[who + cur] = True
-            cur = flat_steps[rows + cur]
-            moving = cur != start
-            rows, who, cur, start = rows[moving], who[moving], cur[moving], start[moving]
+                saved, reset = cur, step
+        for length, rows, who, cur in on_cycle:  # once round each cycle from the saved points
+            for _ in range(length):
+                found[who + cur] = True
+                cur = flat_steps[rows + cur]
     return dict(zip(cols.tolist(), map(ElementSet, found.reshape(-1, n))))
 
 
