@@ -6,7 +6,9 @@ from sinklab import verify
 from sinklab.engel import commutator_tail, gamma_values, right_engel_sink
 from sinklab.errors import HypothesisFailed
 from sinklab.families import FamilySpec, build
-from sinklab.group import ElementSet, GroupTable, center, centralizer, classes_meeting, subgroup_closure, subgroup_table
+from sinklab.group import (
+    ElementSet, GroupTable, center, centralizer, classes_meeting, direct_product, subgroup_closure, subgroup_table,
+)
 from sinklab.structure import nilpotent_residual
 from sinklab.verify import (
     CSV_COLUMNS,
@@ -294,8 +296,10 @@ def test_orbit_lemma_matches_reference(ie31, ie32, frob732, s4, monkeypatch, fau
     }[fault]
     for name, value in patch.items():
         monkeypatch.setattr(verify, name, value)
-    for G, k in ((ie31, 3), (ie32, 2), (frob732, 2)):
-        V, a = nilpotent_residual(G), G.generators[-1]
+    cases = [(G, nilpotent_residual(G), G.generators[-1], k) for G, k in ((ie31, 3), (ie32, 2), (frob732, 2))]
+    F = direct_product(frob732, build(FamilySpec("cyclic", (2,))))  # (x, 0) has index 2x
+    cases.append((F, ElementSet.of(F.n, [2 * v for v in nilpotent_residual(frob732)]), 2 * frob732.generators[-1], 2))
+    for G, V, a, k in cases:  # in the last, <V, a> is frob732 x 1, not all of G
         result = check_orbit_lemma(G, V, a, k)
         assert result == ref_orbit_lemma(G, V, a, k), (fault, G.name)
         assert result.passed == (fault in ("none", "sinks_spread_to_classes"))
