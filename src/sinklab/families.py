@@ -3,7 +3,9 @@ elementary abelian, the inversion extension T:C2, Frobenius groups Cp:Cq, and
 direct powers of any of these.
 
 Base families are realized as permutation groups (so their elements carry
-cycle-notation labels); the extension families are assembled with the
+cycle-notation labels): cyclic n is filled in closed form, as addition mod n,
+which is the table close_generators makes from the n-cycle; the others are
+closed by close_generators. The extension families are assembled with the
 semidirect/direct product constructors.
 """
 
@@ -12,9 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidParameters
-from .group import DEFAULT_ORDER_CAP, GroupTable, close_generators, direct_product, semidirect_product
-from .perm import Permutation
+import numpy as np
+
+from .errors import CapExceeded, InvalidParameters
+from .group import (
+    DEFAULT_ORDER_CAP, GroupTable, LazyList, _new_table, close_generators, direct_product, semidirect_product,
+)
+from .perm import Permutation, format_cycles
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -99,7 +105,27 @@ def validate(spec: FamilySpec) -> None:
 
 
 def _cyclic(n: int, cap: int) -> GroupTable:
-    return close_generators([_cycle(list(range(1, n + 1)), n)], cap, name=f"C{n}")
+    """The closure of the n-cycle g, whose breadth-first search finds g^i as
+    element i: table[i, j] = (i + j) mod n, filled by rows of a doubled
+    arange in the table's dtype, after the closure's cap checks."""
+    if cap < 1:
+        raise CapExceeded("order cap must be at least 1")
+    if n > cap:
+        raise CapExceeded(f"closure exceeded order cap {cap} (degree {n})")
+    table = _new_table(n)
+    doubled = np.tile(np.arange(n, dtype=table.dtype), 2)  # doubled[i + j] = (i + j) mod n
+    table[:] = np.lib.stride_tricks.sliding_window_view(doubled, n)[:n]
+    points = list(range(1, n + 1)) * 2  # g^i maps point x to points[x - 1 + i]
+    perms = LazyList(lambda: [Permutation(n, tuple(points[i : i + n])) for i in range(n)])
+    return GroupTable(
+        n=n,
+        table=table,
+        inverse=doubled[n:0:-1].copy(),  # -i mod n
+        labels=LazyList(lambda: [format_cycles(p) for p in perms]),
+        generators=[1 % n],
+        perms=perms,
+        name=f"C{n}",
+    )
 
 
 def _elementary_abelian(p: int, r: int, cap: int) -> GroupTable:
@@ -150,9 +176,8 @@ def _inversion_extension(p: int, r: int, cap: int) -> GroupTable:
 
 
 def _frobenius(p: int, q: int, t: int, cap: int) -> GroupTable:
-    # cyclic(p) built from a single p-cycle enumerates powers in order,
-    # so element k is u^k and the action of the j-th complement generator
-    # power is k -> k * t^j mod p.
+    # cyclic(p) is addition mod p, so element k is u^k and the action of
+    # the j-th complement generator power is k -> k * t^j mod p.
     Cp = _cyclic(p, cap)
     Cq = _cyclic(q, cap)
     action = [[(k * pow(t, j, p)) % p for k in range(p)] for j in range(q)]

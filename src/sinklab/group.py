@@ -160,12 +160,15 @@ class GroupTable:
             k += 1
         return k
 
-    def exponent(self) -> int:
-        """lcm of the element orders, with c = a^k for all a at once until c is the identity."""
+    def exponent(self, N: ElementSet | None = None) -> int:
+        """The exponent of G/N for a normal subgroup N (default the trivial
+        one): the lcm over a of the least k with a^k in N, with c = a^k for
+        all a at once until c is in N. N must be normal, or G/N is no group."""
+        stop = ElementSet.trivial(self.n) if N is None else ElementSet.of(self.n, N)
         a = c = np.arange(self.n)
         k = e = 1
         while len(a):
-            live = c != 0
+            live = ~stop.mask[c]
             e = e if live.all() else math.lcm(e, k)
             a, c, k = a[live], self.table[c[live], a[live]], k + 1
         return e

@@ -39,7 +39,7 @@ from .engel import commutator_tail, gamma_values, left_engel_set, sink_profile, 
 from .errors import HypothesisFailed
 from .families import FamilySpec, build, component_embedding
 from .group import (
-    ElementSet, GroupTable, _commuting, centralizer, class_representatives, is_subgroup, quotient, subgroup_closure,
+    ElementSet, GroupTable, _commuting, centralizer, class_representatives, is_subgroup, subgroup_closure,
     subgroup_table,
 )
 from .structure import fitting_subgroup, is_nilpotent, nilpotent_residual
@@ -315,7 +315,6 @@ def scan_row(G: GroupTable, group_id: str, k: int) -> ScanRow:
     m_full, m_nontrivial, _ = sink_profile(G, k)
     F = fitting_subgroup(G)
     residual = nilpotent_residual(G)
-    Q, _ = quotient(G, F)
     return ScanRow(
         group=group_id,
         n=G.n,
@@ -324,7 +323,7 @@ def scan_row(G: GroupTable, group_id: str, k: int) -> ScanRow:
         m_nontrivial=m_nontrivial,
         fitting_index=G.n // len(F),
         residual_order=len(residual),
-        quotient_exponent=Q.exponent(),
+        quotient_exponent=G.exponent(F),  # F is normal: fitting_subgroup certifies it
     )
 
 

@@ -1,8 +1,10 @@
 """close_generators against a scalar breadth-first oracle, pinned digests,
-the order cap and the block-bounded transients."""
+the order cap and the block-bounded transients; the closed-form cyclic
+family against the closure."""
 
 import hashlib
 import json
+import re
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sinklab import group
+from sinklab.cli import main
 from sinklab.errors import CapExceeded
 from sinklab.families import FamilySpec, build
 from sinklab.group import GroupTable, close_generators
@@ -136,3 +139,71 @@ def test_closure_transients_bounded_by_blocks(monkeypatch):
     assert peak - live <= bound
     assert G.table.nbytes > 2 * bound
     assert np.array_equal(G.table, want.table) and np.array_equal(G.inverse, want.inverse)
+
+
+def n_cycle(n):
+    return Permutation(n, (*range(2, n + 1), 1))
+
+
+def cyclic_fields(close, n, order_cap):
+    """Every field of C_n as close builds it, or its CapExceeded message."""
+    try:
+        G = close(n, order_cap)
+    except CapExceeded as exc:
+        return str(exc)
+    return (G.n, G.table.dtype, G.table.tobytes(), G.inverse.dtype, G.inverse.tobytes(),
+            G.generators, list(G.perms), list(G.labels), G.name)
+
+
+def test_cyclic_closed_form_matches_the_closure():
+    """build(cyclic n) is close_generators of the n-cycle field by field, and
+    raises the closure's messages at the caps n - 1 and 0 (for n <= 64)."""
+    def closure(n, order_cap):
+        return close_generators([n_cycle(n)], order_cap, name=f"C{n}")
+
+    def closed_form(n, order_cap):
+        return build(FamilySpec("cyclic", (n,)), order_cap)
+
+    for n in [*range(1, 65), 500, 2000]:
+        for order_cap in (n, n - 1, 0) if n <= 64 else (n,):
+            assert cyclic_fields(closed_form, n, order_cap) == cyclic_fields(closure, n, order_cap), (n, order_cap)
+
+
+def test_deepest_closure_digests_pinned_through_the_closure():
+    """cyclic 24 and cyclic 500, the deepest breadth-first trees of
+    closure_digests.json, still match their pins through close_generators."""
+    pinned = json.loads(CLOSURE_DIGESTS.read_text(encoding="utf-8"))
+    for n in (24, 500):
+        assert closure_digest(close_generators([n_cycle(n)], name=f"C{n}")) == pinned[f"cyclic {n}"], n
+
+
+def test_cyclic_beyond_the_cap_raises_before_allocating(capsys, tmp_path, monkeypatch):
+    """cyclic 10001 raises CapExceeded with the closure's message, and the CLI
+    exits 3, with no 10001 x 10001 table (191 MiB) allocated."""
+    monkeypatch.delenv("SINKLAB_CAP", raising=False)
+    spec = tmp_path / "c10001.grp"
+    spec.write_text("group construct cyclic 10001\n", encoding="utf-8")
+    message = "closure exceeded order cap 10000 (degree 10001)"
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=re.escape(message)):
+            build(FamilySpec("cyclic", (10_001,)))
+        code = main(["build", str(spec)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and message in capsys.readouterr().err
+    assert peak < 8 << 20
+
+
+def test_cyclic_build_peaks_at_its_table_plus_blocks():
+    """cyclic 10000 fills its table in the table's dtype: the tracemalloc
+    peak of the build, validation included, is its table plus less than
+    16 * BLOCK_ENTRIES bytes (an int64 table would add 763 MiB)."""
+    tracemalloc.start()
+    try:
+        G = build(FamilySpec("cyclic", (10_000,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.table.nbytes <= peak < G.table.nbytes + 16 * group.BLOCK_ENTRIES

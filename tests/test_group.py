@@ -482,6 +482,17 @@ def test_exponent_matches_scalar_element_orders(corpus):
         assert G.exponent() == reduce(math.lcm, (G.element_order(a) for a in range(G.n)), 1), G.name
 
 
+def test_exponent_mod_a_normal_subgroup_is_the_quotient_exponent(corpus):
+    """G.exponent(N) equals the exponent of the quotient table G/N for every
+    normal subgroup N of every corpus group and of the contrast groups
+    E3^r:C2, r = 1..4. N = 1 is among them, whose quotient is G itself, so
+    the default G.exponent() is read through both paths as well."""
+    contrast = [build(FamilySpec("inversion_extension", (3, r))) for r in range(1, 5)]
+    for G in [G for _, G in corpus] + contrast:
+        for N in normal_subgroups(G):
+            assert G.exponent(N) == quotient(G, N)[0].exponent(), (G.name, sorted(N))
+
+
 def test_validate_and_audit(q8, d4, s3):
     for G in (q8, d4, s3):
         validate_table(G)
