@@ -106,7 +106,7 @@ def validate(spec: FamilySpec) -> None:
 
 def _cyclic(n: int, cap: int) -> GroupTable:
     """The closure of the n-cycle g, whose breadth-first search finds g^i as
-    element i: table[i, j] = (i + j) mod n, filled by rows of a doubled
+    element i: table[i, j] = (i + j) mod n, row i copied from a doubled
     arange in the table's dtype, after the closure's cap checks."""
     if cap < 1:
         raise CapExceeded("order cap must be at least 1")
@@ -114,7 +114,8 @@ def _cyclic(n: int, cap: int) -> GroupTable:
         raise CapExceeded(f"closure exceeded order cap {cap} (degree {n})")
     table = _new_table(n)
     doubled = np.tile(np.arange(n, dtype=table.dtype), 2)  # doubled[i + j] = (i + j) mod n
-    table[:] = np.lib.stride_tricks.sliding_window_view(doubled, n)[:n]
+    for i in range(n):
+        table[i] = doubled[i : i + n]
     points = list(range(1, n + 1)) * 2  # g^i maps point x to points[x - 1 + i]
     perms = LazyList(lambda: [Permutation(n, tuple(points[i : i + n])) for i in range(n)])
     return GroupTable(
