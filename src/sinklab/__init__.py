@@ -19,7 +19,6 @@ from .group import (
     DEFAULT_ORDER_CAP,
     ElementSet,
     GroupTable,
-    Word,
     center,
     centralizer,
     close_generators,
@@ -35,7 +34,6 @@ from .group import (
 from .perm import Permutation, format_cycles, parse_cycles
 from .specfile import GroupSpec, build_spec, emit_spec, parse_spec_file, parse_spec_text
 from .structure import (
-    SeriesReport,
     derived_series,
     derived_subgroup,
     fitting_index,

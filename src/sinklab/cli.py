@@ -13,8 +13,8 @@ import time
 from pathlib import Path
 
 from .engel import gamma_values, right_engel_sink
-from .errors import CapExceeded, SinklabError, SpecParseError
-from .group import DEFAULT_ORDER_CAP, GroupTable, Word
+from .errors import CapExceeded, IndexOutOfRange, SinklabError, SpecParseError
+from .group import DEFAULT_ORDER_CAP, GroupTable
 from .perm import parse_cycles
 from .report import canonical_json, check_payload, report_envelope, scan_csv, sink_payload
 from .specfile import GroupSpec, build_spec, emit_spec, parse_spec_file
@@ -74,7 +74,7 @@ def parse_element(G: GroupTable, text: str) -> int:
         if perm not in G.perms:
             raise CliInputError(f"permutation {s} is not an element of this group")
         return G.perms.index(perm)
-    factors = []
+    result = 0
     for token in s.split("*"):
         token = token.strip()
         if not token.startswith("g"):
@@ -93,8 +93,10 @@ def parse_element(G: GroupTable, text: str) -> int:
             pos = int(body)
         except ValueError:
             raise CliInputError(f"bad generator position in {token!r}") from None
-        factors.append((pos, exp))
-    return Word(tuple(factors)).evaluate(G)
+        if not 0 <= pos < len(G.generators):
+            raise IndexOutOfRange(f"generator g{pos} does not exist (group has {len(G.generators)})")
+        result = G.mul(result, G.power(G.generators[pos], exp))
+    return result
 
 
 def _report(args, command: str, results) -> list[dict]:
@@ -157,7 +159,7 @@ def _run_checks(spec: GroupSpec, G: GroupTable, which: str, k: int):
             results.append(check_m1_iff_nilpotent(G, kk))
     if which in ("sink_oracle", "all"):
         if G.n <= ORACLE_CAP:
-            results.append(check_sink_oracle(G, ORACLE_CAP))
+            results.append(check_sink_oracle(G))
         elif which == "sink_oracle":
             raise CliInputError(f"sink_oracle is capped at order {ORACLE_CAP}; group has order {G.n}")
     if which in ("orbit_lemma", "all"):
@@ -166,8 +168,6 @@ def _run_checks(spec: GroupSpec, G: GroupTable, which: str, k: int):
             results.append(check_orbit_lemma(G, inputs[0], inputs[1], k))
         elif which == "orbit_lemma":
             raise CliInputError("orbit_lemma needs a group constructed as inversion_extension or frobenius")
-    for result in results:
-        result.group = spec.display_name()
     return results
 
 

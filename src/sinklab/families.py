@@ -171,9 +171,7 @@ def _inversion_extension(p: int, r: int, cap: int) -> GroupTable:
     C2 = _cyclic(2, cap)
     inversion = [int(v) for v in T.inverse]
     action = [list(range(T.n)), inversion]
-    G = semidirect_product(T, C2, action, cap)
-    G.name = f"E{p}^{r}:C2"
-    return G
+    return semidirect_product(T, C2, action, cap)  # semidirect_product names it E{p}^{r}:C2
 
 
 def _frobenius(p: int, q: int, t: int, cap: int) -> GroupTable:
@@ -182,9 +180,7 @@ def _frobenius(p: int, q: int, t: int, cap: int) -> GroupTable:
     Cp = _cyclic(p, cap)
     Cq = _cyclic(q, cap)
     action = [[(k * pow(t, j, p)) % p for k in range(p)] for j in range(q)]
-    G = semidirect_product(Cp, Cq, action, cap)
-    G.name = f"C{p}:C{q}"
-    return G
+    return semidirect_product(Cp, Cq, action, cap)  # semidirect_product names it C{p}:C{q}
 
 
 # name -> (parameter count, builder taking the parameters and the order cap);

@@ -180,12 +180,8 @@ class GroupTable:
         return self.mul(a, b) == self.mul(b, a)
 
     def comm_step(self, x: int) -> np.ndarray:
-        """Vectorized map c -> [c, x] over all c, as an index array."""
-        self._check(x)
-        t, inv = self.table, self.inverse
-        u = t[inv, inv[x]]  # c^-1 x^-1
-        u = t[u, np.arange(self.n)]  # (c^-1 x^-1) c
-        return t[u, x]
+        """Vectorized map c -> [c, x] over all c, as an index array: row 0 of _comm_grid."""
+        return _comm_grid(self, np.array([self._check(x)]), np.arange(self.n))[0]
 
     @cached_property
     def class_labels(self) -> np.ndarray:
@@ -270,21 +266,6 @@ class ElementSet:
 
     def union(self, other: "ElementSet") -> "ElementSet":
         return ElementSet(self.mask | ElementSet.of(self.n, other).mask)
-
-
-@dataclass(frozen=True)
-class Word:
-    """A product of generator powers, e.g. g0 * g1^-2."""
-
-    factors: tuple[tuple[int, int], ...]  # (generator position, nonzero exponent)
-
-    def evaluate(self, G: GroupTable) -> int:
-        result = 0
-        for pos, exp in self.factors:
-            if not 0 <= pos < len(G.generators):
-                raise IndexOutOfRange(f"generator g{pos} does not exist (group has {len(G.generators)})")
-            result = G.mul(result, G.power(G.generators[pos], exp))
-        return result
 
 
 def validate_table(G: GroupTable) -> None:

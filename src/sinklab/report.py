@@ -52,7 +52,7 @@ def sink_payload(G: GroupTable, report: SinkReport) -> dict:
     }
 
 
-def check_payload(G: GroupTable | None, result: CheckResult) -> dict:
+def check_payload(G: GroupTable, result: CheckResult) -> dict:
     payload = {
         "check": result.check,
         "group": result.group,
@@ -62,13 +62,10 @@ def check_payload(G: GroupTable | None, result: CheckResult) -> dict:
     if result.counterexample is None:
         payload["counterexample"] = None
     else:
-        ce = dict(sorted(result.counterexample.items()))
-        if G is not None:
-            ce = {
-                key: {"index": value, "label": G.labels[value]} if key in ELEMENT_KEYS else value
-                for key, value in ce.items()
-            }
-        payload["counterexample"] = ce
+        payload["counterexample"] = {
+            key: {"index": value, "label": G.labels[value]} if key in ELEMENT_KEYS else value
+            for key, value in sorted(result.counterexample.items())
+        }
     return payload
 
 

@@ -9,11 +9,11 @@ closures. is_nilpotent(G, S) reads S's lower central series in G's table.
 When S is normal, so is every term, and comm_values uses class minima.
 G's own series is kept with its table (GroupTable.lower_central) and read
 whenever S is all of G; G/1 is G, so the residual's certificate reads it too.
+A series is a plain tuple of ElementSets that ends in its first repeated
+term, so its last entry is the stable one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .engel import left_engel_set
 from .errors import InternalInconsistency
@@ -31,45 +31,30 @@ from .group import (
 )
 
 
-@dataclass(frozen=True)
-class SeriesReport:
-    kind: str  # "lower_central" | "derived"
-    terms: tuple[ElementSet, ...]
-    stable: bool
-
-    @property
-    def last(self) -> ElementSet:
-        return self.terms[-1]
-
-
 def derived_subgroup(G: GroupTable) -> ElementSet:
     full = ElementSet.full(G.n)
     return subgroup_closure(G, comm_values(G, full, full))
 
 
-def _series(G: GroupTable, kind: str, S: ElementSet | None = None) -> SeriesReport:
-    S = ElementSet.full(G.n) if S is None else ElementSet.of(G.n, S)
-    if kind == "lower_central" and len(S) == G.n:
-        return SeriesReport(kind=kind, terms=G.lower_central, stable=True)
-    return SeriesReport(kind=kind, terms=_series_terms(G, S, kind == "derived"), stable=True)
+def lower_central_series(G: GroupTable) -> tuple[ElementSet, ...]:
+    """G, then [T, G] after each term T, down to the first repeat (kept with the table)."""
+    return G.lower_central
 
 
-def lower_central_series(G: GroupTable) -> SeriesReport:
-    return _series(G, "lower_central")
-
-
-def derived_series(G: GroupTable) -> SeriesReport:
-    return _series(G, "derived")
+def derived_series(G: GroupTable) -> tuple[ElementSet, ...]:
+    """G, then [T, T] after each term T, down to the first repeat."""
+    return _series_terms(G, ElementSet.full(G.n), derived=True)
 
 
 def is_nilpotent(G: GroupTable, S: ElementSet | None = None) -> bool:
     """Whether the subgroup S (default G) is nilpotent, by its own lower central series in G."""
-    return len(_series(G, "lower_central", S).last) == 1
+    S = ElementSet.full(G.n) if S is None else ElementSet.of(G.n, S)
+    terms = G.lower_central if len(S) == G.n else _series_terms(G, S)
+    return len(terms[-1]) == 1
 
 
 def nilpotency_class(G: GroupTable) -> int | None:
-    series = lower_central_series(G)
-    for i, term in enumerate(series.terms):
+    for i, term in enumerate(lower_central_series(G)):
         if len(term) == 1:
             return i
     return None
@@ -78,7 +63,7 @@ def nilpotency_class(G: GroupTable) -> int | None:
 def nilpotent_residual(G: GroupTable) -> ElementSet:
     """Stable term of the lower central series: the smallest normal subgroup
     with nilpotent quotient."""
-    residual = lower_central_series(G).last
+    residual = lower_central_series(G)[-1]
     Q, _ = quotient(G, residual)
     if not is_nilpotent(Q):
         raise InternalInconsistency("quotient by the nilpotent residual is not nilpotent")

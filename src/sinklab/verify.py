@@ -5,11 +5,12 @@ computation over a concrete table. Failures are self-certifying: the
 counterexample carries element indices that reproduce the failure through
 the public operations.
 
-The brute-force sink oracle used by check_sink_oracle iterates c -> [c, x]
-blindly (no cycle detection) and collects the values met at steps
-|G| .. 3|G|. Pigeonhole makes this window exact: a walk on |G| states
-repeats within its first |G| steps, so the preperiod is shorter than |G|,
-and the remaining 2|G| steps cover every cycle at least twice.
+The brute-force sink oracle, window_sinks, iterates c -> [c, x] blindly
+(no cycle detection) for every pair (g, x) at once and collects the values
+met at steps |G| .. 3|G|. Pigeonhole makes this window exact: a walk on |G|
+states repeats within its first |G| steps, so the preperiod is shorter than
+|G|, and the remaining 2|G| steps cover every cycle at least twice.
+check_sink_oracle compares its rows with the masks of sinks(G).
 
 check_heineken and check_centralizer_power test statements about single
 elements that are invariant under conjugation: sink(g^x) = sink(g)^x and
@@ -66,16 +67,7 @@ class ScanRow:
     quotient_exponent: int
 
     def csv_values(self) -> list[str]:
-        return [
-            self.group,
-            str(self.n),
-            str(self.k),
-            str(self.m_full),
-            str(self.m_nontrivial),
-            str(self.fitting_index),
-            str(self.residual_order),
-            str(self.quotient_exponent),
-        ]
+        return [str(v) for v in vars(self).values()]  # fields are declared, so set, in CSV_COLUMNS order
 
 
 CSV_COLUMNS = "group,n,k,mFull,mNontrivial,fittingIndex,residualOrder,quotientExponent"
@@ -273,40 +265,42 @@ def check_component_sinks(p: int, s: int, order_cap: int = 10_000) -> CheckResul
     return result
 
 
-def check_sink_oracle(G: GroupTable, cap: int = ORACLE_CAP) -> CheckResult:
-    """Cycle-union sinks equal the windowed brute-force recurrent-value sets.
-
-    The oracle iterates every (g, x) pair for 3|G| steps with no cycle
-    detection and keeps the values from step |G| on; see the module
-    docstring for why the window is exact.
-    """
+def window_sinks(G: GroupTable) -> np.ndarray:
+    """found[g, z]: z is met from g, in some direction, at a step count in
+    n .. 3n, with no cycle detection, which is the sink of g (see the module
+    docstring). The steps come from GroupTable.comm_step, one direction at a
+    time, and all n^2 walks advance together: intended for small groups."""
     n = G.n
-    if n > cap:
-        raise HypothesisFailed(f"oracle capped at order {cap}, group has order {n}")
-    oracle: list[set[int]] = [set() for _ in range(n)]
-    for x in range(n):
-        step = G.comm_step(x).tolist()
-        for g in range(n):
-            c = g
-            for _ in range(n):
-                c = step[c]
-            seen = oracle[g]
-            seen.add(c)
-            for _ in range(2 * n):
-                c = step[c]
-                seen.add(c)
-    sink_of = sinks(G)
-    for g in range(n):
-        if oracle[g] != sink_of[g].members:
-            return CheckResult(
-                "sink_oracle", _gid(G), False,
-                counterexample={
-                    "g": g,
-                    "oracle_only": sorted(oracle[g] - sink_of[g].members),
-                    "sink_only": sorted(sink_of[g].members - oracle[g]),
-                },
-                stats={"order": n},
-            )
+    steps, starts = np.array([G.comm_step(x) for x in G.elements()]), np.arange(n)
+    found, rows, cur = np.zeros((n, n), dtype=bool), starts[:, None], np.broadcast_to(starts, (n, n))
+    for step in range(1, 3 * n + 1):
+        cur = steps[rows, cur]
+        if step >= n:
+            found[starts, cur] = True
+    return found
+
+
+def check_sink_oracle(G: GroupTable) -> CheckResult:
+    """Cycle-union sinks equal the windowed brute-force recurrent-value sets
+    of window_sinks, for groups of order at most ORACLE_CAP; a failure names
+    the least g whose two sets differ."""
+    n = G.n
+    if n > ORACLE_CAP:
+        raise HypothesisFailed(f"oracle capped at order {ORACLE_CAP}, group has order {n}")
+    oracle, sink_of = window_sinks(G), sinks(G)
+    sink = np.array([sink_of[g].mask for g in G.elements()])
+    bad = np.flatnonzero((oracle != sink).any(axis=1))
+    if len(bad):
+        g = int(bad[0])
+        return CheckResult(
+            "sink_oracle", _gid(G), False,
+            counterexample={
+                "g": g,
+                "oracle_only": np.flatnonzero(oracle[g] & ~sink[g]).tolist(),
+                "sink_only": np.flatnonzero(sink[g] & ~oracle[g]).tolist(),
+            },
+            stats={"order": n},
+        )
     return CheckResult("sink_oracle", _gid(G), True, stats={"order": n})
 
 

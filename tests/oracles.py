@@ -1,7 +1,8 @@
 """Slow oracles that only the tests use: the full associativity audit, the
-lattice of normal subgroups, and two routes to right Engel sinks besides the
-Brent walk of ``engel.sinks``: the landing route, on the same step grid, and
-a plain window over the steps of ``GroupTable.comm_step``."""
+lattice of normal subgroups, and the landing route to right Engel sinks, on
+the same step grid as the Brent walk of ``engel.sinks``. The other route,
+the plain window over the steps of ``GroupTable.comm_step``, is
+``sinklab.verify.window_sinks``, which ``check_sink_oracle`` runs."""
 
 import numpy as np
 
@@ -56,18 +57,3 @@ def landing_sinks(G: GroupTable, elements=None) -> dict[int, ElementSet]:
             rows, who, cur, start = rows[moving], who[moving], cur[moving], start[moving]
     return dict(zip(cols.tolist(), map(ElementSet, found.reshape(-1, n))))
 
-
-def window_sinks(G: GroupTable) -> np.ndarray:
-    """found[g, z]: z is met from g, in some direction, at a step count in
-    n .. 3n, with no cycle detection. Every preperiod is shorter than n, and
-    the 2n steps after it go round every cycle, so this is the sink of g.
-    The steps come from GroupTable.comm_step, one direction at a time, and
-    all n^2 walks advance together: intended for small groups."""
-    n = G.n
-    steps, starts = np.array([G.comm_step(x) for x in G.elements()]), np.arange(n)
-    found, rows, cur = np.zeros((n, n), dtype=bool), starts[:, None], np.broadcast_to(starts, (n, n))
-    for step in range(1, 3 * n + 1):
-        cur = steps[rows, cur]
-        if step >= n:
-            found[starts, cur] = True
-    return found

@@ -44,7 +44,7 @@ def test_criterion_1_sink_oracle_equivalence(corpus):
     for group_id, G in corpus:
         if G.n > 100:
             continue
-        result = check_sink_oracle(G, cap=100)
+        result = check_sink_oracle(G)
         assert result.passed, f"{group_id}: {result.counterexample}"
         checked += 1
     elapsed = time.time() - started

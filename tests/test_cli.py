@@ -7,7 +7,7 @@ import pytest
 from sinklab import group
 from sinklab.cli import main, parse_element
 from sinklab.report import check_payload
-from sinklab.verify import CheckResult
+from sinklab.verify import ORACLE_CAP, CheckResult
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -193,7 +193,7 @@ def test_env_cap_flag_precedence(capsys, tmp_path, monkeypatch):
 
 
 def test_bad_element_exit_two(capsys):
-    for element in ("(9 9)", "nonsense", "99", "g0^x"):
+    for element in ("(9 9)", "nonsense", "99", "g0^x", "g5"):
         code, _, err = run(capsys, "sink", spec_path("S3"), "--element", element)
         assert code == 2, element
         assert err
@@ -203,9 +203,20 @@ def test_element_word_addressing(s3):
     assert parse_element(s3, "e") == 0
     assert parse_element(s3, "0") == 0
     a, b = s3.generators
+    assert parse_element(s3, "g0") == a
+    assert parse_element(s3, "g0^2") == s3.mul(a, a)
+    assert parse_element(s3, "g0^-1*g1") == s3.mul(s3.inv(a), b)
     assert parse_element(s3, "g0*g1") == s3.mul(a, b)
     assert parse_element(s3, "g0^-1") == s3.inv(a)
     assert parse_element(s3, "(1 3 2)") == s3.mul(a, a)
+
+
+def test_sink_oracle_above_its_cap_exits_two(capsys, tmp_path):
+    spec = tmp_path / "c101.grp"
+    spec.write_text("group construct cyclic 101\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(spec), "--check", "sink_oracle")
+    assert (code, out) == (2, "")
+    assert f"capped at order {ORACLE_CAP}" in err
 
 
 def test_scan_deterministic(capsys, tmp_path):

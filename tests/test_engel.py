@@ -17,8 +17,9 @@ from sinklab.engel import (
 from sinklab.families import FamilySpec, build
 from sinklab.group import quotient, subgroup_closure
 from sinklab.structure import nilpotent_residual
+from sinklab.verify import window_sinks
 
-from oracles import landing_sinks, window_sinks
+from oracles import landing_sinks
 
 
 def brute_commutator_set(G, xs):

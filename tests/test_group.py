@@ -25,7 +25,6 @@ from sinklab.group import (
     ElementSet,
     GroupTable,
     LazyList,
-    Word,
     center,
     centralizer,
     close_generators,
@@ -518,16 +517,6 @@ def test_subgroup_table(s4):
             assert embed[sub.mul(i, j)] == s4.mul(embed[i], embed[j])
     with pytest.raises(NotASubgroup):
         subgroup_table(s4, ElementSet.of(s4.n, [0, 1]))
-
-
-def test_word_evaluation(s3):
-    a = s3.generators[0]
-    b = s3.generators[1]
-    assert Word(((0, 1),)).evaluate(s3) == a
-    assert Word(((0, 2),)).evaluate(s3) == s3.mul(a, a)
-    assert Word(((0, -1), (1, 1))).evaluate(s3) == s3.mul(s3.inv(a), b)
-    with pytest.raises(IndexOutOfRange):
-        Word(((5, 1),)).evaluate(s3)
 
 
 def test_power(s3):

@@ -219,7 +219,7 @@ def test_class_invariance(corpus, data):
             image = np.zeros(G.n, dtype=bool)
             image[grid[sink.mask, h]] = True
             assert np.array_equal(sink_of[int(grid[g, h])].mask, image)
-    for S in (gamma_values(G, 2), gamma_values(G, 3), left_engel_set(G), *lower_central_series(G).terms):
+    for S in (gamma_values(G, 2), gamma_values(G, 3), left_engel_set(G), *lower_central_series(G)):
         assert is_class_union(grid, S)
 
 
@@ -245,5 +245,5 @@ def test_class_labels_on_corpus(corpus):
     for _, G in corpus:
         grid = conj_grid(G)
         assert np.array_equal(G.class_labels, grid.min(axis=1))
-        for S in (*lower_central_series(G).terms, *derived_series(G).terms):
+        for S in (*lower_central_series(G), *derived_series(G)):
             assert is_class_union(grid, S)

@@ -34,18 +34,21 @@ def test_derived_subgroup(s3, c12):
 
 def test_lower_central_series_s3(s3):
     series = lower_central_series(s3)
-    assert [len(t) for t in series.terms] == [6, 3, 3]
-    assert series.stable
-    assert series.terms[-1].members == series.terms[-2].members
+    assert [len(t) for t in series] == [6, 3, 3]
+    assert series[-1].members == series[-2].members
 
 
-def test_series_terms_normal_and_descending(s4, q8, ie32):
-    for G in (s4, q8, ie32):
+def test_series_terms_normal_and_descending(s4, q8, ie32, corpus):
+    """Both series start at G, descend through normal subgroups, and end in
+    their first repeated term, on three named groups and every corpus group."""
+    for G in (s4, q8, ie32, *(G for _, G in corpus)):
         for series in (lower_central_series(G), derived_series(G)):
-            assert len(series.terms[0]) == G.n
-            for a, b in zip(series.terms, series.terms[1:]):
+            assert len(series[0]) == G.n
+            for a, b in zip(series, series[1:]):
                 assert b.members <= a.members
                 assert is_normal(G, b)
+            assert series[-1] == series[-2], G.name
+            assert all(a != b for a, b in zip(series[:-2], series[1:-1])), G.name
 
 
 def test_nilpotency(c12, q8, d4, s3):
@@ -69,7 +72,7 @@ def test_nilpotency_of_a_subgroup_in_g(s4):
 
 
 def test_d4_series_reaches_identity(d4):
-    assert len(lower_central_series(d4).last) == 1
+    assert len(lower_central_series(d4)[-1]) == 1
 
 
 def test_nilpotent_residual(s3, q8):

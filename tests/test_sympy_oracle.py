@@ -34,7 +34,7 @@ def assert_matches_sympy(G, elements):
     assert P.order() == G.n
     series = [(derived_series(G), P.derived_series()), (lower_central_series(G), P.lower_central_series())]
     for ours, theirs in series:
-        assert chain(len(t) for t in ours.terms) == chain(H.order() for H in theirs)
+        assert chain(len(t) for t in ours) == chain(H.order() for H in theirs)
     assert is_nilpotent(G) == P.is_nilpotent
     assert len(center(G)) == P.center().order()
     sizes = np.bincount(G.class_labels)

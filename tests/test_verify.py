@@ -120,7 +120,25 @@ def test_sink_oracle(s3, q8, frob732, ie32):
 def test_sink_oracle_cap():
     G = build(FamilySpec("direct_power", (3,), base=FamilySpec("inversion_extension", (3, 1))))
     with pytest.raises(HypothesisFailed):
-        check_sink_oracle(G, cap=100)
+        check_sink_oracle(G)
+
+
+def test_sink_oracle_names_a_dropped_sink_value(s3, monkeypatch):
+    """A kernel that loses one value of one sink fails the oracle, which
+    names that element and the lost value, with nothing found only by the kernel."""
+    g = s3.labels.index("(1 2 3)")
+    honest = verify.sinks
+    dropped = max(honest(s3, [g])[g])
+
+    def lossy(G, elements=None):
+        out = honest(G, elements)
+        out[g] = ElementSet.of(G.n, set(out[g]) - {dropped})
+        return out
+
+    monkeypatch.setattr(verify, "sinks", lossy)
+    result = check_sink_oracle(s3)
+    assert not result.passed
+    assert result.counterexample == {"g": g, "oracle_only": [dropped], "sink_only": []}
 
 
 def test_scan_row_s3(s3):
