@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sinklab import families, group, perm
-from sinklab.cli import load_corpus
+from sinklab.cli import load_corpus, parse_element
 from sinklab.errors import (
     CapExceeded,
     IndexOutOfRange,
@@ -517,6 +517,16 @@ def test_subgroup_table(s4):
             assert embed[sub.mul(i, j)] == s4.mul(embed[i], embed[j])
     with pytest.raises(NotASubgroup):
         subgroup_table(s4, ElementSet.of(s4.n, [0, 1]))
+
+
+def test_word_evaluation(s3):
+    a = s3.generators[0]
+    b = s3.generators[1]
+    assert parse_element(s3, "g0") == a
+    assert parse_element(s3, "g0^2") == s3.mul(a, a)
+    assert parse_element(s3, "g0^-1*g1") == s3.mul(s3.inv(a), b)
+    with pytest.raises(IndexOutOfRange):
+        parse_element(s3, "g5")
 
 
 def test_power(s3):
