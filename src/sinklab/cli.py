@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end. One argparse parser, made on first use, serves
+every main call in a process.
 
 Exit codes: 0 success, 1 at least one check failed, 2 input parse error
 (messages name the offending line), 3 order cap exceeded.
@@ -10,6 +11,7 @@ import argparse
 import os
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from .engel import gamma_values, right_engel_sink
@@ -256,6 +258,7 @@ def weight(text: str) -> int:
     return k
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sinklab",
@@ -308,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SpecParseError as exc:

@@ -28,8 +28,10 @@ rows in blocks of at most BLOCK_ENTRIES points, with one dict from row bytes
 to element index. The search's right Cayley maps give the left ones down the
 tree, and the table is filled by contiguous rows, each from its parent's row.
 No build makes labels or perms: each passes LazyLists, made whole on first read.
-GroupTable.lower_central, also made on first use and kept, is G's lower
-central series; the structure layer reads it whenever it asks for G's own.
+GroupTable.lower_central, G's lower central series, and commutators, the
+values [x, g] over all of G, are also made on first use and kept: comm_values
+returns the second for G and G, to gamma_values' first step and both series'
+first terms; the structure layer reads the first whenever it asks for G's own.
 
 Product tables come from one builder, semidirect_product, which checks the
 order cap before anything else; direct_product is its trivial-action case.
@@ -200,6 +202,12 @@ class GroupTable:
             raise InvalidPermutation("conjugation by the generators does not give the conjugacy classes")
         lab.setflags(write=False)
         return lab
+
+    @cached_property
+    def commutators(self) -> ElementSet:
+        """The values [x, g] over all x and g in G (see comm_values); made on first use and kept."""
+        full = np.ones(self.n, dtype=bool)
+        return _class_comm_values(self, full, full)
 
     @cached_property
     def lower_central(self) -> tuple[ElementSet, ...]:
@@ -411,12 +419,16 @@ def _values(G: GroupTable, grid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def comm_values(G: GroupTable, left: ElementSet, right: ElementSet) -> ElementSet:
     """The commutator values {[x, g] : x in left, g in right} (not a subgroup).
 
-    When left and right are unions of classes, so is the value set, since
-    [x, g]^h = [x^h, g^h]: it is spread from the class minima of left."""
+    When left and right are class unions, so is the value set ([x, g]^h =
+    [x^h, g^h]): it is spread from left's class minima, and kept for G, G."""
     lab, lm, rm = G.class_labels, ElementSet.of(G.n, left).mask, ElementSet.of(G.n, right).mask
     if (lm ^ lm[lab]).any() or (rm ^ rm[lab]).any():
         return ElementSet(_values(G, _comm_grid, np.flatnonzero(rm), np.flatnonzero(lm)))
-    minima = np.flatnonzero(lm & (lab == np.arange(G.n)))
+    return G.commutators if lm.all() and rm.all() else _class_comm_values(G, lm, rm)
+
+
+def _class_comm_values(G: GroupTable, lm: np.ndarray, rm: np.ndarray) -> ElementSet:
+    minima = np.flatnonzero(lm & (G.class_labels == np.arange(G.n)))
     return classes_meeting(G, ElementSet(_values(G, _comm_grid, np.flatnonzero(rm), minima)))
 
 

@@ -23,7 +23,6 @@ from .group import (
     _series_terms,
     class_representatives,
     classes_meeting,
-    comm_values,
     is_subgroup,
     normal_closure,
     quotient,
@@ -32,8 +31,7 @@ from .group import (
 
 
 def derived_subgroup(G: GroupTable) -> ElementSet:
-    full = ElementSet.full(G.n)
-    return subgroup_closure(G, comm_values(G, full, full))
+    return subgroup_closure(G, G.commutators)
 
 
 def lower_central_series(G: GroupTable) -> tuple[ElementSet, ...]:

@@ -2,7 +2,9 @@
 lattice of normal subgroups, and the landing route to right Engel sinks, on
 the same step grid as the Brent walk of ``engel.sinks``. The other route,
 the plain window over the steps of ``GroupTable.comm_step``, is
-``sinklab.verify.window_sinks``, which ``check_sink_oracle`` runs."""
+``sinklab.verify.window_sinks``, which ``check_sink_oracle`` runs. ``relabel``
+renames a table's elements, for the checks that results do not depend on
+the labelling."""
 
 import numpy as np
 
@@ -57,3 +59,14 @@ def landing_sinks(G: GroupTable, elements=None) -> dict[int, ElementSet]:
             rows, who, cur, start = rows[moving], who[moving], cur[moving], start[moving]
     return dict(zip(cols.tolist(), map(ElementSet, found.reshape(-1, n))))
 
+
+def relabel(G: GroupTable, pi: np.ndarray) -> GroupTable:
+    """The same group with element a renamed pi[a]: T'[pi a, pi b] = pi T[a, b]."""
+    table = np.empty_like(G.table)
+    table[np.ix_(pi, pi)] = pi[G.table]
+    inverse = np.empty_like(G.inverse)
+    inverse[pi] = pi[G.inverse]
+    labels = [""] * G.n
+    for a, label in enumerate(G.labels):
+        labels[pi[a]] = label
+    return GroupTable(G.n, table, inverse, labels, [int(pi[g]) for g in G.generators], name=G.name)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from sinklab import group
-from sinklab.cli import main, parse_element
+from sinklab.cli import build_parser, main, parse_element
 from sinklab.report import check_payload
 from sinklab.verify import ORACLE_CAP, CheckResult
 
@@ -263,6 +263,31 @@ def test_weight_below_one_exit_two(capsys, argv):
     captured = capsys.readouterr()
     assert "k must be at least 1" in captured.err
     assert captured.out == ""
+
+
+def test_cached_parser_carries_no_state_between_calls(capsys, tmp_path):
+    """main parses every call with the one parser of the process; no option
+    of one call, nor a call that argparse rejects, leaks into the next."""
+    assert build_parser() is build_parser()
+    out = tmp_path / "k3.csv"
+    assert run(capsys, "scan", "--corpus", str(CORPUS_DIR), "-k", "3", "--out", str(out)) == (0, "", "")
+    assert out.read_text(encoding="utf-8").splitlines()[1].split(",")[2] == "3"
+    pinned = (DATA_DIR / "scan_k2.csv").read_text(encoding="utf-8")
+    assert run(capsys, "scan", "--corpus", str(CORPUS_DIR), "-k", "2") == (0, pinned, "")
+
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--corpus", str(CORPUS_DIR), "-k", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, text, _ = run(capsys, "gamma", spec_path("S3"), "-k", "2")
+    assert code == 0 and json.loads(text)["results"][0]["values"] == ["(1 2 3)", "(1 3 2)", "e"]
+
+    def checks(*argv):
+        code, text, _ = run(capsys, "verify", spec_path("S4"), *argv)
+        return code, [r["check"] for r in json.loads(text)["results"]]
+
+    assert checks("--check", "heineken") == (0, ["heineken"])
+    assert checks() == (0, ["heineken", "centralizer_power", "m1_iff_nilpotent", "m1_iff_nilpotent", "sink_oracle"])
 
 
 def test_report_bodies_reproducible(capsys):

@@ -11,6 +11,7 @@ import pytest
 
 from sinklab import families, group, perm
 from sinklab.cli import load_corpus, parse_element
+from sinklab.engel import gamma_values
 from sinklab.errors import (
     CapExceeded,
     IndexOutOfRange,
@@ -41,9 +42,12 @@ from sinklab.group import (
 )
 from sinklab.perm import Permutation, parse_cycles
 from sinklab.specfile import build_spec, parse_spec_file
+from sinklab.structure import derived_series, derived_subgroup
 from sinklab.verify import scan_row
 
-from oracles import associativity_audit, normal_subgroups
+from oracles import associativity_audit, normal_subgroups, relabel
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def gens(degree, *texts):
@@ -310,6 +314,25 @@ def test_class_labels_lazy_and_read_only(s4):
     assert sorted(np.bincount(labels)[np.unique(labels)]) == [1, 3, 6, 6, 8]
 
 
+def test_commutators_match_scalar_comm_and_feed_both_series():
+    """GroupTable.commutators against {G.comm(x, g)} on every corpus group,
+    freshly built, and on one relabelled one. It is made on first use, not by
+    the build, and comm_values over G and G, gamma_values at k = 2, and the
+    second terms of both series and the derived subgroup read the one kept set."""
+    groups = [build_spec(parse_spec_file(path)) for _, path in load_corpus(CORPUS_DIR)]
+    big = max(groups, key=lambda G: G.n)
+    pi = np.array([0, *np.random.default_rng(7).permutation(np.arange(1, big.n))], dtype=big.table.dtype)
+    for G in groups + [relabel(big, pi)]:
+        assert "commutators" not in G.__dict__, G.name  # the constructor does not pay for it
+        values = G.commutators
+        assert values.members == {G.comm(x, g) for x in G.elements() for g in G.elements()}, G.name
+        assert not values.mask.flags.writeable and G.commutators is values
+        full = ElementSet.full(G.n)
+        assert comm_values(G, full, full) is values and gamma_values(G, 2) == values
+        closure = subgroup_closure(G, values)
+        assert G.lower_central[1] == closure == derived_series(G)[1] == derived_subgroup(G), G.name
+
+
 def test_class_labels_certified_without_trusting_generators(s4):
     """A table whose generators do not generate G gives finer orbits than the
     classes; the Burnside count rejects them rather than answer wrongly."""
@@ -383,8 +406,6 @@ def test_semidirect_inversion_is_s3_shaped(s3):
     G = semidirect_product(c3, c2, [list(range(3)), inversion])
     assert G.n == 6
     assert center(G).members == {0}
-    from sinklab.structure import derived_subgroup
-
     assert len(derived_subgroup(G)) == 3
     assert sorted(G.element_order(x) for x in range(6)) == sorted(
         s3.element_order(x) for x in range(6)
@@ -554,7 +575,6 @@ def test_group_tables_compare_and_hash_by_identity():
     assert len({G, H, G}) == 2
 
 
-CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 # The build_cap benchmark workload's groups: products, semidirect products and closures.
 BUILD_CAP_SPECS = (
     FamilySpec("direct_power", (2,), base=FamilySpec("dihedral", (12,))),

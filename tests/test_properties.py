@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from sinklab.engel import gamma_values, is_left_engel, is_right_engel, left_engel_set, right_engel_sink, sinks
 from sinklab.group import (
     ElementSet,
-    GroupTable,
     close_generators,
     comm_values,
     is_normal,
@@ -21,7 +20,7 @@ from sinklab.perm import Permutation
 from sinklab.structure import derived_series, fitting_index, is_nilpotent, lower_central_series
 from sinklab.verify import scan_row
 
-from oracles import associativity_audit, landing_sinks
+from oracles import associativity_audit, landing_sinks, relabel
 
 MAX_ORDER = 200
 
@@ -155,18 +154,6 @@ def test_rebuild_from_own_elements(G):
     assert H.n <= G.n
     sub = subgroup_closure(G, range(1, min(G.n, 3)))
     assert H.n == len(sub)
-
-
-def relabel(G, pi):
-    """The same group with element a renamed pi[a]: T'[pi a, pi b] = pi T[a, b]."""
-    table = np.empty_like(G.table)
-    table[np.ix_(pi, pi)] = pi[G.table]
-    inverse = np.empty_like(G.inverse)
-    inverse[pi] = pi[G.inverse]
-    labels = [""] * G.n
-    for a, label in enumerate(G.labels):
-        labels[pi[a]] = label
-    return GroupTable(G.n, table, inverse, labels, [int(pi[g]) for g in G.generators], name=G.name)
 
 
 @common
