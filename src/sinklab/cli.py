@@ -1,5 +1,4 @@
-"""Command-line front end. One argparse parser, made on first use, serves
-every main call in a process.
+"""Command-line front end; one argparse parser per process serves every main call.
 
 Exit codes: 0 success, 1 at least one check failed, 2 input parse error
 (messages name the offending line), 3 order cap exceeded.

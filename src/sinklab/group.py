@@ -206,8 +206,7 @@ class GroupTable:
     @cached_property
     def commutators(self) -> ElementSet:
         """The values [x, g] over all x and g in G (see comm_values); made on first use and kept."""
-        full = np.ones(self.n, dtype=bool)
-        return _class_comm_values(self, full, full)
+        return _class_comm_values(self, np.ones(self.n, dtype=bool), np.arange(self.n))
 
     @cached_property
     def lower_central(self) -> tuple[ElementSet, ...]:
@@ -422,14 +421,16 @@ def comm_values(G: GroupTable, left: ElementSet, right: ElementSet) -> ElementSe
     When left and right are class unions, so is the value set ([x, g]^h =
     [x^h, g^h]): it is spread from left's class minima, and kept for G, G."""
     lab, lm, rm = G.class_labels, ElementSet.of(G.n, left).mask, ElementSet.of(G.n, right).mask
+    if lm.all() and rm.all():
+        return G.commutators
     if (lm ^ lm[lab]).any() or (rm ^ rm[lab]).any():
         return ElementSet(_values(G, _comm_grid, np.flatnonzero(rm), np.flatnonzero(lm)))
-    return G.commutators if lm.all() and rm.all() else _class_comm_values(G, lm, rm)
+    return _class_comm_values(G, lm, np.flatnonzero(rm))
 
 
-def _class_comm_values(G: GroupTable, lm: np.ndarray, rm: np.ndarray) -> ElementSet:
-    minima = np.flatnonzero(lm & (G.class_labels == np.arange(G.n)))
-    return classes_meeting(G, ElementSet(_values(G, _comm_grid, np.flatnonzero(rm), minima)))
+def _class_comm_values(G: GroupTable, left_mask: np.ndarray, right: np.ndarray) -> ElementSet:
+    minima = np.flatnonzero(left_mask & (G.class_labels == np.arange(G.n)))
+    return classes_meeting(G, ElementSet(_values(G, _comm_grid, right, minima)))
 
 
 def subgroup_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> ElementSet:
