@@ -35,11 +35,13 @@ first terms; the structure layer reads the first whenever it asks for G's own.
 
 Product tables come from one builder, semidirect_product, which checks the
 order cap before anything else; direct_product is its trivial-action case.
+It checks its action on generating sets (generating_set), as a map that
+respects a generating set is a homomorphism: a(x y's) = a(x y') a(s).
 Every n x n table comes from _new_table, which raises CapExceeded first when
 the table plus 16 * BLOCK_ENTRIES bytes of transients exceed physical memory.
-Products are filled, and every table is validated, in blocks of at most
-BLOCK_ENTRIES entries in the table's own dtype: a build peaks at its table
-plus O(BLOCK_ENTRIES).
+Products are filled (by columns when |H| <= 8, see semidirect_product), and
+every table is validated, in blocks of at most BLOCK_ENTRIES entries in the
+table's own dtype: a build peaks at its table plus O(BLOCK_ENTRIES).
 """
 
 from __future__ import annotations
@@ -555,9 +557,14 @@ def semidirect_product(
     left-to-right, consistent with the permutation convention: action[h1*h2]
     must equal action[h1] followed by action[h2]. In the product, conjugation
     by (0, h) then moves N exactly as action[h]. The order cap is checked
-    first, then the automorphism and homomorphism conditions. Pairs are
+    first, then the automorphism and homomorphism conditions, on generating
+    sets S of N and T of H: a(x s) = a(x) a(s) for all x and s in S gives
+    a(x y's) = a(x y') a(s) = a(x) a(y') a(s), and action[h1 t] against
+    action[h1]-then-action[t] for all h1 and t in T likewise. Pairs are
     ordered N-major: index (a, h) = a*|H| + h, so the identity (0, 0) is
-    element 0. The table is filled in blocks of rows, in its own dtype.
+    element 0. The table is filled in blocks of rows, in its own dtype, by
+    one column per h2 when |H| <= 8 (a 243 x 2 block 1.40 -> 0.21 ms) and
+    by one broadcast add otherwise (24 x 24: 0.16 ms, against 0.56 by column).
     """
     n = N.n * H.n
     if n > order_cap:
@@ -570,17 +577,19 @@ def semidirect_product(
     if not np.array_equal(np.sort(act, axis=1), np.broadcast_to(np.arange(N.n), (H.n, N.n))):
         raise NotAnAutomorphism("action entries must be bijections on N")
     act = act.astype(_index_dtype(N.n))  # the checks below gather in N's index dtype
-    for hs in _blocks(H.n, N.n * N.n):
-        a = act[hs]  # bad[i]: a[i](x*y) != a[i](x) * a[i](y) for some x, y
-        bad = (a[:, N.table] != N.table[a[:, :, None], a[:, None, :]]).any(axis=(1, 2))
+    S = np.array(generating_set(N), dtype=np.intp)
+    for hs in _blocks(H.n, N.n * len(S)):
+        a = act[hs]  # bad[i]: a[i](x*s) != a[i](x) * a[i](s) for some x and generator s
+        bad = (a[:, N.table[:, S]] != N.table[a[:, :, None], a[:, S][:, None, :]]).any(axis=(1, 2))
         if bad.any():
             raise NotAnAutomorphism(f"action of h={hs[bad.argmax()]} does not preserve N's multiplication")
-    for h1 in _blocks(H.n, H.n * N.n):
-        # bad[i, h2]: action[h1*h2] != action[h2] applied after action[h1]
-        bad = (act[H.table[h1]] != act[np.arange(H.n)[:, None], act[h1][:, None, :]]).any(axis=2)
+    T = np.array(generating_set(H) or [0], dtype=np.intp)  # [0]: action[0] = id when H = 1
+    for h1 in _blocks(H.n, len(T) * N.n):
+        # bad[i, j]: action[h1*T[j]] != action[T[j]] applied after action[h1]
+        bad = (act[H.table[h1[:, None], T]] != act[T[:, None], act[h1][:, None, :]]).any(axis=2)
         if bad.any():
-            i, h2 = np.argwhere(bad)[0]
-            raise NotAHomomorphism(f"action[h1*h2] != action[h1]-then-action[h2] for h1={h1[i]}, h2={h2}")
+            i, j = np.argwhere(bad)[0]
+            raise NotAHomomorphism(f"action[h1*h2] != action[h1]-then-action[h2] for h1={h1[i]}, h2={T[j]}")
 
     ai, hi = np.divmod(np.arange(n), H.n)
     hinv = H.inverse[hi].astype(np.int64)
@@ -590,8 +599,12 @@ def semidirect_product(
         # (a1, h1)(a2, h2) = (a1 * act[h1^-1](a2), h1 h2), so that a2^(0,h) = act[h](a2).
         # Row i as an |N| x |H| grid: na[i, a2] * |H| + H.table[h_i, h2], all below n.
         na = nflat[ai[rows, None] * N.n + act[hinv[rows]]].astype(table.dtype) * H.n
-        grid = table[rows[0] : rows[-1] + 1].reshape(len(rows), N.n, H.n)
-        np.add(na[:, :, None], H.table[hi[rows]].astype(table.dtype)[:, None, :], out=grid)
+        grid, ht = table[rows[0] : rows[-1] + 1].reshape(len(rows), N.n, H.n), H.table[hi[rows]].astype(table.dtype)
+        if H.n <= 8:  # along the long axis: one strided column of the grid per h2
+            for j in range(H.n):
+                np.add(na, ht[:, j, None], out=grid[:, :, j])
+        else:
+            np.add(na[:, :, None], ht[:, None, :], out=grid)
     inverse = act[hi, N.inverse[ai]].astype(np.int64) * H.n + hinv
     return GroupTable(
         n=n,
@@ -621,9 +634,16 @@ def subgroup_table(G: GroupTable, S: ElementSet) -> tuple[GroupTable, list[int]]
         generators=[],
         name=f"{G.name}<sub>" if G.name else "",
     )
-    # greedy generating set: lowest-index elements outside the running closure
-    covered = ElementSet.trivial(sub.n)
-    while len(covered) < sub.n:
-        sub.generators.append(int(np.argmin(covered.mask)))
-        covered = subgroup_closure(sub, sub.generators)
+    sub.generators = generating_set(sub)
     return sub, mem.tolist()
+
+
+def generating_set(G: GroupTable) -> list[int]:
+    """G.generators, certified by their closure, then extended greedily by the
+    lowest-index element outside the running closure until they generate G."""
+    gens = list(G.generators)
+    covered = subgroup_closure(G, gens) if gens else ElementSet.trivial(G.n)
+    while len(covered) < G.n:
+        gens.append(int(np.argmin(covered.mask)))
+        covered = subgroup_closure(G, gens)
+    return gens
