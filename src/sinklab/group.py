@@ -599,12 +599,12 @@ def semidirect_product(
         # (a1, h1)(a2, h2) = (a1 * act[h1^-1](a2), h1 h2), so that a2^(0,h) = act[h](a2).
         # Row i as an |N| x |H| grid: na[i, a2] * |H| + H.table[h_i, h2], all below n.
         na = nflat[ai[rows, None] * N.n + act[hinv[rows]]].astype(table.dtype) * H.n
-        grid, ht = table[rows[0] : rows[-1] + 1].reshape(len(rows), N.n, H.n), H.table[hi[rows]].astype(table.dtype)
+        grid = table[rows[0] : rows[-1] + 1].reshape(len(rows), N.n, H.n)
         if H.n <= 8:  # along the long axis: one strided column of the grid per h2
             for j in range(H.n):
-                np.add(na, ht[:, j, None], out=grid[:, :, j])
+                np.add(na, H.table[hi[rows], j, None], out=grid[:, :, j])
         else:
-            np.add(na[:, :, None], ht[:, None, :], out=grid)
+            np.add(na[:, :, None], H.table[hi[rows]].astype(table.dtype)[:, None, :], out=grid)
     inverse = act[hi, N.inverse[ai]].astype(np.int64) * H.n + hinv
     return GroupTable(
         n=n,
