@@ -1,5 +1,6 @@
 """Slow oracles that only the tests use: the full associativity audit, the
-lattice of normal subgroups, and the landing route to right Engel sinks, on
+full automorphism and homomorphism laws of a semidirect product's action,
+the lattice of normal subgroups, and the landing route to right Engel sinks, on
 the same step grid as the Brent walk of ``engel.sinks``. The other route,
 the plain window over the steps of ``GroupTable.comm_step``, is
 ``sinklab.verify.window_sinks``, which ``check_sink_oracle`` runs. ``relabel``
@@ -22,6 +23,20 @@ def associativity_audit(G: GroupTable) -> None:
     right = t[:, t]  # right[a, b, c] = a*(b*c)
     if not np.array_equal(left, right):
         raise InvalidPermutation("associativity audit failed")
+
+
+def non_automorphisms(N: GroupTable, action) -> set[int]:
+    """The h whose action[h] breaks N's multiplication somewhere on all of
+    N x N: the full check, |H| |N|^2 entries."""
+    act = np.asarray(action, dtype=np.intp)
+    return {h for h, a in enumerate(act) if (a[N.table] != N.table[np.ix_(a, a)]).any()}
+
+
+def non_homomorphism_pairs(H: GroupTable, action) -> set[tuple[int, int]]:
+    """The pairs (h1, h2) of all of H x H with action[h1*h2] other than
+    action[h1]-then-action[h2]: the full check, |H|^2 |N| entries."""
+    act = np.asarray(action, dtype=np.intp)
+    return {(h1, h2) for h1 in range(H.n) for h2 in range(H.n) if (act[H.table[h1, h2]] != act[h2][act[h1]]).any()}
 
 
 def normal_subgroups(G: GroupTable) -> list[ElementSet]:

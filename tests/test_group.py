@@ -1,5 +1,8 @@
+import functools
 import gc
+import itertools
 import math
+import re
 import tracemalloc
 import weakref
 from collections import Counter
@@ -8,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sinklab import families, group, perm
 from sinklab.cli import load_corpus, parse_element
@@ -31,6 +35,7 @@ from sinklab.group import (
     close_generators,
     comm_values,
     direct_product,
+    generating_set,
     is_normal,
     is_subgroup,
     normal_closure,
@@ -45,7 +50,7 @@ from sinklab.specfile import build_spec, parse_spec_file
 from sinklab.structure import derived_series, derived_subgroup
 from sinklab.verify import scan_row
 
-from oracles import associativity_audit, normal_subgroups, relabel
+from oracles import associativity_audit, non_automorphisms, non_homomorphism_pairs, normal_subgroups, relabel
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -485,6 +490,103 @@ def test_semidirect_rejects_non_homomorphism():
     bad = [list(range(3)), inversion, inversion, inversion]
     with pytest.raises(NotAHomomorphism, match="h1=1, h2=1"):
         semidirect_product(c3, c4, bad)
+
+
+ACTED_ON = tuple(build(FamilySpec(name, args)) for name, args in (
+    ("cyclic", (4,)), ("cyclic", (5,)), ("cyclic", (6,)), ("cyclic", (7,)), ("cyclic", (8,)),
+    ("elementary_abelian", (2, 2)), ("symmetric", (3,)), ("dihedral", (4,)), ("quaternion8", ()),
+))
+ACTING = tuple(build(FamilySpec("cyclic", (m,))) for m in (1, 2, 3, 4))
+
+
+@functools.cache
+def automorphisms(N: GroupTable) -> list[list[int]]:
+    """Every automorphism of a small N: each choice of images for its
+    generating set, extended along x -> x s, kept if the full check passes."""
+    gens, found = generating_set(N), []
+    for images in itertools.product(range(N.n), repeat=len(gens)):
+        a, frontier = {0: 0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for s, image in zip(gens, images):
+                y = N.mul(x, s)
+                if y not in a:
+                    a[y] = N.mul(a[x], image)
+                    frontier.append(y)
+        a = [a[x] for x in range(N.n)]
+        if sorted(a) == list(range(N.n)) and not non_automorphisms(N, [a]):
+            found.append(a)
+    return found
+
+
+def _power(a: list[int], k: int) -> list[int]:
+    x = list(range(len(a)))
+    for _ in range(k):
+        x = [a[v] for v in x]
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ACTED_ON), st.sampled_from(ACTING), st.data())
+def test_generator_checks_match_the_full_checks(N, H, data):
+    """Actions of C1 to C4 on small groups: a homomorphism into Aut(N),
+    with some entries replaced by any automorphism, a random bijection, or an
+    automorphism composed with one transposition. semidirect_product raises
+    exactly when the full N x N and H x H checks fail, and names an h, or a
+    pair (h1, h2), that breaks the law."""
+    autos = automorphisms(N)
+    alpha = data.draw(st.sampled_from([a for a in autos if _power(a, H.n) == list(range(N.n))]))
+    action = [None] * H.n
+    for k in range(H.n):
+        action[H.power(H.generators[0], k)] = _power(alpha, k)
+    for h in range(H.n):
+        kind = data.draw(st.sampled_from(["keep", "keep", "keep", "automorphism", "bijection", "transposed"]))
+        if kind == "automorphism":
+            action[h] = data.draw(st.sampled_from(autos))
+        elif kind == "bijection":
+            action[h] = data.draw(st.permutations(range(N.n)))
+        elif kind == "transposed":
+            i, j = data.draw(st.lists(st.integers(0, N.n - 1), min_size=2, max_size=2, unique=True))
+            action[h] = list(data.draw(st.sampled_from(autos)))
+            action[h][i], action[h][j] = action[h][j], action[h][i]
+    bad_h, bad_pairs = non_automorphisms(N, action), non_homomorphism_pairs(H, action)
+    if bad_h:
+        with pytest.raises(NotAnAutomorphism) as caught:
+            semidirect_product(N, H, action)
+        assert int(re.search(r"h=(\d+)", str(caught.value))[1]) == min(bad_h)
+    elif bad_pairs:
+        with pytest.raises(NotAHomomorphism) as caught:
+            semidirect_product(N, H, action)
+        h1, h2 = map(int, re.search(r"h1=(\d+), h2=(\d+)", str(caught.value)).groups())
+        assert (h1, h2) in bad_pairs
+    else:
+        assert semidirect_product(N, H, action).n == N.n * H.n
+
+
+def test_action_checks_extend_untrusted_generators():
+    """Hand-made tables whose generators are [] or do not generate are
+    checked exactly: generating_set extends them until they generate."""
+    c8, c4, c3, c2 = (build(FamilySpec("cyclic", (m,))) for m in (8, 4, 3, 2))
+    sigma = [0, 5, 2, 3, 4, 1, 6, 7]  # respects x -> x + 4, not x -> x + 1
+    for gens, extended in (([], [1]), ([4], [4, 1])):
+        N = GroupTable(c8.n, c8.table, c8.inverse, c8.labels, gens)
+        assert generating_set(N) == extended
+        assert non_automorphisms(N, [range(8), sigma]) == {1}
+        with pytest.raises(NotAnAutomorphism, match="h=1 "):
+            semidirect_product(N, c2, [range(8), sigma])
+    inversion = c3.inverse.tolist()
+    bad = [[0, 1, 2], [0, 1, 2], inversion, inversion]  # respects h -> h + 2, not h -> h + 1
+    for gens, extended in (([], [1]), ([2], [2, 1])):
+        H = GroupTable(c4.n, c4.table, c4.inverse, c4.labels, gens)
+        assert generating_set(H) == extended
+        assert (1, 1) in non_homomorphism_pairs(H, bad)
+        with pytest.raises(NotAHomomorphism, match="h1=1, h2=1"):
+            semidirect_product(c3, H, bad)
+    c1 = build(FamilySpec("cyclic", (1,)))
+    H = GroupTable(c1.n, c1.table, c1.inverse, c1.labels, [])
+    assert generating_set(H) == [] and non_homomorphism_pairs(H, [inversion]) == {(0, 0)}
+    with pytest.raises(NotAHomomorphism, match="h1=0, h2=0"):  # action[0] must be the identity
+        semidirect_product(c3, H, [inversion])
 
 
 def test_element_order_and_exponent(s3):

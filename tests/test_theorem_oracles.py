@@ -1,5 +1,5 @@
-"""Theorem-backed oracles for the sink kernel at any order: neither walks a
-commutator tail, so both reach past the window oracle's cap.
+"""Theorem-backed oracles for the sink kernel at any order: none walks a
+commutator tail, so all reach past the window oracle's cap.
 
 - Right Engel elements = hypercentre. In a finite group the right Engel
   elements are exactly the hypercentre (R. Baer, "Engelsche Elemente
@@ -7,12 +7,17 @@ commutator tail, so both reach past the window oracle's cap.
   Engel iff its sink is {1}.
 - Sinks lie in the nilpotent residual. [g, n x] lies in gamma_{n+1}(G), and
   a sink value recurs at every depth, so it lies in every term.
+- Direct products. [(c, d), n (a, b)] = ([c, n a], [d, n b]), so each
+  projection of sink((a, b)) is sink(a), resp. sink(b).
+- Conjugation. Conjugation by h is an automorphism, so sink(g^h) = sink(g)^h.
 """
 
+import numpy as np
 import pytest
 
 from sinklab.engel import sinks
 from sinklab.families import FamilySpec, build
+from sinklab.group import direct_product
 from sinklab.verify import check_heineken
 
 EXTRA_GROUPS = (
@@ -63,3 +68,37 @@ def test_sinks_lie_in_the_nilpotent_residual(groups):
             assert not (sink.mask & ~residual).any(), (name, g)
         proper += 1 < residual.sum() < G.n
     assert proper  # not vacuous: some residual is neither 1 nor G
+
+
+def sink_matrix(G, sink_of=None) -> np.ndarray:
+    """M[g, z]: whether z is in sink(g), for every g in G."""
+    sink_of = sinks(G) if sink_of is None else sink_of
+    return np.array([sink_of[g].mask for g in range(G.n)])
+
+
+@pytest.mark.parametrize("factors", [
+    (FamilySpec("symmetric", (3,)), FamilySpec("dihedral", (5,))),
+    (FamilySpec("alternating", (4,)), FamilySpec("frobenius", (7, 3, 2))),
+    (FamilySpec("quaternion8", ()), FamilySpec("symmetric", (3,))),
+], ids=lambda factors: "x".join(spec.describe() for spec in factors))
+def test_sinks_of_a_direct_product_project_to_the_factors(factors):
+    """For (a, b) = a*|B| + b in A x B, sink((a, b)) projects onto sink(a) and sink(b)."""
+    A, B = (build(spec) for spec in factors)
+    MA, MB, M = sink_matrix(A), sink_matrix(B), sink_matrix(direct_product(A, B))
+    M = M.reshape(A.n, B.n, A.n, B.n)
+    assert (M.any(axis=3) == MA[:, None, :]).all()  # [a, b, a']: a' in the A-projection of sink((a, b))
+    assert (M.any(axis=2) == MB[None, :, :]).all()
+    assert MA.sum() + MB.sum() > A.n + B.n  # not vacuous: some factor has a sink larger than {1}
+
+
+def test_sinks_are_conjugation_equivariant(groups):
+    """sink(g^h) = sink(g)^h for every g and h: M[g^h, z^h] = M[g, z], on
+    groups with elements outside the class minima whose sinks are not {1}."""
+    moved = 0
+    for name, G, sink_of in groups:
+        M, idx = sink_matrix(G, sink_of), np.arange(G.n)
+        for h in range(G.n):
+            conj = G.table[G.table[G.inverse[h], idx], h]  # conj[g] = g^h
+            assert np.array_equal(M[np.ix_(conj, conj)], M), (name, h)
+        moved += int((M[G.class_labels != idx].sum(axis=1) > 1).any())
+    assert moved  # not vacuous: some non-minimum has a sink larger than {1}
