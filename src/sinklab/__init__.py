@@ -9,7 +9,6 @@ from .engel import (
     commutator_tail,
     gamma_values,
     is_left_engel,
-    is_right_engel,
     right_engel_sink,
     sink_profile,
     sinks,
@@ -19,7 +18,6 @@ from .group import (
     DEFAULT_ORDER_CAP,
     ElementSet,
     GroupTable,
-    center,
     centralizer,
     close_generators,
     direct_product,
@@ -34,12 +32,8 @@ from .group import (
 from .perm import Permutation, format_cycles, parse_cycles
 from .specfile import GroupSpec, build_spec, emit_spec, parse_spec_file, parse_spec_text
 from .structure import (
-    derived_series,
-    derived_subgroup,
     fitting_index,
-    fitting_maximality_check,
     fitting_subgroup,
-    fitting_via_normal_closures,
     is_nilpotent,
     lower_central_series,
     nilpotency_class,

@@ -244,8 +244,8 @@ def _parse_ranks(text: str) -> tuple[int, int]:
 
 def cmd_contrast(args) -> int:
     lo, hi = _parse_ranks(args.ranks)
-    rows = contrast_report(args.p, hi, _order_cap(args))
-    _write_text(args.out, scan_csv(rows[lo - 1 :]))
+    rows = contrast_report(args.p, range(lo, hi + 1), _order_cap(args))
+    _write_text(args.out, scan_csv(rows))
     return 0
 
 

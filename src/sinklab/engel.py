@@ -131,12 +131,6 @@ def right_engel_sink(G: GroupTable, g: int) -> SinkReport:
     return SinkReport(g, sink, len(sink), len(sink) - 1, witnesses)
 
 
-def is_right_engel(G: GroupTable, g: int) -> bool:
-    """Whether every commutator tail from g ends in the identity: its sink is {1}."""
-    G._check(g)
-    return len(sinks(G, [g])[g]) == 1
-
-
 def is_left_engel(G: GroupTable, x: int) -> bool:
     """Whether every tail in direction x ends in the identity: the functional
     graph of c -> [c, x] has no cycle other than the fixed point at 1."""

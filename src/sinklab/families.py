@@ -211,10 +211,3 @@ def build(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     if count > 1:
         G.name = f"({base.name})^{count}"
     return G
-
-
-def component_embedding(factor_order: int, count: int, component: int) -> int:
-    """Index stride for component i (1-based) of a fold-left direct power."""
-    if not 1 <= component <= count:
-        raise InvalidParameters(f"component {component} out of range 1..{count}")
-    return factor_order ** (count - component)

@@ -451,11 +451,11 @@ def subgroup_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> Element
     return ElementSet(members)
 
 
-def _series_terms(G: GroupTable, S: ElementSet, derived: bool = False) -> tuple[ElementSet, ...]:
-    """S, then [T, S] after each term T (or [T, T] if derived), down to the first repeat."""
+def _series_terms(G: GroupTable, S: ElementSet) -> tuple[ElementSet, ...]:
+    """S, then [T, S] after each term T, down to the first repeat."""
     terms = [S]
     while len(terms) < 2 or terms[-1] != terms[-2]:
-        terms.append(subgroup_closure(G, comm_values(G, terms[-1], terms[-1] if derived else S)))
+        terms.append(subgroup_closure(G, comm_values(G, terms[-1], S)))
     return tuple(terms)
 
 
@@ -488,10 +488,6 @@ def _commuting(G: GroupTable, xs: np.ndarray, ss: np.ndarray) -> np.ndarray:
 def centralizer(G: GroupTable, S: ElementSet | Iterable[int]) -> ElementSet:
     """Elements x with x s = s x for every s in S."""
     return ElementSet(_commuting(G, np.arange(G.n), np.flatnonzero(ElementSet.of(G.n, S).mask)))
-
-
-def center(G: GroupTable) -> ElementSet:
-    return centralizer(G, ElementSet.full(G.n))
 
 
 def class_representatives(G: GroupTable) -> list[int]:

@@ -16,10 +16,7 @@ from .group import GroupTable
 from .verify import CSV_COLUMNS, CheckResult, ScanRow
 
 # Counterexample keys whose values are element indices; only these get labels.
-ELEMENT_KEYS = frozenset({
-    "argmax", "g", "g_inverse", "h", "h_power", "not_a_value",
-    "v", "v_not_gamma_value", "v_tail", "w", "w_tail", "z",
-})
+ELEMENT_KEYS = frozenset({"argmax", "g", "g_inverse", "h", "h_power", "v", "v_not_gamma_value", "z"})
 
 
 def canonical_json(payload: dict) -> str:

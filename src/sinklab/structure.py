@@ -1,11 +1,10 @@
-"""Classical structure computations: derived and lower central series,
-nilpotency, the nilpotent residual, and the Fitting subgroup.
+"""Classical structure computations: the lower central series, nilpotency,
+the nilpotent residual, and the Fitting subgroup.
 
 The Fitting subgroup is computed by Baer's criterion: in a finite group the
 left Engel elements form exactly the largest normal nilpotent subgroup. The
-result is certified once, in fitting_subgroup (subgroup, normal, nilpotent),
-and can be cross-checked against an independent construction from normal
-closures. is_nilpotent(G, S) reads S's lower central series in G's table.
+result is certified once, in fitting_subgroup (subgroup, normal, nilpotent).
+is_nilpotent(G, S) reads S's lower central series in G's table.
 When S is normal, so is every term, and comm_values uses class minima.
 G's own series is kept with its table (GroupTable.lower_central) and read
 whenever S is all of G; G/1 is G, so the residual's certificate reads it too.
@@ -17,31 +16,12 @@ from __future__ import annotations
 
 from .engel import left_engel_set
 from .errors import InternalInconsistency
-from .group import (
-    ElementSet,
-    GroupTable,
-    _series_terms,
-    class_representatives,
-    classes_meeting,
-    is_subgroup,
-    normal_closure,
-    quotient,
-    subgroup_closure,
-)
-
-
-def derived_subgroup(G: GroupTable) -> ElementSet:
-    return subgroup_closure(G, G.commutators)
+from .group import ElementSet, GroupTable, _series_terms, classes_meeting, is_subgroup, quotient
 
 
 def lower_central_series(G: GroupTable) -> tuple[ElementSet, ...]:
     """G, then [T, G] after each term T, down to the first repeat (kept with the table)."""
     return G.lower_central
-
-
-def derived_series(G: GroupTable) -> tuple[ElementSet, ...]:
-    """G, then [T, T] after each term T, down to the first repeat."""
-    return _series_terms(G, ElementSet.full(G.n), derived=True)
 
 
 def is_nilpotent(G: GroupTable, S: ElementSet | None = None) -> bool:
@@ -82,28 +62,4 @@ def fitting_subgroup(G: GroupTable) -> ElementSet:
 
 def fitting_index(G: GroupTable) -> int:
     return G.n // len(fitting_subgroup(G))
-
-
-def fitting_maximality_check(G: GroupTable) -> bool:
-    """Certify maximality: adjoining the normal closure of any outside element
-    to the Fitting subgroup must break nilpotency."""
-    F = fitting_subgroup(G)
-    for x in class_representatives(G):  # F is normal, so a class lies in F or outside it
-        if x in F:
-            continue
-        if is_nilpotent(G, subgroup_closure(G, F.union(normal_closure(G, [x])))):
-            return False
-    return True
-
-
-def fitting_via_normal_closures(G: GroupTable) -> ElementSet:
-    """Independent Fitting construction: product of all nilpotent normal
-    closures of single elements, one per conjugacy class since the closure
-    depends only on the class. Used to cross-check the Baer route."""
-    pieces = ElementSet.trivial(G.n)
-    for x in class_representatives(G):
-        ncl = normal_closure(G, [x])
-        if is_nilpotent(G, ncl):
-            pieces = pieces.union(ncl)
-    return subgroup_closure(G, pieces)
 

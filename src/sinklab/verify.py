@@ -26,22 +26,28 @@ so pi fixes the identity, fixes nothing else and maps no v != 1 to it. Its
 cycles are the commutator orbits, walked from every v at once. What stays
 checked are two cross-checks against independent computations: V inside
 the weight-k values (gamma_values), and each orbit inside its sink (sinks).
+
+Two statements have no checker, as their hypotheses are claims about how G
+was built rather than about its table: every element of a product of
+nonabelian simple groups is a weight-k value, and a product of one value per
+component of a direct power keeps one sink value per component. The tests
+assert them on direct powers through gamma_values and sinks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .engel import commutator_tail, gamma_values, left_engel_set, sink_profile, sinks
+from .engel import gamma_values, left_engel_set, sink_profile, sinks
 from .errors import HypothesisFailed
-from .families import FamilySpec, build, component_embedding
+from .families import FamilySpec, build
 from .group import (
-    ElementSet, GroupTable, _commuting, centralizer, class_representatives, is_subgroup, subgroup_closure,
-    subgroup_table,
+    DEFAULT_ORDER_CAP, ElementSet, GroupTable, _commuting, centralizer, class_representatives, is_subgroup,
+    subgroup_closure, subgroup_table,
 )
 from .structure import fitting_subgroup, is_nilpotent, nilpotent_residual
 
@@ -188,20 +194,6 @@ def check_orbit_lemma(G: GroupTable, V: ElementSet, a: int, k: int) -> CheckResu
     )
 
 
-def check_simple_product_gamma(G: GroupTable, k: int) -> CheckResult:
-    """Every element is a weight-k value (caller asserts G is a direct
-    product of nonabelian simple groups)."""
-    values = gamma_values(G, k)
-    if len(values) == G.n:
-        return CheckResult("simple_product_gamma", _gid(G), True, stats={"order": G.n, "k": k})
-    missing = next(x for x in G.elements() if x not in values)
-    return CheckResult(
-        "simple_product_gamma", _gid(G), False,
-        counterexample={"not_a_value": missing, "k": k},
-        stats={"order": G.n, "k": k, "value_count": len(values)},
-    )
-
-
 def check_m1_iff_nilpotent(G: GroupTable, k: int) -> CheckResult:
     """All weight-k values have trivial sinks exactly when G is nilpotent."""
     m_full, _, argmax = sink_profile(G, k)
@@ -213,55 +205,6 @@ def check_m1_iff_nilpotent(G: GroupTable, k: int) -> CheckResult:
     )
     if not passed:
         result.counterexample = {"m_full": m_full, "nilpotent": int(nilpotent), "argmax": argmax}
-    return result
-
-
-def check_component_sinks(p: int, s: int, order_cap: int = 10_000) -> CheckResult:
-    """Sink of a product of per-component values keeps one value per
-    component: size_nontrivial(sink(v1...vs)) >= s."""
-    if not 1 <= s <= 4:
-        raise HypothesisFailed(f"component count must be 1..4, got {s}")
-    base = build(FamilySpec("inversion_extension", (p, 1)), order_cap)
-    G = build(FamilySpec("direct_power", (s,), base=FamilySpec("inversion_extension", (p, 1))), order_cap)
-    f = base.n
-    # base is (C_p) x| C2 with pairs N-major: index 2 is the first nontrivial
-    # torsion element, index 1 the inverting element.
-    v_base, a_base = 2, 1
-    vs = [v_base * component_embedding(f, s, i) for i in range(1, s + 1)]
-    alphas = [a_base * component_embedding(f, s, i) for i in range(1, s + 1)]
-    w = 0
-    for v in vs:
-        w = G.mul(w, v)
-
-    if w not in gamma_values(G, 2):
-        return CheckResult(
-            "component_sinks", _gid(G), False,
-            counterexample={"w": w, "reason": "w is not a weight-2 value"},
-            stats={"order": G.n, "s": s},
-        )
-    # c -> [c, alpha] is a function, so the tails of w and v agree at every
-    # depth n >= 1 iff they agree at depth 1; the tail of [v, alpha] then
-    # holds every later value.
-    for i, (v, alpha) in enumerate(zip(vs, alphas), start=1):
-        cw, cv = G.comm(w, alpha), G.comm(v, alpha)
-        tail = commutator_tail(G, cv, alpha)
-        later = tail.preperiod + tail.cycle
-        if cw != cv or 0 in later:
-            n = 1 if cw != cv else later.index(0) + 1
-            tails = (cw, cv) if n == 1 else (0, 0)
-            return CheckResult(
-                "component_sinks", _gid(G), False,
-                counterexample={"component": i, "n": n, "w_tail": tails[0], "v_tail": tails[1]},
-                stats={"order": G.n, "s": s},
-            )
-    nontrivial = len(sinks(G, [w])[w]) - 1  # the identity is in every sink
-    passed = nontrivial >= s
-    result = CheckResult(
-        "component_sinks", _gid(G), passed,
-        stats={"order": G.n, "s": s, "sink_nontrivial": nontrivial},
-    )
-    if not passed:
-        result.counterexample = {"w": w, "sink_nontrivial": nontrivial}
     return result
 
 
@@ -321,15 +264,13 @@ def scan_row(G: GroupTable, group_id: str, k: int) -> ScanRow:
     )
 
 
-def contrast_report(p: int, max_rank: int, order_cap: int = 10_000) -> list[ScanRow]:
-    """Rows for the inversion extensions at k = 2, ranks 1..max_rank: sinks
-    stay bounded while the nilpotent residual grows as p^r."""
-    rows = []
-    for r in range(1, max_rank + 1):
-        spec = FamilySpec("inversion_extension", (p, r))
-        G = build(spec, order_cap)
-        rows.append(scan_row(G, f"inversion_extension_{p}_{r}", 2))
-    return rows
+def contrast_report(p: int, ranks: Iterable[int], order_cap: int = DEFAULT_ORDER_CAP) -> list[ScanRow]:
+    """Rows for the inversion extensions at k = 2, one per rank r, building
+    only those: sinks stay bounded while the nilpotent residual grows as p^r."""
+    return [
+        scan_row(build(FamilySpec("inversion_extension", (p, r)), order_cap), f"inversion_extension_{p}_{r}", 2)
+        for r in ranks
+    ]
 
 
 def theorem_scan(corpus: Sequence[tuple[str, GroupTable]], k: int) -> tuple[list[ScanRow], list[tuple[str, str]]]:

@@ -1,19 +1,23 @@
 """Slow oracles that only the tests use: the full associativity audit, the
 full automorphism and homomorphism laws of a semidirect product's action,
-the lattice of normal subgroups, and the landing route to right Engel sinks, on
-the same step grid as the Brent walk of ``engel.sinks``. The other route,
-the plain window over the steps of ``GroupTable.comm_step``, is
-``sinklab.verify.window_sinks``, which ``check_sink_oracle`` runs. ``relabel``
-renames a table's elements, for the checks that results do not depend on
-the labelling."""
+the lattice of normal subgroups, the derived series, two Fitting checks
+that do not go through Baer's criterion, the component-sink bound on direct
+powers, and the landing route to right Engel sinks, on the same step grid
+as the Brent walk of ``engel.sinks``. The other route, the plain window over
+the steps of ``GroupTable.comm_step``, is ``sinklab.verify.window_sinks``,
+which ``check_sink_oracle`` runs. ``relabel`` renames a table's elements,
+for the checks that results do not depend on the labelling."""
 
 import numpy as np
 
-from sinklab.engel import _landing
+from sinklab.engel import _landing, commutator_tail, gamma_values, sinks
 from sinklab.errors import InvalidPermutation
+from sinklab.families import FamilySpec, build
 from sinklab.group import (
-    ElementSet, GroupTable, _blocks, _comm_grid, class_representatives, normal_closure, subgroup_closure,
+    ElementSet, GroupTable, _blocks, _comm_grid, class_representatives, comm_values, normal_closure,
+    subgroup_closure,
 )
+from sinklab.structure import fitting_subgroup, is_nilpotent
 
 
 def associativity_audit(G: GroupTable) -> None:
@@ -52,6 +56,64 @@ def normal_subgroups(G: GroupTable) -> list[ElementSet]:
         frontier = {subgroup_closure(G, a.union(b)) for a in frontier for b in atoms} - found
         found |= frontier
     return sorted(found, key=lambda N: (len(N), list(N)))
+
+
+def derived_series(G: GroupTable) -> tuple[ElementSet, ...]:
+    """G, then [T, T] after each term T, down to the first repeat."""
+    terms = [ElementSet.full(G.n)]
+    while len(terms) < 2 or terms[-1] != terms[-2]:
+        terms.append(subgroup_closure(G, comm_values(G, terms[-1], terms[-1])))
+    return tuple(terms)
+
+
+def fitting_maximality_check(G: GroupTable) -> bool:
+    """Certify maximality: adjoining the normal closure of any outside element
+    to the Fitting subgroup must break nilpotency."""
+    F = fitting_subgroup(G)
+    for x in class_representatives(G):  # F is normal, so a class lies in F or outside it
+        if x in F:
+            continue
+        if is_nilpotent(G, subgroup_closure(G, F.union(normal_closure(G, [x])))):
+            return False
+    return True
+
+
+def fitting_via_normal_closures(G: GroupTable) -> ElementSet:
+    """Independent Fitting construction: product of all nilpotent normal
+    closures of single elements, one per conjugacy class since the closure
+    depends only on the class."""
+    pieces = ElementSet.trivial(G.n)
+    for x in class_representatives(G):
+        ncl = normal_closure(G, [x])
+        if is_nilpotent(G, ncl):
+            pieces = pieces.union(ncl)
+    return subgroup_closure(G, pieces)
+
+
+def component_sink_size(p: int, s: int) -> int:
+    """|sink(w)| - 1 in (C_p : C2)^s, asserting the component lemma's steps.
+
+    In the fold-left power, x in component i (1-based) is x * f^(s - i), f
+    the factor's order. In the factor, 2 is the first nontrivial element of
+    C_p and 1 inverts it. So v_i and alpha_i are 2 and 1 put in component i,
+    and w is the product of the v_i. w is a weight-2 value, and since
+    c -> [c, alpha_i] is a function, the tails of w and v_i in direction
+    alpha_i agree once their first steps do, and the tail of [v_i, alpha_i]
+    never reaches 1. So sink(w) keeps a value in each component.
+    """
+    factor = FamilySpec("inversion_extension", (p, 1))
+    f, G = build(factor).n, build(FamilySpec("direct_power", (s,), base=factor))
+    strides = [f ** (s - i) for i in range(1, s + 1)]
+    w = 0
+    for stride in strides:
+        w = G.mul(w, 2 * stride)
+    assert w in gamma_values(G, 2)
+    for stride in strides:
+        v, alpha = 2 * stride, stride
+        tail = commutator_tail(G, G.comm(v, alpha), alpha)
+        assert G.comm(w, alpha) == G.comm(v, alpha)
+        assert 0 not in tail.preperiod + tail.cycle
+    return len(sinks(G, [w])[w]) - 1  # the identity is in every sink
 
 
 def landing_sinks(G: GroupTable, elements=None) -> dict[int, ElementSet]:

@@ -5,29 +5,21 @@ PASS/FAIL line. Run with `pytest tests/test_acceptance.py -v -s`.
 import time
 from pathlib import Path
 
-import pytest
-
 from sinklab.cli import main
 from sinklab.engel import gamma_values
 from sinklab.families import FamilySpec, build
 from sinklab.group import subgroup_closure
-from sinklab.structure import (
-    fitting_maximality_check,
-    fitting_subgroup,
-    fitting_via_normal_closures,
-    left_engel_set,
-    nilpotent_residual,
-)
+from sinklab.structure import fitting_subgroup, left_engel_set, nilpotent_residual
 from sinklab.verify import (
     check_centralizer_power,
-    check_component_sinks,
     check_heineken,
     check_m1_iff_nilpotent,
     check_orbit_lemma,
-    check_simple_product_gamma,
     check_sink_oracle,
     contrast_report,
 )
+
+from oracles import component_sink_size, fitting_maximality_check, fitting_via_normal_closures
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -105,17 +97,15 @@ def test_criterion_5_orbit_lemma_suite():
 def test_criterion_6_simple_product_gamma(a5):
     started = time.time()
     for k in (2, 3, 4):
-        result = check_simple_product_gamma(a5, k)
-        assert result.passed, f"A5 at k={k}"
+        assert len(gamma_values(a5, k)) == a5.n, f"A5 at k={k}"
     a5sq = build(FamilySpec("direct_power", (2,), base=FamilySpec("alternating", (5,))))
-    result = check_simple_product_gamma(a5sq, 2)
-    assert result.passed, "A5xA5 at k=2"
+    assert len(gamma_values(a5sq, 2)) == a5sq.n, "A5xA5 at k=2"
     elapsed = time.time() - started
     report(6, elapsed < 300, f"A5 k=2..4 and A5xA5 k=2 all full, {elapsed:.1f}s (< 300s)")
 
 
 def test_criterion_7_contrast_family():
-    rows = contrast_report(3, 4)
+    rows = contrast_report(3, range(1, 5))
     for r, row in enumerate(rows, start=1):
         assert row.m_full == 2, f"rank {r}: mFull {row.m_full}"
         assert row.fitting_index == 2, f"rank {r}: fittingIndex {row.fitting_index}"
@@ -132,9 +122,7 @@ def test_criterion_8_m1_iff_nilpotent(corpus):
 
 def test_criterion_9_component_sink_lower_bound():
     for s in (1, 2, 3):
-        result = check_component_sinks(3, s)
-        assert result.passed, f"s={s}: {result.counterexample}"
-        assert result.stats["sink_nontrivial"] >= s
+        assert component_sink_size(3, s) >= s, f"s={s}"
     report(9, True, "p=3, s=1..3: sizeNontrivial(sink(w)) >= s")
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from sinklab import group
+from sinklab import group, verify
 from sinklab.cli import build_parser, main, parse_element
 from sinklab.report import check_payload
 from sinklab.verify import ORACLE_CAP, CheckResult
@@ -141,9 +141,9 @@ def test_counterexample_labels_only_elements(s3):
     assert ce["argmax"] == {"index": 1, "label": s3.labels[1]}
     ce = counterexample(v=2, orbit_value_outside_sink=1)
     assert ce["orbit_value_outside_sink"] == 1 and ce["v"]["label"] == s3.labels[2]
-    ce = counterexample(component=1, n=2, w_tail=0, v_tail=0)
-    assert ce["component"] == 1 and ce["n"] == 2 and ce["w_tail"]["label"] == "e"
-    assert counterexample(w=3, sink_nontrivial=1)["sink_nontrivial"] == 1
+    ce = counterexample(v_not_gamma_value=0, k=2)
+    assert ce["k"] == 2 and ce["v_not_gamma_value"]["label"] == "e"
+    assert counterexample(w=3, sink_nontrivial=1) == {"w": 3, "sink_nontrivial": 1}
 
 
 def test_parse_error_exit_two_names_line(capsys, tmp_path):
@@ -245,6 +245,21 @@ def test_contrast_table(capsys):
     assert lines[1].startswith("inversion_extension_3_1,6,2,2,1,2,3,2")
     _, out, _ = run(capsys, "contrast", "-p", "3", "--ranks", "1..5")
     assert out == (DATA_DIR / "contrast_p3_1_5.csv").read_text(encoding="utf-8")
+
+
+def test_contrast_builds_only_the_ranks_asked_for(capsys, monkeypatch):
+    """--ranks 3..4 prints rows 3..4 of the 1..5 table and builds no lower rank."""
+    built, real_build = [], verify.build
+
+    def recording_build(spec, order_cap):
+        built.append(spec.params)
+        return real_build(spec, order_cap)
+
+    monkeypatch.setattr(verify, "build", recording_build)
+    code, out, _ = run(capsys, "contrast", "-p", "3", "--ranks", "3..4")
+    assert code == 0 and built == [(3, 3), (3, 4)]
+    lines = (DATA_DIR / "contrast_p3_1_5.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert out == "".join([lines[0], *lines[3:5]])
 
 
 @pytest.mark.parametrize(

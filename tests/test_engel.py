@@ -1,14 +1,12 @@
 import tracemalloc
 
 import numpy as np
-import pytest
 
 from sinklab import group
 from sinklab.engel import (
     commutator_tail,
     gamma_values,
     is_left_engel,
-    is_right_engel,
     left_engel_set,
     right_engel_sink,
     sink_profile,
@@ -108,7 +106,7 @@ def test_sink_witnesses_replay(s4, ie32):
 
 
 def test_engel_element_examples(s4):
-    assert is_right_engel(s4, 0)
+    assert len(sinks(s4, [0])[0]) == 1  # right Engel
     assert is_left_engel(s4, 0)
     v = s4.labels.index("(1 2)(3 4)")
     t = s4.labels.index("(1 2)")
@@ -117,12 +115,13 @@ def test_engel_element_examples(s4):
 
 
 def test_is_right_engel_iff_trivial_sink(corpus):
-    """is_right_engel, a read of the sink kernel, against the scalar tails."""
+    """Right Engel read off the sink kernel, |sink(g)| = 1, against the scalar tails."""
     for group_id, G in corpus:
         if G.n > 60:
             continue
+        sink_of = sinks(G)
         for g in G.elements():
-            assert is_right_engel(G, g) == (right_engel_sink(G, g).size_full == 1), (group_id, g)
+            assert (len(sink_of[g]) == 1) == (right_engel_sink(G, g).size_full == 1), (group_id, g)
 
 
 def test_recurrent_value_characterization(s3, q8, d4):
@@ -225,8 +224,8 @@ def test_sink_monotone_under_quotient(s4, s3, ie32):
 
 def test_heineken_implication(corpus):
     for _, G in corpus:
-        for g in G.elements():
-            if is_right_engel(G, g):
+        for g, sink in sinks(G).items():
+            if len(sink) == 1:
                 assert is_left_engel(G, G.inv(g))
 
 
@@ -248,7 +247,6 @@ def test_engel_sets_match_iteration_oracle(corpus):
             right -= set(np.flatnonzero(c).tolist())
         assert left_engel_set(G).members == left, group_id
         assert {x for x in G.elements() if is_left_engel(G, x)} == left, group_id
-        assert {g for g in G.elements() if is_right_engel(G, g)} == right, group_id
         assert {g for g, sink in sinks(G).items() if sink.members == {0}} == right, group_id
 
 

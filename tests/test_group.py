@@ -30,7 +30,6 @@ from sinklab.group import (
     ElementSet,
     GroupTable,
     LazyList,
-    center,
     centralizer,
     close_generators,
     comm_values,
@@ -47,10 +46,11 @@ from sinklab.group import (
 )
 from sinklab.perm import Permutation, parse_cycles
 from sinklab.specfile import build_spec, parse_spec_file
-from sinklab.structure import derived_series, derived_subgroup
 from sinklab.verify import scan_row
 
-from oracles import associativity_audit, non_automorphisms, non_homomorphism_pairs, normal_subgroups, relabel
+from oracles import (
+    associativity_audit, derived_series, non_automorphisms, non_homomorphism_pairs, normal_subgroups, relabel,
+)
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -259,7 +259,7 @@ def test_every_table_allocation_checks_memory_first(s4, monkeypatch):
     names its estimate when the table does not fit the memory budget. (G/1
     is G itself and allocates nothing, so the quotient is taken by V4.)"""
     monkeypatch.setattr(group, "_memory_budget", lambda: 16 * group.BLOCK_ENTRIES)
-    z = center(s4)  # trivial; any table exceeds this budget, even Z's of order 1
+    z = centralizer(s4, ElementSet.full(s4.n))  # the centre, trivial; any table exceeds this budget, even Z's of order 1
     v4 = subgroup_closure(s4, [s4.labels.index("(1 2)(3 4)"), s4.labels.index("(1 3)(2 4)")])
     for make in (
         lambda: close_generators(gens(3, "(1 2 3)")),
@@ -281,8 +281,8 @@ def test_subgroup_closure_examples(s3, s4):
 
 
 def test_center_examples(s3, q8):
-    assert center(s3).members == {0}
-    assert len(center(q8)) == 2
+    assert centralizer(s3, ElementSet.full(s3.n)).members == {0}
+    assert len(centralizer(q8, ElementSet.full(q8.n))) == 2
 
 
 def test_centralizer_is_subgroup(s4):
@@ -323,7 +323,7 @@ def test_commutators_match_scalar_comm_and_feed_both_series():
     """GroupTable.commutators against {G.comm(x, g)} on every corpus group,
     freshly built, and on one relabelled one. It is made on first use, not by
     the build, and comm_values over G and G, gamma_values at k = 2, and the
-    second terms of both series and the derived subgroup read the one kept set."""
+    second terms of both series read the one kept set."""
     groups = [build_spec(parse_spec_file(path)) for _, path in load_corpus(CORPUS_DIR)]
     big = max(groups, key=lambda G: G.n)
     pi = np.array([0, *np.random.default_rng(7).permutation(np.arange(1, big.n))], dtype=big.table.dtype)
@@ -335,7 +335,7 @@ def test_commutators_match_scalar_comm_and_feed_both_series():
         full = ElementSet.full(G.n)
         assert comm_values(G, full, full) is values and gamma_values(G, 2) == values
         closure = subgroup_closure(G, values)
-        assert G.lower_central[1] == closure == derived_series(G)[1] == derived_subgroup(G), G.name
+        assert G.lower_central[1] == closure == derived_series(G)[1], G.name
 
 
 def test_class_labels_certified_without_trusting_generators(s4):
@@ -410,8 +410,8 @@ def test_semidirect_inversion_is_s3_shaped(s3):
     inversion = [int(v) for v in c3.inverse]
     G = semidirect_product(c3, c2, [list(range(3)), inversion])
     assert G.n == 6
-    assert center(G).members == {0}
-    assert len(derived_subgroup(G)) == 3
+    assert centralizer(G, ElementSet.full(G.n)).members == {0}
+    assert len(G.lower_central[1]) == 3
     assert sorted(G.element_order(x) for x in range(6)) == sorted(
         s3.element_order(x) for x in range(6)
     )

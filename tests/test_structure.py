@@ -8,12 +8,8 @@ from sinklab.errors import InternalInconsistency
 from sinklab.families import FamilySpec, build
 from sinklab.group import ElementSet, GroupTable, is_normal, quotient, subgroup_closure, subgroup_table
 from sinklab.structure import (
-    derived_series,
-    derived_subgroup,
     fitting_index,
-    fitting_maximality_check,
     fitting_subgroup,
-    fitting_via_normal_closures,
     is_nilpotent,
     left_engel_set,
     lower_central_series,
@@ -22,12 +18,13 @@ from sinklab.structure import (
 )
 from sinklab.verify import scan_row
 
-from oracles import normal_subgroups
+from oracles import derived_series, fitting_maximality_check, fitting_via_normal_closures, normal_subgroups
 
 
 def test_derived_subgroup(s3, c12):
-    assert derived_subgroup(c12).members == {0}
-    d = derived_subgroup(s3)
+    """G' is the second term of the lower central series."""
+    assert c12.lower_central[1].members == {0}
+    d = s3.lower_central[1]
     assert len(d) == 3
     assert s3.labels.index("(1 2 3)") in d
 
@@ -65,7 +62,7 @@ def test_nilpotency_of_a_subgroup_in_g(s4):
     v4 = closure("(1 2)(3 4)", "(1 3)(2 4)")
     sylow2 = closure("(1 2 3 4)", "(1 3)")  # dihedral of order 8, not normal
     s3 = closure("(1 2 3)", "(1 2)")
-    a4 = derived_subgroup(s4)
+    a4 = s4.lower_central[1]
     expected = [(v4, True), (sylow2, True), (s3, False), (a4, False)]
     for S, nilpotent in expected:
         assert is_nilpotent(s4, S) == nilpotent == is_nilpotent(subgroup_table(s4, S)[0])

@@ -25,6 +25,8 @@ EXTRA_GROUPS = (
     FamilySpec("inversion_extension", (3, 4)),
     FamilySpec("frobenius", (7, 3, 2)),
     FamilySpec("direct_power", (2,), base=FamilySpec("dihedral", (6,))),
+    FamilySpec("direct_power", (2,), base=FamilySpec("dihedral", (12,))),
+    FamilySpec("frobenius", (43, 7, 4)),
 )
 
 
