@@ -15,6 +15,11 @@ Knuth, TAOCP vol. 2, sec. 3.1 ex. 7); once a reset falls past the preperiod
 and the cycle fits in the gap to the next, the walker meets it on the cycle,
 whose length is the steps since the reset. The walkers that meet at one step
 then go once round their cycles together and mark their targets' sinks.
+If z commutes with c, [c, z x] = c^-1 x^-1 z^-1 c z x = [c, x]. A walk's
+values (its target, then commutators) lie in S, the commutators and the
+targets' classes, so one direction per coset of C = C_G(S) is walked, its
+least element: |G : C| grid rows, not n. S is a class union, so C is normal
+and is read off the class minima.
 Left Engel needs every start: ``_landing`` squares the step grid L times,
 2^L >= n (pointer jumping), and x is left Engel iff its row of landing points
 is all identity. Conjugation is an automorphism, so sink(g^h) = sink(g)^h:
@@ -28,11 +33,12 @@ from ``right_engel_sink`` (``sinklab sink``), one tail per direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .group import ElementSet, GroupTable, _blocks, _comm_grid, comm_values
+from .group import ElementSet, GroupTable, _blocks, _comm_grid, _commuting, classes_meeting, comm_values
 
 
 @dataclass(frozen=True)
@@ -85,12 +91,23 @@ def _landing(G: GroupTable, xs: np.ndarray) -> np.ndarray:
 
 def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> dict[int, ElementSet]:
     """Minimal right Engel sinks for the given elements (default: all of G),
-    by a Brent walk per (direction, target) on a block of step grids."""
-    n = G.n
-    cols = np.arange(n) if elements is None else np.flatnonzero(ElementSet.of(n, elements).mask)
+    by a Brent walk per (coset direction, target) on a block of step grids."""
+    n, lab = G.n, G.class_labels
+    targets = ElementSet.full(n) if elements is None else ElementSet.of(n, elements)
+    cols, S = np.flatnonzero(targets.mask), G.commutators.mask
+    if not S[cols].all():  # S holds every walk's values: the targets' classes and the commutators
+        S = S | classes_meeting(G, targets).mask
+    reps = np.flatnonzero(lab == np.arange(n))
+    central = np.zeros(n, dtype=bool)
+    central[reps] = _commuting(G, reps, np.flatnonzero(S))
+    C = np.flatnonzero(central[lab])  # C_G(S), a class union
+    # least[x] = min over z in C of z x, the least element of the coset C x
+    least = reduce(np.minimum, (G.table[C[zs]].min(axis=0) for zs in _blocks(len(C), n)))
+    directions = np.flatnonzero(least == np.arange(n))
     found = np.zeros(len(cols) * n, dtype=bool)
     # a block's grid rows with _comm_grid's transients, and 48 bytes a walker: about BLOCK_ENTRIES bytes
-    for xs in _blocks(n, n * (8 + 2 * G.table.itemsize) + 48 * len(cols)):
+    for block in _blocks(len(directions), n * (8 + 2 * G.table.itemsize) + 48 * len(cols)):
+        xs = directions[block]
         flat_steps = _comm_grid(G, xs, np.arange(n)).ravel()
         # walker (i, t) reads flat_steps[i * n + c] and sets found[t * n + c]
         rows, who = np.repeat(np.arange(len(xs)) * n, len(cols)), np.tile(np.arange(len(cols)) * n, len(xs))

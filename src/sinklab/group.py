@@ -279,16 +279,27 @@ class ElementSet:
 
 def validate_table(G: GroupTable) -> None:
     """Integer entries, shapes, then the Latin-square, identity and inverse
-    laws, in blocks of rows and of columns. Raises on violation."""
+    laws, in blocks of rows and of columns, each block sorted in one reused
+    buffer. Raises on violation."""
     n, t, inv = G.n, G.table, G.inverse
     if t.dtype.kind not in "iu" or inv.dtype.kind not in "iu":
         raise InvalidPermutation(f"table and inverse must hold integers, not {t.dtype} and {inv.dtype}")
     if t.shape != (n, n) or inv.shape != (n,):
         raise InvalidPermutation(f"table shape {t.shape} or inverse shape {inv.shape} does not fit order {n}")
     idx = np.arange(n)
+    buf = np.empty((len(next(_blocks(n, n))), n), dtype=t.dtype)  # one buffer for the row and the column sorts
+
+    def latin(b: np.ndarray) -> bool:  # sorts b's rows in place, then compares them 64 at a time
+        b.sort(axis=1)
+        return all((b[lo : lo + 64] == idx).all() for lo in range(0, len(b), 64))
+
     for rows in _blocks(n, n):
-        s = slice(rows[0], rows[-1] + 1)  # rows s, then columns s read as rows
-        if not all((np.sort(b, axis=1) == idx).all() for b in (t[s], t[:, s].T)):
+        b, s = buf[: len(rows)], slice(rows[0], rows[-1] + 1)
+        b[:] = t[s]
+        rows_latin = latin(b)
+        for lo in range(0, n, 256):  # columns s as rows, copied contiguous by tiles: the strided view sorts slower
+            b[:, lo : lo + 256] = t[lo : lo + 256, s].T
+        if not (rows_latin and latin(b)):
             raise InvalidPermutation("multiplication table is not a Latin square")
     if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
         raise InvalidPermutation("identity law fails: element 0 is not the identity")
@@ -400,7 +411,8 @@ def _product_grid(G: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def _comm_grid(G: GroupTable, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """grid[i, j] = [cs[j], xs[i]] = cs[j]^-1 xs[i]^-1 cs[j] xs[i], by three
     flat gathers on the table through one reused buffer of flat indices: it
-    peaks at 8 bytes an entry plus two grids in the table's dtype."""
+    peaks at 8 bytes an entry plus a grid in the table's dtype, and numpy's
+    fixed iterator buffers for the broadcast and the casts (about 128 KB)."""
     n, flat = G.n, G.table.ravel()
     at = np.multiply(G.inverse[xs][:, None], n, dtype=np.intp) + cs  # xs[i]^-1 cs[j]
     np.multiply(flat.take(at), n, out=at, dtype=np.intp)
@@ -410,9 +422,10 @@ def _comm_grid(G: GroupTable, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
 
 
 def _values(G: GroupTable, grid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Mask of the entries of grid(G, xs, ys), gathered in blocks of xs."""
+    """Mask of the entries of grid(G, xs, ys), gathered in blocks of xs of
+    about BLOCK_ENTRIES bytes at _comm_grid's cost an entry."""
     found = np.zeros(G.n, dtype=bool)
-    for rows in _blocks(len(xs), len(ys)):
+    for rows in _blocks(len(xs), len(ys) * (8 + 2 * G.table.itemsize)):
         found[grid(G, xs[rows], ys)] = True
     return found
 

@@ -2,8 +2,9 @@
 full automorphism and homomorphism laws of a semidirect product's action,
 the lattice of normal subgroups, the derived series, two Fitting checks
 that do not go through Baer's criterion, the component-sink bound on direct
-powers, and the landing route to right Engel sinks, on the same step grid
-as the Brent walk of ``engel.sinks``. The other route, the plain window over
+powers, the landing route to right Engel sinks over all n directions, on
+the same step grid as the Brent walk of ``engel.sinks``, and the directions
+that walk takes, one per coset of the centralizer of its values. The other route, the plain window over
 the steps of ``GroupTable.comm_step``, is ``sinklab.verify.window_sinks``,
 which ``check_sink_oracle`` runs. ``relabel`` renames a table's elements,
 for the checks that results do not depend on the labelling."""
@@ -135,6 +136,21 @@ def landing_sinks(G: GroupTable, elements=None) -> dict[int, ElementSet]:
             moving = cur != start
             rows, who, cur, start = rows[moving], who[moving], cur[moving], start[moving]
     return dict(zip(cols.tolist(), map(ElementSet, found.reshape(-1, n))))
+
+
+def walk_values_centralizer(G: GroupTable, targets) -> tuple[list[int], list[int]]:
+    """(S, C): S the commutators [x, g] and the targets' conjugates, which
+    hold every value of a walk from a target, and C = {z : z s = s z for all
+    s in S}, by scalar loops over G.comm, G.conj and G.commute."""
+    S = {G.comm(x, g) for x in G.elements() for g in G.elements()}
+    S |= {G.conj(t, h) for t in targets for h in G.elements()}
+    return sorted(S), [z for z in G.elements() if all(G.commute(z, s) for s in S)]
+
+
+def coset_directions(G: GroupTable, targets) -> list[int]:
+    """The least element of each coset C x of C = C_G(S) (walk_values_centralizer), ascending."""
+    C = walk_values_centralizer(G, targets)[1]
+    return sorted({min(G.mul(z, x) for z in C) for x in G.elements()})
 
 
 def relabel(G: GroupTable, pi: np.ndarray) -> GroupTable:

@@ -13,11 +13,11 @@ from sinklab.engel import (
     sinks,
 )
 from sinklab.families import FamilySpec, build
-from sinklab.group import quotient, subgroup_closure
+from sinklab.group import ElementSet, quotient, subgroup_closure
 from sinklab.structure import nilpotent_residual
 from sinklab.verify import window_sinks
 
-from oracles import landing_sinks
+from oracles import coset_directions, landing_sinks
 
 
 def brute_commutator_set(G, xs):
@@ -263,21 +263,62 @@ def test_sinks_match_landing_and_window_oracles(corpus):
 
 
 def test_sinks_over_many_direction_blocks(corpus, monkeypatch):
-    """With a small BLOCK_ENTRIES the walk runs in several direction blocks,
+    """With a small BLOCK_ENTRIES the walk runs in several direction blocks;
+    the directions it walks are exactly the least elements of the cosets of
+    C_G(S), S the commutators and the targets' classes, with C brute-forced;
     and the sinks, of all elements and of one, do not change."""
     whole = {group_id: (sinks(G), sinks(G, [G.n - 1])) for group_id, G in corpus}
-    blocks = []
+    walked = []
 
     def counted_grid(G, xs, cs):
-        blocks.append(len(xs))
+        walked.append(xs)
         return group._comm_grid(G, xs, cs)
 
     monkeypatch.setattr(group, "BLOCK_ENTRIES", 1000)
     monkeypatch.setattr("sinklab.engel._comm_grid", counted_grid)
+    several = set()
     for group_id, G in corpus:
-        del blocks[:]
-        assert (sinks(G), sinks(G, [G.n - 1])) == whole[group_id], group_id
-        assert sum(blocks) == 2 * G.n and (G.n < 16 or len(blocks) > 2), group_id
+        for targets, want in zip((None, [G.n - 1]), whole[group_id]):
+            del walked[:]
+            assert sinks(G, targets) == want, group_id
+            directions = coset_directions(G, G.elements() if targets is None else targets)
+            assert np.concatenate(walked).tolist() == directions, group_id
+            if len(directions) >= 16:
+                assert len(walked) > 2, group_id
+                several.add(group_id)
+    assert {"S4", "A5"} <= several
+
+
+def test_coset_directions_past_oracle_cap():
+    """Past ORACLE_CAP, where few cosets are walked, the sinks of the gamma_2
+    class minima and of all class minima equal the landing route's over all
+    n directions."""
+    for spec in (
+        FamilySpec("inversion_extension", (3, 5)),
+        FamilySpec("direct_power", (2,), base=FamilySpec("dihedral", (12,))),
+        FamilySpec("frobenius", (43, 7, 4)),
+    ):
+        G = build(spec)
+        minima = G.class_labels == np.arange(G.n)
+        for targets in (ElementSet(minima & gamma_values(G, 2).mask), ElementSet(minima)):
+            assert sinks(G, targets) == landing_sinks(G, targets), spec.describe()
+
+
+def test_commutators_transients_bounded_by_blocks(monkeypatch):
+    """G.commutators, made inside the first sinks call, peaks above what stays
+    live within the 16 * BLOCK_ENTRIES bytes of transients that a table
+    reserves, as its blocks are sized at _comm_grid's cost an entry."""
+    G = build(FamilySpec("direct_power", (2,), base=FamilySpec("dihedral", (12,))))
+    G.class_labels  # made and kept first: its own blocks are not measured here
+    monkeypatch.setattr(group, "BLOCK_ENTRIES", 1 << 14)
+    tracemalloc.start()
+    try:
+        values = G.commutators
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - live <= 16 * group.BLOCK_ENTRIES
+    assert len(values) == len({G.comm(x, g) for x in G.elements() for g in G.elements()})
 
 
 def test_sink_transients_bounded_by_blocks(monkeypatch):

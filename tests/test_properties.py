@@ -20,7 +20,7 @@ from sinklab.perm import Permutation
 from sinklab.structure import fitting_index, is_nilpotent, lower_central_series
 from sinklab.verify import scan_row
 
-from oracles import associativity_audit, derived_series, landing_sinks, relabel
+from oracles import associativity_audit, derived_series, landing_sinks, relabel, walk_values_centralizer
 
 MAX_ORDER = 200
 
@@ -219,6 +219,24 @@ def test_sinks_match_landing_oracle_relabelled(corpus, data):
     assert sinks(G) == landing_sinks(G)
     targets = data.draw(st.sets(st.integers(min_value=0, max_value=G.n - 1), max_size=8))
     assert sinks(G, targets) == landing_sinks(G, targets)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_directions_matter_modulo_centralizer_of_walk_values(corpus, data):
+    """[c, z x] = [c, x] for every c in S, z in C and x in G, with S the
+    commutators and a random target set's classes and C = C_G(S): the lemma
+    by which sinks walks one direction per coset of C."""
+    G = relabelled_corpus_group(corpus, data)
+    targets = data.draw(st.sets(st.integers(min_value=0, max_value=G.n - 1), max_size=4))
+    S, C = walk_values_centralizer(G, targets)
+    t, inv, c, x = G.table, G.inverse, np.array(S)[:, None], np.arange(G.n)[None, :]
+
+    def comm(a, b):
+        return t[t[t[inv[a], inv[b]], a], b]
+
+    for z in C:
+        assert np.array_equal(comm(c, t[z, x]), comm(c, x))
 
 
 @settings(max_examples=25, deadline=None)
