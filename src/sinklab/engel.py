@@ -102,7 +102,7 @@ def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> dict[int, 
     central[reps] = _commuting(G, reps, np.flatnonzero(S))
     C = np.flatnonzero(central[lab])  # C_G(S), a class union
     # least[x] = min over z in C of z x, the least element of the coset C x
-    least = reduce(np.minimum, (G.table[C[zs]].min(axis=0) for zs in _blocks(len(C), n)))
+    least = reduce(np.minimum, (G.table[C[zs]].min(axis=0) for zs in _blocks(len(C), n * G.table.itemsize)))
     directions = np.flatnonzero(least == np.arange(n))
     found = np.zeros(len(cols) * n, dtype=bool)
     # a block's grid rows with _comm_grid's transients, and 48 bytes a walker: about BLOCK_ENTRIES bytes

@@ -491,9 +491,10 @@ def normal_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> ElementSe
 
 
 def _commuting(G: GroupTable, xs: np.ndarray, ss: np.ndarray) -> np.ndarray:
-    """Mask over xs of the x with x s = s x for every s in ss, in blocks of xs."""
+    """Mask over xs of the x with x s = s x for every s in ss, in blocks of xs
+    of about BLOCK_ENTRIES bytes at two grids and a mask an entry."""
     found = np.zeros(len(xs), dtype=bool)
-    for rows in _blocks(len(xs), len(ss)):
+    for rows in _blocks(len(xs), len(ss) * (2 * G.table.itemsize + 1)):
         found[rows] = (_product_grid(G, xs[rows], ss) == _product_grid(G, ss, xs[rows]).T).all(axis=1)
     return found
 

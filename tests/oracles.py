@@ -4,10 +4,11 @@ the lattice of normal subgroups, the derived series, two Fitting checks
 that do not go through Baer's criterion, the component-sink bound on direct
 powers, the landing route to right Engel sinks over all n directions, on
 the same step grid as the Brent walk of ``engel.sinks``, and the directions
-that walk takes, one per coset of the centralizer of its values. The other route, the plain window over
-the steps of ``GroupTable.comm_step``, is ``sinklab.verify.window_sinks``,
-which ``check_sink_oracle`` runs. ``relabel`` renames a table's elements,
-for the checks that results do not depend on the labelling."""
+that walk takes, one per coset of the centralizer of its values. The other
+route, the plain window over the steps of ``GroupTable.comm_step``, is
+``sinklab.verify.window_sinks``, which ``check_sink_oracle`` runs.
+``relabel`` renames a table's elements, for the checks that results do not
+depend on the labelling."""
 
 import numpy as np
 
