@@ -14,7 +14,8 @@ saved point is reset at each power-of-two step count (Brent, BIT 20 (1980);
 Knuth, TAOCP vol. 2, sec. 3.1 ex. 7); once a reset falls past the preperiod
 and the cycle fits in the gap to the next, the walker meets it on the cycle,
 whose length is the steps since the reset. The walkers that meet at one step
-then go once round their cycles together and mark their targets' sinks.
+then go once round their cycles together and mark their targets' rows of the
+result, a bool matrix (row i: the sink of the i-th target, ascending).
 If z commutes with c, [c, z x] = c^-1 x^-1 z^-1 c z x = [c, x]. A walk's
 values (its target, then commutators) lie in S, the commutators and the
 targets' classes, so one direction per coset of C = C_G(S) is walked, its
@@ -38,7 +39,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .group import ElementSet, GroupTable, _blocks, _comm_grid, _commuting, classes_meeting, comm_values
+from .group import (
+    ElementSet, GroupTable, _blocks, _comm_grid, _commuting, class_representatives, classes_meeting, comm_values,
+)
 
 
 @dataclass(frozen=True)
@@ -89,15 +92,14 @@ def _landing(G: GroupTable, xs: np.ndarray) -> np.ndarray:
     return land
 
 
-def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> dict[int, ElementSet]:
-    """Minimal right Engel sinks for the given elements (default: all of G),
-    by a Brent walk per (coset direction, target) on a block of step grids."""
+def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> np.ndarray:
+    """Read-only bool matrix of the sinks of the given elements (default: all of G), one row each, ascending."""
     n, lab = G.n, G.class_labels
     targets = ElementSet.full(n) if elements is None else ElementSet.of(n, elements)
     cols, S = np.flatnonzero(targets.mask), G.commutators.mask
     if not S[cols].all():  # S holds every walk's values: the targets' classes and the commutators
         S = S | classes_meeting(G, targets).mask
-    reps = np.flatnonzero(lab == np.arange(n))
+    reps = class_representatives(G)
     central = np.zeros(n, dtype=bool)
     central[reps] = _commuting(G, reps, np.flatnonzero(S))
     C = np.flatnonzero(central[lab])  # C_G(S), a class union
@@ -126,7 +128,8 @@ def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> dict[int, 
             for _ in range(length):
                 found[who + cur] = True
                 cur = flat_steps[rows + cur]
-    return dict(zip(cols.tolist(), map(ElementSet, found.reshape(-1, n))))
+    found.setflags(write=False)
+    return found.reshape(-1, n)  # a view, so read-only too
 
 
 def right_engel_sink(G: GroupTable, g: int) -> SinkReport:
@@ -151,15 +154,14 @@ def right_engel_sink(G: GroupTable, g: int) -> SinkReport:
 def is_left_engel(G: GroupTable, x: int) -> bool:
     """Whether every tail in direction x ends in the identity: the functional
     graph of c -> [c, x] has no cycle other than the fixed point at 1."""
-    G._check(x)
-    return not _landing(G, np.array([x])).any()
+    return not _landing(G, np.array([G._check(x)])).any()
 
 
 def left_engel_set(G: GroupTable) -> ElementSet:
     """The left Engel elements, from one landing pass over the class minima."""
-    reps = np.flatnonzero(G.class_labels == np.arange(G.n))
+    reps = class_representatives(G)
     found = np.zeros(G.n, dtype=bool)
-    for rows in _blocks(len(reps), G.n):
+    for rows in _blocks(len(reps), G.n * (8 + 2 * G.table.itemsize)):  # _landing's cost an entry
         found[reps[rows]] = ~_landing(G, reps[rows]).any(axis=1)
     return ElementSet(found[G.class_labels])
 
@@ -175,10 +177,9 @@ def gamma_values(G: GroupTable, k: int) -> ElementSet:
         raise ValueError(f"k must be >= 1, got {k}")
     full = X = ElementSet.full(G.n)
     for _ in range(k - 1):
-        nxt = comm_values(G, X, full)
-        if nxt == X:
+        X, prev = comm_values(G, X, full), X
+        if X == prev:
             break
-        X = nxt
     return X
 
 
@@ -186,6 +187,5 @@ def sink_profile(G: GroupTable, k: int) -> tuple[int, int, int]:
     """(max sink size, max identity-free sink size, witnessing element) over
     the weight-k commutator values, with the smallest witnessing index."""
     minima = gamma_values(G, k).mask & (G.class_labels == np.arange(G.n))  # the least witness is one
-    sink_of = sinks(G, ElementSet(minima))
-    m_full, neg_argmax = max((len(sink), -g) for g, sink in sink_of.items())
-    return m_full, m_full - 1, -neg_argmax  # the identity is in every sink
+    sizes = sinks(G, ElementSet(minima)).sum(axis=1)  # the identity is in every sink
+    return int(sizes.max()), int(sizes.max()) - 1, int(np.flatnonzero(minima)[sizes.argmax()])  # the first maximum

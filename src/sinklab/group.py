@@ -504,9 +504,9 @@ def centralizer(G: GroupTable, S: ElementSet | Iterable[int]) -> ElementSet:
     return ElementSet(_commuting(G, np.arange(G.n), np.flatnonzero(ElementSet.of(G.n, S).mask)))
 
 
-def class_representatives(G: GroupTable) -> list[int]:
-    """The least element of each conjugacy class, ascending."""
-    return np.unique(G.class_labels).tolist()
+def class_representatives(G: GroupTable) -> np.ndarray:
+    """The least element of each conjugacy class, as an ascending index array."""
+    return np.flatnonzero(G.class_labels == np.arange(G.n))
 
 
 def classes_meeting(G: GroupTable, S: ElementSet) -> ElementSet:

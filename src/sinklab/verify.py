@@ -10,22 +10,24 @@ The brute-force sink oracle, window_sinks, iterates c -> [c, x] blindly
 met at steps |G| .. 3|G|. Pigeonhole makes this window exact: a walk on |G|
 states repeats within its first |G| steps, so the preperiod is shorter than
 |G|, and the remaining 2|G| steps cover every cycle at least twice.
-check_sink_oracle compares its rows with the masks of sinks(G).
+check_sink_oracle compares its rows with those of the sink matrix sinks(G).
 
 check_heineken and check_centralizer_power test statements about single
 elements that are invariant under conjugation: sink(g^x) = sink(g)^x and
 C(g^x) = C(g)^x. So if g fails, so does the least element of its class,
 and the least failing g, which each counterexample names, is a class
-minimum; both checkers visit class minima only, in ascending order. Their
-counts are sums over all elements, taken as a class minimum's term times
-its class size, np.bincount(G.class_labels)[g].
+minimum; both checkers read the sink rows of the class minima only, which
+ascend: check_heineken all at once, check_centralizer_power one row at a
+time. Their counts are sums over all elements, taken as a class minimum's
+term times its class size, np.bincount(G.class_labels)[g].
 
 check_orbit_lemma reads u -> [u, a] as one permutation pi of V: its
 hypothesis V = [V, a] makes the map onto V, so bijective, and [1, a] = 1,
 so pi fixes the identity, fixes nothing else and maps no v != 1 to it. Its
 cycles are the commutator orbits, walked from every v at once. What stays
 checked are two cross-checks against independent computations: V inside
-the weight-k values (gamma_values), and each orbit inside its sink (sinks).
+the weight-k values (gamma_values), and each orbit inside its sink (its row
+of sinks(H, V), as V's elements ascend).
 
 Two statements have no checker, as their hypotheses are claims about how G
 was built rather than about its table: every element of a product of
@@ -87,21 +89,16 @@ def _gid(G: GroupTable) -> str:
 def check_heineken(G: GroupTable) -> CheckResult:
     """Right Engel g (its sink is the identity alone) implies left Engel
     g^-1, for every element."""
-    left_engel, size = left_engel_set(G), np.bincount(G.class_labels)
-    right_engel = 0
-    for g, sink in sinks(G, class_representatives(G)).items():
-        if len(sink) > 1:  # the identity is in every sink
-            continue
-        right_engel += int(size[g])
-        if G.inv(g) not in left_engel:
-            return CheckResult(
-                "heineken",
-                _gid(G),
-                False,
-                counterexample={"g": g, "g_inverse": G.inv(g)},
-                stats={"order": G.n},
-            )
-    return CheckResult("heineken", _gid(G), True, stats={"order": G.n, "right_engel_count": right_engel})
+    reps = class_representatives(G)
+    right_engel = reps[sinks(G, reps).sum(axis=1) == 1]  # the identity is in every sink
+    bad = right_engel[~left_engel_set(G).mask[G.inverse[right_engel]]]
+    if len(bad):
+        g = int(bad[0])
+        return CheckResult(
+            "heineken", _gid(G), False, counterexample={"g": g, "g_inverse": G.inv(g)}, stats={"order": G.n},
+        )
+    count = int(np.bincount(G.class_labels)[right_engel].sum())
+    return CheckResult("heineken", _gid(G), True, stats={"order": G.n, "right_engel_count": count})
 
 
 def check_centralizer_power(G: GroupTable) -> CheckResult:
@@ -110,16 +107,16 @@ def check_centralizer_power(G: GroupTable) -> CheckResult:
     All of C(g) is raised to m! mod exponent(G) at once, and only the
     distinct powers are tested against sink(g); a failure names the least
     failing h, then the least z in sink(g) that its power does not commute with."""
-    t, size, exponent = G.table, np.bincount(G.class_labels), G.exponent()
+    t, size, exponent, reps = G.table, np.bincount(G.class_labels), G.exponent(), class_representatives(G)
     checked = 0
-    for g, sink in sinks(G, class_representatives(G)).items():
-        m = len(sink)
+    for g, sink in zip(reps.tolist(), sinks(G, reps)):
+        m = int(sink.sum())
         hs = np.flatnonzero(centralizer(G, [g]).mask)
         powers, back = np.unique(G.power(hs, math.factorial(m) % exponent), return_inverse=True)
-        bad = np.flatnonzero(~_commuting(G, powers, np.flatnonzero(sink.mask))[back])
+        bad = np.flatnonzero(~_commuting(G, powers, np.flatnonzero(sink))[back])
         if len(bad):
             h, p = int(hs[bad[0]]), int(powers[back[bad[0]]])
-            z = int(np.flatnonzero(sink.mask & (t[p] != t[:, p]))[0])
+            z = int(np.flatnonzero(sink & (t[p] != t[:, p]))[0])
             return CheckResult(
                 "centralizer_power", _gid(G), False,
                 counterexample={"g": g, "h": h, "h_power": p, "z": z, "m": m},
@@ -164,8 +161,7 @@ def check_orbit_lemma(G: GroupTable, V: ElementSet, a: int, k: int) -> CheckResu
             stats={"order": G.n},
         )
 
-    sink_of = sinks(H, local)
-    sink_mask = np.array([sink_of[v].mask for v in local.tolist()])  # row i: sink of mem[i]
+    sink_mask = sinks(H, local)  # row i: sink of mem[i], as local ascends
     in_sink = sink_mask[:, local]  # in_sink[i, j]: mem[j] lies in the sink of mem[i]
     pi = np.searchsorted(mem, image)  # pi as positions in mem
     start = np.arange(len(mem))
@@ -230,8 +226,7 @@ def check_sink_oracle(G: GroupTable) -> CheckResult:
     n = G.n
     if n > ORACLE_CAP:
         raise HypothesisFailed(f"oracle capped at order {ORACLE_CAP}, group has order {n}")
-    oracle, sink_of = window_sinks(G), sinks(G)
-    sink = np.array([sink_of[g].mask for g in G.elements()])
+    oracle, sink = window_sinks(G), sinks(G)
     bad = np.flatnonzero((oracle != sink).any(axis=1))
     if len(bad):
         g = int(bad[0])

@@ -115,12 +115,13 @@ def component_sink_size(p: int, s: int) -> int:
         tail = commutator_tail(G, G.comm(v, alpha), alpha)
         assert G.comm(w, alpha) == G.comm(v, alpha)
         assert 0 not in tail.preperiod + tail.cycle
-    return len(sinks(G, [w])[w]) - 1  # the identity is in every sink
+    return int(sinks(G, [w]).sum()) - 1  # the identity is in every sink
 
 
-def landing_sinks(G: GroupTable, elements=None) -> dict[int, ElementSet]:
-    """Sinks by the landing route: per direction, the walk from each target's
-    landing point goes once round its cycle (every landing point is on one)."""
+def landing_sinks(G: GroupTable, elements=None) -> np.ndarray:
+    """Sinks by the landing route, as engel.sinks gives them (row i: the i-th
+    target, ascending): per direction, the walk from each target's landing
+    point goes once round its cycle (every landing point is on one)."""
     n = G.n
     cols = np.arange(n) if elements is None else np.flatnonzero(ElementSet.of(n, elements).mask)
     found = np.zeros(len(cols) * n, dtype=bool)
@@ -136,7 +137,7 @@ def landing_sinks(G: GroupTable, elements=None) -> dict[int, ElementSet]:
             cur = flat_steps[rows + cur]
             moving = cur != start
             rows, who, cur, start = rows[moving], who[moving], cur[moving], start[moving]
-    return dict(zip(cols.tolist(), map(ElementSet, found.reshape(-1, n))))
+    return found.reshape(-1, n)
 
 
 def walk_values_centralizer(G: GroupTable, targets) -> tuple[list[int], list[int]]:

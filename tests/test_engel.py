@@ -83,11 +83,22 @@ def test_sink_examples(s3, d4, q8):
 
 def test_sink_contains_identity(s4, frob732):
     for G in (s4, frob732):
-        for g, sink in sinks(G).items():
-            assert 0 in sink
+        for g, sink in enumerate(sinks(G)):
+            assert sink[0]
             report = right_engel_sink(G, g)
-            assert report.sink == sink  # scalar tails agree with the Brent walk
+            assert np.array_equal(report.sink.mask, sink)  # scalar tails agree with the Brent walk
             assert report.size_nontrivial == report.size_full - 1
+
+
+def test_sinks_matrix_rows_ascend_and_are_read_only(s4):
+    """One read-only bool row per distinct target, in ascending order
+    whatever the order of the targets given and their repeats."""
+    whole = sinks(s4)
+    assert whole.dtype == bool and whole.shape == (s4.n, s4.n) and not whole.flags.writeable
+    part = sinks(s4, [20, 3, 20, 7])
+    assert part.shape == (3, s4.n) and not part.flags.writeable
+    assert np.array_equal(part, whole[[3, 7, 20]])
+    assert sinks(s4, []).shape == (0, s4.n)
 
 
 def test_sink_witnesses_replay(s4, ie32):
@@ -106,7 +117,7 @@ def test_sink_witnesses_replay(s4, ie32):
 
 
 def test_engel_element_examples(s4):
-    assert len(sinks(s4, [0])[0]) == 1  # right Engel
+    assert sinks(s4, [0]).sum() == 1  # right Engel
     assert is_left_engel(s4, 0)
     v = s4.labels.index("(1 2)(3 4)")
     t = s4.labels.index("(1 2)")
@@ -121,7 +132,7 @@ def test_is_right_engel_iff_trivial_sink(corpus):
             continue
         sink_of = sinks(G)
         for g in G.elements():
-            assert (len(sink_of[g]) == 1) == (right_engel_sink(G, g).size_full == 1), (group_id, g)
+            assert (sink_of[g].sum() == 1) == (right_engel_sink(G, g).size_full == 1), (group_id, g)
 
 
 def test_recurrent_value_characterization(s3, q8, d4):
@@ -178,6 +189,17 @@ def test_sink_profile(s3, d4, q8, c12, ie32):
     assert sink_profile(ie32, 2)[:2] == (2, 1)
 
 
+def test_sink_profile_matches_every_value(corpus):
+    """sink_profile against the sink sizes of every weight-k value, not only
+    the class minima: the same maximum, and the least value reaching it."""
+    for group_id, G in corpus:
+        sizes = sinks(G).sum(axis=1)
+        for k in (2, 3):
+            values = list(gamma_values(G, k))
+            m = max(int(sizes[g]) for g in values)
+            assert sink_profile(G, k) == (m, m - 1, min(g for g in values if sizes[g] == m)), (group_id, k)
+
+
 def orbit(G, a, v):
     """v, [v,a], [v,a,a], ... up to (excluding) the first repeated value."""
     tail = commutator_tail(G, v, a)
@@ -198,10 +220,10 @@ def test_orbit_inclusion_under_lemma_hypotheses(ie32, frob732):
     for G in (ie32, frob732):
         V = nilpotent_residual(G)
         a = G.generators[-1]
-        sink_of = sinks(G, V.members)
+        sink_of = dict(zip(V, sinks(G, V.members)))  # the rows ascend, as V's iteration does
         for v in V:
             values = orbit(G, a, v)
-            assert all(z in sink_of[v] for z in values)
+            assert all(sink_of[v][z] for z in values)
             if v != 0:
                 assert 0 not in values
 
@@ -217,15 +239,15 @@ def test_sink_monotone_under_quotient(s4, s3, ie32):
     for G, N in cases:
         Q, proj = quotient(G, N)
         q_sinks = sinks(Q)
-        for g, sink in sinks(G).items():
-            projected = {proj[z] for z in sink}
-            assert q_sinks[proj[g]].members <= projected
+        for g, sink in enumerate(sinks(G)):
+            projected = {proj[z] for z in np.flatnonzero(sink).tolist()}
+            assert set(np.flatnonzero(q_sinks[proj[g]]).tolist()) <= projected
 
 
 def test_heineken_implication(corpus):
     for _, G in corpus:
-        for g, sink in sinks(G).items():
-            if len(sink) == 1:
+        for g, sink in enumerate(sinks(G)):
+            if sink.sum() == 1:
                 assert is_left_engel(G, G.inv(g))
 
 
@@ -247,19 +269,17 @@ def test_engel_sets_match_iteration_oracle(corpus):
             right -= set(np.flatnonzero(c).tolist())
         assert left_engel_set(G).members == left, group_id
         assert {x for x in G.elements() if is_left_engel(G, x)} == left, group_id
-        assert {g for g, sink in sinks(G).items() if sink.members == {0}} == right, group_id
+        assert {g for g, sink in enumerate(sinks(G)) if np.flatnonzero(sink).tolist() == [0]} == right, group_id
 
 
 def test_sinks_match_landing_and_window_oracles(corpus):
     """The Brent walk against the landing route and the plain window, for
     every element of every corpus group, and on targets taken alone."""
     for group_id, G in corpus:
-        walk, landing, window = sinks(G), landing_sinks(G), window_sinks(G)
-        for g in G.elements():
-            assert walk[g] == landing[g], (group_id, g)
-            assert np.array_equal(walk[g].mask, window[g]), (group_id, g)
-        odd = range(1, G.n, 2)
-        assert sinks(G, odd) == {g: walk[g] for g in odd}, group_id
+        walk = sinks(G)
+        assert np.array_equal(walk, landing_sinks(G)), group_id
+        assert np.array_equal(walk, window_sinks(G)), group_id
+        assert np.array_equal(sinks(G, range(1, G.n, 2)), walk[1::2]), group_id
 
 
 def test_sinks_over_many_direction_blocks(corpus, monkeypatch):
@@ -280,7 +300,7 @@ def test_sinks_over_many_direction_blocks(corpus, monkeypatch):
     for group_id, G in corpus:
         for targets, want in zip((None, [G.n - 1]), whole[group_id]):
             del walked[:]
-            assert sinks(G, targets) == want, group_id
+            assert np.array_equal(sinks(G, targets), want), group_id
             directions = coset_directions(G, G.elements() if targets is None else targets)
             assert np.concatenate(walked).tolist() == directions, group_id
             if len(directions) >= 16:
@@ -301,7 +321,7 @@ def test_coset_directions_past_oracle_cap():
         G = build(spec)
         minima = G.class_labels == np.arange(G.n)
         for targets in (ElementSet(minima & gamma_values(G, 2).mask), ElementSet(minima)):
-            assert sinks(G, targets) == landing_sinks(G, targets), spec.describe()
+            assert np.array_equal(sinks(G, targets), landing_sinks(G, targets)), spec.describe()
 
 
 def test_commutators_transients_bounded_by_blocks(monkeypatch):
@@ -337,3 +357,20 @@ def test_sink_transients_bounded_by_blocks(monkeypatch):
             tracemalloc.stop()
         assert peak - live <= 16 * group.BLOCK_ENTRIES
         assert len(sink_of) == (G.n if targets is None else len(targets))
+
+
+def test_left_engel_transients_bounded_by_blocks(monkeypatch):
+    """left_engel_set sizes its landing blocks at _landing's cost an entry, so
+    its peak above what stays live is within the 16 * BLOCK_ENTRIES bytes of
+    transients that a table reserves."""
+    G = build(FamilySpec("direct_power", (2,), base=FamilySpec("dihedral", (12,))))
+    want = left_engel_set(G)  # also makes and keeps the class labels, whose own blocks are not measured here
+    monkeypatch.setattr(group, "BLOCK_ENTRIES", 1 << 14)
+    tracemalloc.start()
+    try:
+        left = left_engel_set(G)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - live <= 16 * group.BLOCK_ENTRIES
+    assert left == want

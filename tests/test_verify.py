@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sinklab import verify
@@ -115,11 +116,11 @@ def test_sink_oracle_names_a_dropped_sink_value(s3, monkeypatch):
     names that element and the lost value, with nothing found only by the kernel."""
     g = s3.labels.index("(1 2 3)")
     honest = verify.sinks
-    dropped = max(honest(s3, [g])[g])
+    dropped = int(np.flatnonzero(honest(s3, [g])[0]).max())
 
     def lossy(G, elements=None):
-        out = honest(G, elements)
-        out[g] = ElementSet.of(G.n, set(out[g]) - {dropped})
+        out = honest(G, elements).copy()  # all of G, so row g is sink(g)
+        out[g, dropped] = False
         return out
 
     monkeypatch.setattr(verify, "sinks", lossy)
@@ -186,8 +187,8 @@ def test_scan_row_invariants(corpus):
 def ref_heineken(G):
     left_engel = verify.left_engel_set(G)
     right_engel = 0
-    for g, sink in verify.sinks(G).items():
-        if len(sink) > 1:
+    for g, sink in enumerate(verify.sinks(G)):
+        if sink.sum() > 1:
             continue
         right_engel += 1
         if G.inv(g) not in left_engel:
@@ -199,7 +200,7 @@ def ref_centralizer_power(G):
     sink_of = verify.sinks(G)
     checked = 0
     for g in G.elements():
-        sink = sink_of[g]
+        sink = np.flatnonzero(sink_of[g]).tolist()
         m = len(sink)
         for h in verify.centralizer(G, [g]):
             hp = G.power(h, math.factorial(m) % G.element_order(h))
@@ -233,29 +234,30 @@ def ref_orbit_lemma(G, V, a, k):
     missing = [v for v in mem if local[v] not in values]
     if missing:
         return fail({"v_not_gamma_value": missing[0], "k": k})
-    sink_of = verify.sinks(H, [local[v] for v in mem])
+    targets = sorted(local[v] for v in mem)
+    sink_of = dict(zip(targets, verify.sinks(H, targets)))  # one row a target, ascending
     equality, max_orbit = 1, 0
     for v in mem:
         tail = commutator_tail(H, local[v], local[a])
         orbit = tail.preperiod + tail.cycle
         max_orbit = max(max_orbit, len(orbit))
-        sink = sink_of[local[v]]
+        sink = set(np.flatnonzero(sink_of[local[v]]).tolist())
         if not all(z in sink for z in orbit):
             return fail({"v": v, "orbit_value_outside_sink": 1})
         if v != 0 and 0 in orbit:
             return fail({"v": v, "identity_in_orbit": 1})
-        if sink.members != set(orbit) | {0}:
+        if sink != set(orbit) | {0}:
             equality = 0
     stats = {"order": G.n, "v_count": len(mem), "k": k, "max_orbit": max_orbit}
     return CheckResult("orbit_lemma", verify._gid(G), True, stats={**stats, "sink_equals_orbit_plus_identity": equality})
 
 
 def _sinks_spread_to_classes(G, elements=None):
-    return {g: classes_meeting(G, sink) for g, sink in REAL_SINKS(G, elements).items()}
+    return np.array([classes_meeting(G, ElementSet(sink)).mask for sink in REAL_SINKS(G, elements)])
 
 
 def _trivial_sinks(G, elements=None):
-    return {g: ElementSet.trivial(G.n) for g in REAL_SINKS(G, elements)}
+    return np.broadcast_to(ElementSet.trivial(G.n).mask, REAL_SINKS(G, elements).shape)
 
 
 REAL_SINKS, REAL_FACTORIAL, REAL_POWER = verify.sinks, math.factorial, GroupTable.power
