@@ -5,8 +5,6 @@ __version__ = "0.1.0"
 
 from .engel import (
     SinkReport,
-    TailTrace,
-    commutator_tail,
     gamma_values,
     is_left_engel,
     right_engel_sink,
@@ -23,7 +21,6 @@ from .group import (
     direct_product,
     is_normal,
     is_subgroup,
-    normal_closure,
     quotient,
     semidirect_product,
     subgroup_closure,
@@ -32,7 +29,6 @@ from .group import (
 from .perm import Permutation, format_cycles, parse_cycles
 from .specfile import GroupSpec, build_spec, emit_spec, parse_spec_file, parse_spec_text
 from .structure import (
-    fitting_index,
     fitting_subgroup,
     is_nilpotent,
     lower_central_series,

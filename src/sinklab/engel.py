@@ -1,57 +1,41 @@
 """Engel calculus on group tables: minimal right Engel sinks, Engel element
-tests, commutator tails, and gamma-k value sets.
+tests, recurrence witnesses, and gamma-k value sets.
 
-For fixed x the map c -> [c, x] is a function on a finite set, so iterating
-from any start walks a preperiod and then loops on a cycle. The minimal right
-Engel sink of g is exactly the union over x of those eventual cycles: every
-cycle value recurs at arbitrarily long iteration depths (so any sink must
-contain it), and past the preperiods nothing else ever appears.
-
-``sinks`` walks from its targets only. For a block of directions it gathers
-the step grid steps[i, c] = [c, xs[i]] and starts one walker per (direction,
-target) at the target; all advance by one flat gather per step. A walker's
-saved point is reset at each power-of-two step count (Brent, BIT 20 (1980);
-Knuth, TAOCP vol. 2, sec. 3.1 ex. 7); once a reset falls past the preperiod
-and the cycle fits in the gap to the next, the walker meets it on the cycle,
-whose length is the steps since the reset. The walkers that meet at one step
-then go once round their cycles together and mark their targets' rows of the
-result, a bool matrix (row i: the sink of the i-th target, ascending).
-If z commutes with c, [c, z x] = c^-1 x^-1 z^-1 c z x = [c, x]. A walk's
-values (its target, then commutators) lie in S, the commutators and the
-targets' classes, so one direction per coset of C = C_G(S) is walked, its
-least element: |G : C| grid rows, not n. S is a class union, so C is normal
-and is read off the class minima.
-Left Engel needs every start: ``_landing`` squares the step grid L times,
-2^L >= n (pointer jumping), and x is left Engel iff its row of landing points
-is all identity. Conjugation is an automorphism, so sink(g^h) = sink(g)^h:
-left Engel, sink sizes and the value sets are class invariants, which
-left_engel_set, gamma_values and sink_profile compute on class minima only.
-
-``commutator_tail`` is the one scalar walk. Recurrence witnesses come only
-from ``right_engel_sink`` (``sinklab sink``), one tail per direction.
+For fixed x the map c -> [c, x] is a function on a finite set, so a walk
+from any start runs a preperiod and then loops on a cycle. The minimal right
+Engel sink of g is the union over x of the cycles reached from g (their
+values recur at every depth; past the preperiods nothing else appears), and
+x is left Engel iff all of its cycles are {1}. One kernel, ``_brent``, walks
+this map for every job, many walkers a gather. A walker's saved point is
+reset at each power-of-two step (Brent, BIT 20 (1980)); once a reset falls
+past the preperiod and the cycle fits before the next, the walker meets its
+cycle, whose length is the steps since the reset.
+- ``sinks`` starts walkers at its targets, steps them on the step grid of a
+  block of directions, and goes once round each met cycle.
+- The left Engel test starts them at the commutators, where every walk is
+  after one step, and asks that all of them meet their cycles at 1.
+- ``right_engel_sink`` starts one per direction at g, stepped by table
+  gathers, takes the preperiod from two pointers a cycle length apart, and
+  goes once round each cycle for its values' depths.
+If z commutes with c, [c, z x] = [c, x], and a walk's values lie in S, the
+commutators and the targets' classes: ``sinks`` walks one direction per coset
+of C = C_G(S), its least element. C is normal and read off the class minima.
+The witness walk takes all n directions, one walker each: that costs less
+than the class labels and commutators that C needs. As sink(g^h) = sink(g)^h,
+left Engel, sink sizes and value sets are computed on class minima only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .group import (
     ElementSet, GroupTable, _blocks, _comm_grid, _commuting, class_representatives, classes_meeting, comm_values,
 )
-
-
-@dataclass(frozen=True)
-class TailTrace:
-    """One commutator tail: iterate c -> [c, x] from g until the first repeat."""
-
-    start: int
-    direction: int
-    preperiod: tuple[int, ...]
-    cycle: tuple[int, ...]  # in iteration order, beginning at the first repeated value
 
 
 @dataclass(frozen=True)
@@ -69,27 +53,36 @@ class SinkReport:
     witnesses: dict[int, tuple[int, int]]
 
 
-def commutator_tail(G: GroupTable, g: int, x: int) -> TailTrace:
-    """Walk c0 = g, c_{i+1} = [c_i, x] and split at the first revisit."""
-    G._check(g)
-    G._check(x)
-    pos: dict[int, int] = {}
-    seq: list[int] = []
-    c = g
-    while c not in pos:
-        pos[c] = len(seq)
-        seq.append(c)
-        c = G.comm(c, x)
-    return TailTrace(g, x, tuple(seq[:pos[c]]), tuple(seq[pos[c]:]))
+def _brent(advance: Callable, keys: tuple[np.ndarray, ...], cur: np.ndarray) -> Iterator[tuple]:
+    """Walk c -> advance(keys, c) from cur, one walker per entry of cur and of
+    each key array, until every walker meets its cycle. Yields, for each step
+    at which some meet, (cycle length, their keys, their points on the cycle)."""
+    saved, step, reset = cur, 0, 0
+    while len(cur):
+        cur, step = advance(keys, cur), step + 1
+        met = cur == saved
+        if met.any():  # these walkers are on their cycles, all of length step - reset
+            yield step - reset, tuple(k[met] for k in keys), cur[met]
+            keep = ~met
+            keys, cur, saved = tuple(k[keep] for k in keys), cur[keep], saved[keep]
+        if step & (step - 1) == 0:  # Brent's reset
+            saved, reset = cur, step
 
 
-def _landing(G: GroupTable, xs: np.ndarray) -> np.ndarray:
-    """land[i, c] is c after 2^L >= n steps c -> [c, xs[i]], so it lies on its tail's cycle."""
-    land = _comm_grid(G, xs, np.arange(G.n))
-    row_starts = np.arange(len(xs))[:, None] * G.n  # a flat gather beats take_along_axis
-    for _ in range((G.n - 1).bit_length()):
-        land = land.ravel()[land + row_starts]
-    return land
+def _grid_walks(G: GroupTable, xs: np.ndarray, starts: np.ndarray):
+    """Yield (block, advance, met) for blocks of xs: _brent's walks from every
+    start in every direction of the block, keyed (row offset in the block's
+    step grid, start index * n), advance(keys, c) one gather on the grid."""
+    n = G.n
+    # a block's grid rows with _comm_grid's transients, and 48 bytes a walker: about BLOCK_ENTRIES bytes
+    for block in _blocks(len(xs), n * (8 + 2 * G.table.itemsize) + 48 * len(starts)):
+        flat_steps = _comm_grid(G, xs[block], np.arange(n)).ravel()
+
+        def advance(keys, c, flat_steps=flat_steps):  # walker (i, t) reads flat_steps[i * n + c]
+            return flat_steps[keys[0] + c]
+
+        i, t = np.divmod(np.arange(len(block) * len(starts)), len(starts))  # walker i * len(starts) + t
+        yield block, advance, _brent(advance, (i * n, t * n), starts.astype(flat_steps.dtype)[t])
 
 
 def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> np.ndarray:
@@ -105,65 +98,70 @@ def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> np.ndarray
     C = np.flatnonzero(central[lab])  # C_G(S), a class union
     # least[x] = min over z in C of z x, the least element of the coset C x
     least = reduce(np.minimum, (G.table[C[zs]].min(axis=0) for zs in _blocks(len(C), n * G.table.itemsize)))
-    directions = np.flatnonzero(least == np.arange(n))
     found = np.zeros(len(cols) * n, dtype=bool)
-    # a block's grid rows with _comm_grid's transients, and 48 bytes a walker: about BLOCK_ENTRIES bytes
-    for block in _blocks(len(directions), n * (8 + 2 * G.table.itemsize) + 48 * len(cols)):
-        xs = directions[block]
-        flat_steps = _comm_grid(G, xs, np.arange(n)).ravel()
-        # walker (i, t) reads flat_steps[i * n + c] and sets found[t * n + c]
-        rows, who = np.repeat(np.arange(len(xs)) * n, len(cols)), np.tile(np.arange(len(cols)) * n, len(xs))
-        cur = saved = np.tile(cols.astype(flat_steps.dtype), len(xs))
-        on_cycle, step, reset = [], 0, 0
-        while len(cur):
-            cur, step = flat_steps[rows + cur], step + 1
-            met = cur == saved
-            if met.any():  # these walkers are on their cycles, all of length step - reset
-                on_cycle.append((step - reset, rows[met], who[met], cur[met]))
-                keep = ~met
-                rows, who, cur, saved = rows[keep], who[keep], cur[keep], saved[keep]
-            if step & (step - 1) == 0:  # Brent's reset
-                saved, reset = cur, step
-        for length, rows, who, cur in on_cycle:  # once round each cycle from the saved points
+    for _, advance, met in _grid_walks(G, np.flatnonzero(least == np.arange(n)), cols):
+        for length, keys, cur in met:  # once round each cycle from the meeting points
             for _ in range(length):
-                found[who + cur] = True
-                cur = flat_steps[rows + cur]
+                found[keys[1] + cur] = True
+                cur = advance(keys, cur)
     found.setflags(write=False)
     return found.reshape(-1, n)  # a view, so read-only too
 
 
 def right_engel_sink(G: GroupTable, g: int) -> SinkReport:
-    """Sink of g with witnesses, from commutator_tail in every direction.
+    """Sink of g with witnesses, from one walk in each direction.
 
     witnesses[z] = (x, n) names the first direction x, in index order, whose
     cycle holds z, with n the preperiod length plus z's offset in the cycle,
     or the cycle length when that is 0, so that n >= 1.
     """
     G._check(g)
-    witnesses: dict[int, tuple[int, int]] = {}
-    for x in G.elements():
-        tail = commutator_tail(G, g, x)
-        for offset, z in enumerate(tail.cycle):
-            if z not in witnesses:
-                n = len(tail.preperiod) + offset
-                witnesses[z] = (x, n if n >= 1 else len(tail.cycle))
-    sink = ElementSet.of(G.n, witnesses)
-    return SinkReport(g, sink, len(sink), len(sink) - 1, witnesses)
+    t, inv = G.table, G.inverse
+
+    def advance(keys, c):  # [c, x], walker by walker
+        return t[t[t[inv[c], inv[keys[0]]], c], keys[0]]
+
+    first = np.full(G.n, G.n)  # first[z]: the least direction whose cycle holds z, so far
+    depth = np.zeros(G.n, dtype=np.int64)
+    for block in _blocks(G.n, 48):  # 48 bytes a walker
+        for length, keys, _ in _brent(advance, (block,), np.full(len(block), g, dtype=t.dtype)):
+            behind = ahead = np.full(len(keys[0]), g, dtype=t.dtype)
+            for _ in range(length):
+                ahead = advance(keys, ahead)
+            mu = np.zeros(len(ahead), dtype=np.int64)
+            while (apart := ahead != behind).any():  # length apart, they meet at the cycle's first point
+                mu += apart
+                ahead, behind = np.where(apart, advance(keys, ahead), ahead), np.where(apart, advance(keys, behind), behind)
+            for offset in range(length):
+                np.minimum.at(first, behind, keys[0])
+                won = first[behind] == keys[0]
+                depth[behind[won]] = np.where(mu + offset > 0, mu + offset, length)[won]
+                behind = advance(keys, behind)
+    sink = ElementSet(first < G.n)
+    zs = np.flatnonzero(sink.mask)
+    witnesses = dict(zip(zs.tolist(), zip(first[zs].tolist(), depth[zs].tolist())))
+    return SinkReport(g, sink, len(zs), len(zs) - 1, witnesses)
+
+
+def _left_engel(G: GroupTable, xs: np.ndarray) -> np.ndarray:
+    """Mask over xs of the left Engel elements: the walks from the commutators meet their cycles only at 1."""
+    engel = np.ones(len(xs), dtype=bool)
+    for block, _, met in _grid_walks(G, xs, np.flatnonzero(G.commutators.mask)):
+        for _, keys, cur in met:
+            engel[block[keys[0][cur != 0] // G.n]] = False
+    return engel
 
 
 def is_left_engel(G: GroupTable, x: int) -> bool:
-    """Whether every tail in direction x ends in the identity: the functional
-    graph of c -> [c, x] has no cycle other than the fixed point at 1."""
-    return not _landing(G, np.array([G._check(x)])).any()
+    """Whether the functional graph of c -> [c, x] has no cycle other than the fixed point at 1."""
+    return bool(_left_engel(G, np.array([G._check(x)]))[0])
 
 
 def left_engel_set(G: GroupTable) -> ElementSet:
-    """The left Engel elements, from one landing pass over the class minima."""
-    reps = class_representatives(G)
-    found = np.zeros(G.n, dtype=bool)
-    for rows in _blocks(len(reps), G.n * (8 + 2 * G.table.itemsize)):  # _landing's cost an entry
-        found[reps[rows]] = ~_landing(G, reps[rows]).any(axis=1)
-    return ElementSet(found[G.class_labels])
+    """The left Engel elements, from the walks in the class minima's directions."""
+    reps, engel = class_representatives(G), np.zeros(G.n, dtype=bool)
+    engel[reps] = _left_engel(G, reps)
+    return ElementSet(engel[G.class_labels])
 
 
 def gamma_values(G: GroupTable, k: int) -> ElementSet:

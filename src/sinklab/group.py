@@ -1,10 +1,10 @@
 """Finite groups as dense multiplication tables, plus exact subgroup primitives.
 
 Element 0 is always the identity. Commutators are left-normed with the
-convention [a, b] = a^-1 b^-1 a b, and conj(a, b) = b^-1 a b, matching the
-usual b^a notation. Tables are immutable after construction and every
-operation here is a pure function of its inputs. Each table is certified
-once, where it is made: the GroupTable constructor runs validate_table.
+convention [a, b] = a^-1 b^-1 a b, and a^b = b^-1 a b. Tables are immutable
+after construction and every operation here is a pure function of its
+inputs. Each table is certified once, where it is made: the GroupTable
+constructor runs validate_table.
 
 A subset of a group is an ElementSet: a read-only boolean mask over the
 element indices, with ``members`` a frozenset view derived from it. Subgroup
@@ -18,8 +18,8 @@ conjugation by the generators, with pointer jumping (lab = lab[lab]). The
 generators are not trusted: their orbits refine the classes, and by
 Burnside's lemma there are (commuting pairs) / n classes, so equal counts
 certify the labels; the pairs are counted as sum |orbit| * |C(orbit minimum)|.
-Normality is then H.mask == H.mask[label], normal closure closes the seeds'
-classes, and comm_values of two class unions starts from class minima.
+Normality is then H.mask == H.mask[label], and comm_values of two class
+unions starts from class minima.
 
 Permutation groups are closed by close_generators, which grows a Schreier
 tree (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
@@ -129,11 +129,6 @@ class GroupTable:
     def inv(self, a: int) -> int:
         return int(self.inverse[self._check(a)])
 
-    def conj(self, a: int, b: int) -> int:
-        """b^-1 a b."""
-        t = self.table
-        return int(t[t[self.inv(b), self._check(a)], b])
-
     def comm(self, a: int, b: int) -> int:
         """[a, b] = a^-1 b^-1 a b."""
         t = self.table
@@ -156,14 +151,6 @@ class GroupTable:
             e >>= 1
         return int(result) if scalar else result
 
-    def element_order(self, a: int) -> int:
-        self._check(a)
-        k, c = 1, a
-        while c != 0:
-            c = int(self.table[c, a])
-            k += 1
-        return k
-
     def exponent(self, N: ElementSet | None = None) -> int:
         """The exponent of G/N for a normal subgroup N (default the trivial
         one): the lcm over a of the least k with a^k in N, with c = a^k for
@@ -179,9 +166,6 @@ class GroupTable:
 
     def elements(self) -> range:
         return range(self.n)
-
-    def commute(self, a: int, b: int) -> bool:
-        return self.mul(a, b) == self.mul(b, a)
 
     def comm_step(self, x: int) -> np.ndarray:
         """Vectorized map c -> [c, x] over all c, as an index array: row 0 of _comm_grid."""
@@ -483,11 +467,6 @@ def is_normal(G: GroupTable, H: ElementSet) -> bool:
     if not is_subgroup(G, H):
         raise NotASubgroup("is_normal requires a subgroup")
     return not (H.mask ^ H.mask[G.class_labels]).any()
-
-
-def normal_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> ElementSet:
-    """Smallest normal subgroup of G containing the seed elements."""
-    return subgroup_closure(G, classes_meeting(G, ElementSet.of(G.n, seed)))
 
 
 def _commuting(G: GroupTable, xs: np.ndarray, ss: np.ndarray) -> np.ndarray:

@@ -59,7 +59,3 @@ def fitting_subgroup(G: GroupTable) -> ElementSet:
         raise InternalInconsistency("left Engel set is not nilpotent")
     return F
 
-
-def fitting_index(G: GroupTable) -> int:
-    return G.n // len(fitting_subgroup(G))
-

@@ -1,25 +1,92 @@
-"""Slow oracles that only the tests use: the full associativity audit, the
-full automorphism and homomorphism laws of a semidirect product's action,
-the lattice of normal subgroups, the derived series, two Fitting checks
-that do not go through Baer's criterion, the component-sink bound on direct
-powers, the landing route to right Engel sinks over all n directions, on
-the same step grid as the Brent walk of ``engel.sinks``, and the directions
-that walk takes, one per coset of the centralizer of its values. The other
-route, the plain window over the steps of ``GroupTable.comm_step``, is
-``sinklab.verify.window_sinks``, which ``check_sink_oracle`` runs.
-``relabel`` renames a table's elements, for the checks that results do not
-depend on the labelling."""
+"""Slow oracles and scalar helpers that only the tests use: the full
+associativity audit, the full automorphism and homomorphism laws of a
+semidirect product's action, the lattice of normal subgroups, normal
+closures, the derived series, two Fitting checks that do not go through
+Baer's criterion, and the component-sink bound on direct powers.
+
+The sinks have two oracles here besides ``sinklab.verify.window_sinks``, the
+plain window over the steps of ``GroupTable.comm_step``: the landing route
+over all n directions (``landing_sinks``), which squares the step grid until
+every start has landed on its cycle, and the scalar tail (``commutator_tail``,
+a dict walk of c -> [c, x] with ``GroupTable.comm``), whose first direction
+in index order to reach each value gives the witnesses (``tail_witnesses``).
+``coset_directions`` gives the directions ``engel.sinks`` walks, one per coset
+of the centralizer of their values, by scalar loops. ``relabel`` renames a
+table's elements, for the checks that results do not depend on the
+labelling; ``element_order``, ``commute`` and ``conj`` are scalar table reads.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from sinklab.engel import _landing, commutator_tail, gamma_values, sinks
+from sinklab.engel import gamma_values, sinks
 from sinklab.errors import InvalidPermutation
 from sinklab.families import FamilySpec, build
 from sinklab.group import (
-    ElementSet, GroupTable, _blocks, _comm_grid, class_representatives, comm_values, normal_closure,
-    subgroup_closure,
+    ElementSet, GroupTable, _blocks, _comm_grid, class_representatives, classes_meeting, comm_values, subgroup_closure,
 )
 from sinklab.structure import fitting_subgroup, is_nilpotent
+
+
+def element_order(G: GroupTable, a: int) -> int:
+    k, c = 1, G._check(a)
+    while c != 0:
+        c = G.mul(c, a)
+        k += 1
+    return k
+
+
+def commute(G: GroupTable, a: int, b: int) -> bool:
+    return G.mul(a, b) == G.mul(b, a)
+
+
+def conj(G: GroupTable, a: int, b: int) -> int:
+    """a^b = b^-1 a b."""
+    return G.mul(G.mul(G.inv(b), a), b)
+
+
+def normal_closure(G: GroupTable, seed) -> ElementSet:
+    """Smallest normal subgroup of G containing the seed elements: the closure of their classes."""
+    return subgroup_closure(G, classes_meeting(G, ElementSet.of(G.n, seed)))
+
+
+@dataclass(frozen=True)
+class TailTrace:
+    """One commutator tail: iterate c -> [c, x] from g until the first repeat."""
+
+    start: int
+    direction: int
+    preperiod: tuple[int, ...]
+    cycle: tuple[int, ...]  # in iteration order, beginning at the first repeated value
+
+
+def commutator_tail(G: GroupTable, g: int, x: int) -> TailTrace:
+    """Walk c0 = g, c_{i+1} = [c_i, x] and split at the first revisit."""
+    G._check(g)
+    G._check(x)
+    pos: dict[int, int] = {}
+    seq: list[int] = []
+    c = g
+    while c not in pos:
+        pos[c] = len(seq)
+        seq.append(c)
+        c = G.comm(c, x)
+    return TailTrace(g, x, tuple(seq[:pos[c]]), tuple(seq[pos[c]:]))
+
+
+def tail_witnesses(G: GroupTable, g: int) -> dict[int, tuple[int, int]]:
+    """witnesses[z] = (x, n): the first direction x, in index order, whose tail
+    from g cycles through z, and n the preperiod length plus z's offset in the
+    cycle, or the cycle length when that is 0."""
+    witnesses: dict[int, tuple[int, int]] = {}
+    for x in G.elements():
+        tail = commutator_tail(G, g, x)
+        for offset, z in enumerate(tail.cycle):
+            if z not in witnesses:
+                n = len(tail.preperiod) + offset
+                witnesses[z] = (x, n if n >= 1 else len(tail.cycle))
+    return witnesses
 
 
 def associativity_audit(G: GroupTable) -> None:
@@ -118,6 +185,15 @@ def component_sink_size(p: int, s: int) -> int:
     return int(sinks(G, [w]).sum()) - 1  # the identity is in every sink
 
 
+def landing(G: GroupTable, xs: np.ndarray) -> np.ndarray:
+    """land[i, c] is c after 2^L >= n steps c -> [c, xs[i]], so it lies on its tail's cycle."""
+    land = _comm_grid(G, xs, np.arange(G.n))
+    row_starts = np.arange(len(xs))[:, None] * G.n  # a flat gather beats take_along_axis
+    for _ in range((G.n - 1).bit_length()):
+        land = land.ravel()[land + row_starts]
+    return land
+
+
 def landing_sinks(G: GroupTable, elements=None) -> np.ndarray:
     """Sinks by the landing route, as engel.sinks gives them (row i: the i-th
     target, ascending): per direction, the walk from each target's landing
@@ -126,7 +202,7 @@ def landing_sinks(G: GroupTable, elements=None) -> np.ndarray:
     cols = np.arange(n) if elements is None else np.flatnonzero(ElementSet.of(n, elements).mask)
     found = np.zeros(len(cols) * n, dtype=bool)
     for xs in _blocks(n, n):
-        flat_steps, land = _comm_grid(G, xs, np.arange(n)).ravel(), _landing(G, xs)
+        flat_steps, land = _comm_grid(G, xs, np.arange(n)).ravel(), landing(G, xs)
         # walk (i, t) reads flat_steps[i * n + c] and sets found[t * n + c]
         rows, who = np.divmod(np.arange(len(xs) * len(cols)), len(cols))
         rows, who = rows * n, who * n
@@ -143,10 +219,10 @@ def landing_sinks(G: GroupTable, elements=None) -> np.ndarray:
 def walk_values_centralizer(G: GroupTable, targets) -> tuple[list[int], list[int]]:
     """(S, C): S the commutators [x, g] and the targets' conjugates, which
     hold every value of a walk from a target, and C = {z : z s = s z for all
-    s in S}, by scalar loops over G.comm, G.conj and G.commute."""
+    s in S}, by scalar loops over G.comm, conj and commute."""
     S = {G.comm(x, g) for x in G.elements() for g in G.elements()}
-    S |= {G.conj(t, h) for t in targets for h in G.elements()}
-    return sorted(S), [z for z in G.elements() if all(G.commute(z, s) for s in S)]
+    S |= {conj(G, t, h) for t in targets for h in G.elements()}
+    return sorted(S), [z for z in G.elements() if all(commute(G, z, s) for s in S)]
 
 
 def coset_directions(G: GroupTable, targets) -> list[int]:

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 
 from sinklab import group
+from sinklab import engel
 from sinklab.engel import (
-    commutator_tail,
     gamma_values,
     is_left_engel,
     left_engel_set,
@@ -17,7 +17,7 @@ from sinklab.group import ElementSet, quotient, subgroup_closure
 from sinklab.structure import nilpotent_residual
 from sinklab.verify import window_sinks
 
-from oracles import coset_directions, landing_sinks
+from oracles import commutator_tail, coset_directions, landing, landing_sinks, tail_witnesses
 
 
 def brute_commutator_set(G, xs):
@@ -86,7 +86,7 @@ def test_sink_contains_identity(s4, frob732):
         for g, sink in enumerate(sinks(G)):
             assert sink[0]
             report = right_engel_sink(G, g)
-            assert np.array_equal(report.sink.mask, sink)  # scalar tails agree with the Brent walk
+            assert np.array_equal(report.sink.mask, sink)  # the witness walk agrees with the sink walk
             assert report.size_nontrivial == report.size_full - 1
 
 
@@ -101,10 +101,17 @@ def test_sinks_matrix_rows_ascend_and_are_read_only(s4):
     assert sinks(s4, []).shape == (0, s4.n)
 
 
-def test_sink_witnesses_replay(s4, ie32):
-    for G in (s4, ie32):
-        for g in G.elements():
-            for z, (x, n) in right_engel_sink(G, g).witnesses.items():
+def test_sink_witnesses_replay(corpus):
+    """On every corpus group (every element up to order 60, every 7th past it),
+    each witness (x, n) replays, with z recurring after it; the witnesses are
+    the scalar tails' (the first direction in index order, and its depth);
+    and the sink is the sink walk's row."""
+    for group_id, G in corpus:
+        for g in range(0, G.n, 1 if G.n <= 60 else 7):
+            report = right_engel_sink(G, g)
+            assert report.witnesses == tail_witnesses(G, g), (group_id, g)
+            assert np.array_equal(report.sink.mask, sinks(G, [g])[0]), (group_id, g)
+            for z, (x, n) in report.witnesses.items():
                 assert iterate_comm(G, g, x, n) == z
                 # z recurs: some m >= 1 brings the tail back to z
                 c = G.comm(z, x)
@@ -132,7 +139,7 @@ def test_is_right_engel_iff_trivial_sink(corpus):
             continue
         sink_of = sinks(G)
         for g in G.elements():
-            assert (sink_of[g].sum() == 1) == (right_engel_sink(G, g).size_full == 1), (group_id, g)
+            assert (sink_of[g].sum() == 1) == (len(tail_witnesses(G, g)) == 1), (group_id, g)
 
 
 def test_recurrent_value_characterization(s3, q8, d4):
@@ -360,9 +367,9 @@ def test_sink_transients_bounded_by_blocks(monkeypatch):
 
 
 def test_left_engel_transients_bounded_by_blocks(monkeypatch):
-    """left_engel_set sizes its landing blocks at _landing's cost an entry, so
-    its peak above what stays live is within the 16 * BLOCK_ENTRIES bytes of
-    transients that a table reserves."""
+    """left_engel_set sizes its direction blocks at a step grid row and its
+    walkers' cost, so its peak above what stays live is within the 16 *
+    BLOCK_ENTRIES bytes of transients that a table reserves."""
     G = build(FamilySpec("direct_power", (2,), base=FamilySpec("dihedral", (12,))))
     want = left_engel_set(G)  # also makes and keeps the class labels, whose own blocks are not measured here
     monkeypatch.setattr(group, "BLOCK_ENTRIES", 1 << 14)
@@ -374,3 +381,54 @@ def test_left_engel_transients_bounded_by_blocks(monkeypatch):
         tracemalloc.stop()
     assert peak - live <= 16 * group.BLOCK_ENTRIES
     assert left == want
+
+
+def test_right_engel_sink_transients_bounded_by_blocks(monkeypatch):
+    """right_engel_sink's walkers and its coset minima stay within the 16 *
+    BLOCK_ENTRIES bytes of transients that a table reserves, above what stays
+    live (the report), on (D12)^2 at 1 << 14 entries."""
+    G = build(FamilySpec("direct_power", (2,), base=FamilySpec("dihedral", (12,))))
+    want = {g: right_engel_sink(G, g) for g in (1, G.n - 1)}  # makes and keeps the labels and the commutators
+    monkeypatch.setattr(group, "BLOCK_ENTRIES", 1 << 14)
+    for g, report in want.items():
+        tracemalloc.start()
+        try:
+            got = right_engel_sink(G, g)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - live <= 16 * group.BLOCK_ENTRIES
+        assert got.witnesses == report.witnesses and got.sink == report.sink
+
+
+def test_left_engel_and_witness_walks_over_many_direction_blocks(corpus, monkeypatch):
+    """With a small BLOCK_ENTRIES the left Engel walk and the witness walk
+    each run in several direction blocks, and still equal the landing route's
+    left Engel elements and the scalar tails' witnesses."""
+    want = {group_id: (left_engel_set(G), {g: right_engel_sink(G, g) for g in (1 % G.n, G.n - 1)})
+            for group_id, G in corpus}
+    walks = []
+
+    def counted_brent(advance, keys, cur):
+        walks.append(len(cur))
+        return brent(advance, keys, cur)
+
+    brent = engel._brent
+    monkeypatch.setattr(group, "BLOCK_ENTRIES", 1000)
+    monkeypatch.setattr(engel, "_brent", counted_brent)
+    several = set()
+    for group_id, G in corpus:
+        left, reports = want[group_id]
+        del walks[:]
+        assert left_engel_set(G) == left, group_id
+        reps = np.flatnonzero(G.class_labels == np.arange(G.n))
+        landed = set(reps[~landing(G, reps).any(axis=1)].tolist())  # every landing point is 1
+        assert left.members == {x for x in G.elements() if G.class_labels[x] in landed}, group_id
+        left_blocks = len(walks)
+        for g, report in reports.items():
+            del walks[:]
+            got = right_engel_sink(G, g)
+            assert got.witnesses == report.witnesses == tail_witnesses(G, g), (group_id, g)
+            if len(walks) > 1 and left_blocks > 1:
+                several.add(group_id)
+    assert {"S4", "A5"} <= several

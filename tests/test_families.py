@@ -12,6 +12,8 @@ from sinklab.group import ElementSet, centralizer
 from sinklab.specfile import parse_spec_text
 from sinklab.structure import nilpotent_residual
 
+from oracles import commute, conj, element_order
+
 
 def test_cyclic_orders():
     for n in (1, 2, 7, 12):
@@ -24,15 +26,15 @@ def test_elementary_abelian():
     G = build(FamilySpec("elementary_abelian", (3, 2)))
     assert G.n == 9
     assert G.exponent() == 3
-    assert all(G.commute(a, b) for a in range(9) for b in range(9))
+    assert all(commute(G, a, b) for a in range(9) for b in range(9))
 
 
 def test_dihedral():
     for n in (3, 4, 10):
         G = build(FamilySpec("dihedral", (n,)))
         assert G.n == 2 * n
-        assert G.element_order(G.generators[0]) == n
-        assert G.element_order(G.generators[1]) == 2
+        assert element_order(G, G.generators[0]) == n
+        assert element_order(G, G.generators[1]) == 2
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -53,15 +55,15 @@ def test_degree_seven_orders():
 
 def test_quaternion8(q8):
     assert q8.n == 8
-    assert sorted(q8.element_order(x) for x in range(8)) == [1, 2, 4, 4, 4, 4, 4, 4]
+    assert sorted(element_order(q8, x) for x in range(8)) == [1, 2, 4, 4, 4, 4, 4, 4]
     i, j = q8.generators
     assert q8.power(i, 2) == q8.power(j, 2)  # both square to the central involution
-    assert q8.conj(i, j) == q8.inv(i)
+    assert conj(q8, i, j) == q8.inv(i)
 
 
 def test_inversion_extension_small(ie31):
     assert ie31.n == 6
-    assert sorted(ie31.element_order(x) for x in range(6)) == [1, 2, 2, 2, 3, 3]
+    assert sorted(element_order(ie31, x) for x in range(6)) == [1, 2, 2, 2, 3, 3]
 
 
 @pytest.mark.parametrize("r", (1, 2, 3))
@@ -79,7 +81,7 @@ def test_frobenius_hypotheses(frob732):
     assert centralizer(frob732, ElementSet.full(frob732.n)).members == {0}
     V = nilpotent_residual(frob732)
     a = frob732.generators[-1]
-    fixed = {v for v in V if frob732.conj(v, a) == v}
+    fixed = {v for v in V if conj(frob732, v, a) == v}
     assert fixed == {0}  # C_V(a) = 1
 
 
@@ -122,7 +124,7 @@ def test_component_embedding_commutes_with_mul():
         for y in range(base.n):
             assert G.mul(x * e1, y * e1) == base.mul(x, y) * e1
             assert G.mul(x * e2, y * e2) == base.mul(x, y) * e2
-            assert G.commute(x * e1, y * e2)
+            assert commute(G, x * e1, y * e2)
 
 
 @pytest.mark.parametrize(

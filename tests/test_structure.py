@@ -8,7 +8,6 @@ from sinklab.errors import InternalInconsistency
 from sinklab.families import FamilySpec, build
 from sinklab.group import ElementSet, GroupTable, is_normal, quotient, subgroup_closure, subgroup_table
 from sinklab.structure import (
-    fitting_index,
     fitting_subgroup,
     is_nilpotent,
     left_engel_set,
@@ -18,7 +17,9 @@ from sinklab.structure import (
 )
 from sinklab.verify import scan_row
 
-from oracles import derived_series, fitting_maximality_check, fitting_via_normal_closures, normal_subgroups
+from oracles import (
+    derived_series, fitting_maximality_check, fitting_via_normal_closures, normal_closure, normal_subgroups,
+)
 
 
 def test_derived_subgroup(s3, c12):
@@ -156,10 +157,10 @@ def test_residual_minimality_small(s3, s4):
 
 def test_fitting_spot_values(s3, s4):
     F3 = fitting_subgroup(s3)
-    assert len(F3) == 3 and fitting_index(s3) == 2
+    assert len(F3) == 3 and s3.n // len(F3) == 2
     assert F3.members == subgroup_closure(s3, [s3.labels.index("(1 2 3)")]).members
     F4 = fitting_subgroup(s4)
-    assert len(F4) == 4 and fitting_index(s4) == 6
+    assert len(F4) == 4 and s4.n // len(F4) == 6
     v4 = subgroup_closure(s4, [s4.labels.index("(1 2)(3 4)"), s4.labels.index("(1 3)(2 4)")])
     assert F4.members == v4.members
 
@@ -167,7 +168,6 @@ def test_fitting_spot_values(s3, s4):
 def test_fitting_nilpotent_group_is_whole(q8, c12, d4):
     for G in (q8, c12, d4):
         assert fitting_subgroup(G).members == set(range(G.n))
-        assert fitting_index(G) == 1
         assert fitting_maximality_check(G)
 
 
@@ -209,8 +209,6 @@ def test_fitting_maximality_corpus_wide(corpus):
 
 
 def test_fitting_contains_nilpotent_normal_closures(corpus):
-    from sinklab.group import normal_closure
-
     for group_id, G in corpus:
         if G.n > 100:
             continue
