@@ -8,9 +8,11 @@ constructor runs validate_table.
 
 A subset of a group is an ElementSet: a read-only boolean mask over the
 element indices, with ``members`` a frozenset view derived from it. Subgroup
-primitives are table gathers over index arrays in blocks of at most
-BLOCK_ENTRIES entries, so memory stays bounded at the order cap, and pass
-their sets through ElementSet.of, which rejects wrong-order sets.
+primitives are table gathers over index arrays, and pass their sets through
+ElementSet.of, which rejects wrong-order sets. Every pass over a table runs
+in blocks of rows of about BLOCK_ENTRIES bytes (see _blocks): a pass's block
+width is the bytes that one of its rows allocates, its grids, masks and
+int64 indices together, so memory stays bounded at the order cap.
 
 GroupTable.class_labels, made on first use and kept, maps each element to
 the least element of its conjugacy class: min-label propagation over
@@ -24,7 +26,7 @@ unions starts from class minima.
 Permutation groups are closed by close_generators, which grows a Schreier
 tree (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
 sec. 4.1) breadth first, in rounds of numpy gathers over the elements' image
-rows in blocks of at most BLOCK_ENTRIES points, with one dict from row bytes
+rows in blocks of about BLOCK_ENTRIES bytes, with one dict from row bytes
 to element index. The search's right Cayley maps give the left ones down the
 tree, and the table is filled by contiguous rows, each from its parent's row.
 No build makes labels or perms: each passes LazyLists, made whole on first read.
@@ -40,8 +42,8 @@ respects a generating set is a homomorphism: a(x y's) = a(x y') a(s).
 Every n x n table comes from _new_table, which raises CapExceeded first when
 the table plus 16 * BLOCK_ENTRIES bytes of transients exceed physical memory.
 Products are filled (by columns when |H| <= 8, see semidirect_product), and
-every table is validated, in blocks of at most BLOCK_ENTRIES entries in the
-table's own dtype: a build peaks at its table plus O(BLOCK_ENTRIES).
+every table is validated, in blocks of about BLOCK_ENTRIES bytes, comparing
+in the table's own dtype: a build peaks at its table plus O(BLOCK_ENTRIES).
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .errors import (
 from .perm import Permutation, format_cycles
 
 DEFAULT_ORDER_CAP = 10_000
-BLOCK_ENTRIES = 1 << 22  # table entries gathered per block by every kernel
+BLOCK_ENTRIES = 1 << 22  # bytes of transients per block of every blocked pass
 
 
 def _index_dtype(n: int):
@@ -182,7 +184,7 @@ class GroupTable:
             prev, lab = lab, np.minimum(lab, lab[conj].min(axis=0, initial=n))
             lab = lab[lab]
         reps, orbit = np.flatnonzero(lab == idx), np.bincount(lab)  # |C(c)| is constant on orbits
-        blocks = (reps[b] for b in _blocks(len(reps), n))
+        blocks = (reps[b] for b in _blocks(len(reps), n * (2 * t.itemsize + 1)))  # two grids and a mask
         commuting = sum(np.count_nonzero(t[r] == t[:, r].T, axis=1) @ orbit[r] for r in blocks)
         if len(reps) * n != commuting:
             raise InvalidPermutation("conjugation by the generators does not give the conjugacy classes")
@@ -264,20 +266,22 @@ class ElementSet:
 def validate_table(G: GroupTable) -> None:
     """Integer entries, shapes, then the Latin-square, identity and inverse
     laws, in blocks of rows and of columns, each block sorted in one reused
-    buffer. Raises on violation."""
+    buffer and compared in the table's dtype. Raises on violation."""
     n, t, inv = G.n, G.table, G.inverse
     if t.dtype.kind not in "iu" or inv.dtype.kind not in "iu":
         raise InvalidPermutation(f"table and inverse must hold integers, not {t.dtype} and {inv.dtype}")
     if t.shape != (n, n) or inv.shape != (n,):
         raise InvalidPermutation(f"table shape {t.shape} or inverse shape {inv.shape} does not fit order {n}")
-    idx = np.arange(n)
-    buf = np.empty((len(next(_blocks(n, n))), n), dtype=t.dtype)  # one buffer for the row and the column sorts
+    if np.iinfo(t.dtype).max < n - 1:  # then np.arange(n, dtype=t.dtype) wraps
+        raise InvalidPermutation(f"multiplication table is not a Latin square: {t.dtype} cannot hold {n - 1}")
+    idx, width = np.arange(n, dtype=t.dtype), n * t.itemsize
+    buf = np.empty((len(next(_blocks(n, width))), n), dtype=t.dtype)  # one buffer for the row and the column sorts
 
     def latin(b: np.ndarray) -> bool:  # sorts b's rows in place, then compares them 64 at a time
         b.sort(axis=1)
         return all((b[lo : lo + 64] == idx).all() for lo in range(0, len(b), 64))
 
-    for rows in _blocks(n, n):
+    for rows in _blocks(n, width):
         b, s = buf[: len(rows)], slice(rows[0], rows[-1] + 1)
         b[:] = t[s]
         rows_latin = latin(b)
@@ -326,7 +330,8 @@ def close_generators(
     chunks, rounds, found, parent, via = [frontier], [0], [], [[0]], [[0]]
     while len(frontier):
         new = []
-        for rows in _blocks(len(frontier), k * degree):
+        # a head's copy, its k candidates and their keys (bytes objects of about 48 bytes plus the row)
+        for rows in _blocks(len(frontier), (2 * k + 1) * degree * step.itemsize + 48 * k):
             cand = step[np.arange(k)[None, :, None], frontier[rows][:, None, :]].reshape(-1, degree)
             known = len(index)
             ids = np.array([index.setdefault(b, len(index)) for b in keys(cand)])
@@ -343,8 +348,9 @@ def close_generators(
         chunks.append(frontier)
 
     n, img = len(index), np.concatenate(chunks)
-    if any((np.sort(img[rows], axis=1) != np.arange(degree)).any() for rows in _blocks(n, degree)):
-        raise InvalidPermutation("closure made an image row that is not a bijection")
+    for rows in _blocks(n, degree * (img.itemsize + 1)):  # a sorted copy and a mask; img[0] is 0..degree-1
+        if (np.sort(img[rows[0] : rows[-1] + 1], axis=1) != img[0]).any():
+            raise InvalidPermutation("closure made an image row that is not a bijection")
     table = _new_table(n)
     rmul = np.concatenate(found).reshape(n, k).T  # rmul[v, i]: p_i * g_v
     lmul, parent, via = rmul.copy(), np.concatenate(parent), np.concatenate(via)
@@ -353,7 +359,7 @@ def close_generators(
     table[0] = np.arange(n)
     for i in range(1, n):
         table[i] = table[parent[i]][lmul[via[i]]]
-    inverse = np.concatenate([table[rows].argmin(axis=1) for rows in _blocks(n, n)])  # the column of 0 in each row
+    inverse = table.argmin(axis=1)  # the column of 0 in each row, read in place
     points = list(range(1, degree + 1))  # the perms' tuples share these ints
     perms = LazyList(lambda: [Permutation(degree, tuple(map(points.__getitem__, row.tolist()))) for row in img])
     return GroupTable(
@@ -381,7 +387,9 @@ def _new_table(n: int) -> np.ndarray:
 
 
 def _blocks(n: int, width: int) -> Iterable[np.ndarray]:
-    """Consecutive index ranges covering 0..n-1, with rows * width <= BLOCK_ENTRIES."""
+    """Consecutive index ranges covering 0..n-1, with rows * width <= BLOCK_ENTRIES
+    (or one row a block when a row is wider): width is the bytes that one row
+    of the pass allocates."""
     rows = max(1, BLOCK_ENTRIES // max(width, 1))
     for lo in range(0, n, rows):
         yield np.arange(lo, min(n, lo + rows))
@@ -495,9 +503,10 @@ def classes_meeting(G: GroupTable, S: ElementSet) -> ElementSet:
 
 
 def _induced_table(G: GroupTable, elems: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """table[i, j] = local[elems[i] * elems[j]], gathered in blocks of rows."""
+    """table[i, j] = local[elems[i] * elems[j]], gathered in blocks of rows,
+    at a grid and local's gather an entry."""
     table = _new_table(len(elems))
-    for rows in _blocks(len(elems), len(elems)):
+    for rows in _blocks(len(elems), len(elems) * (G.table.itemsize + local.itemsize)):
         table[rows] = local[_product_grid(G, elems[rows], elems)]
     return table
 
@@ -513,7 +522,8 @@ def quotient(G: GroupTable, N: ElementSet) -> tuple[GroupTable, list[int]]:
     ns = np.flatnonzero(N.mask)
     if len(ns) == 1:
         return G, list(range(G.n))
-    minima = np.concatenate([_product_grid(G, xs, ns).min(axis=1) for xs in _blocks(G.n, len(ns))])
+    blocks = _blocks(G.n, len(ns) * G.table.itemsize)  # a grid an entry
+    minima = np.concatenate([_product_grid(G, xs, ns).min(axis=1) for xs in blocks])
     reps, projection = np.unique(minima, return_inverse=True)
     Q = GroupTable(
         n=len(reps),
@@ -566,14 +576,14 @@ def semidirect_product(
     if not np.array_equal(np.sort(act, axis=1), np.broadcast_to(np.arange(N.n), (H.n, N.n))):
         raise NotAnAutomorphism("action entries must be bijections on N")
     act = act.astype(_index_dtype(N.n))  # the checks below gather in N's index dtype
-    S = np.array(generating_set(N), dtype=np.intp)
-    for hs in _blocks(H.n, N.n * len(S)):
+    S, width = np.array(generating_set(N), dtype=np.intp), 2 * act.itemsize + 1  # two grids and a mask an entry
+    for hs in _blocks(H.n, N.n * len(S) * width):
         a = act[hs]  # bad[i]: a[i](x*s) != a[i](x) * a[i](s) for some x and generator s
         bad = (a[:, N.table[:, S]] != N.table[a[:, :, None], a[:, S][:, None, :]]).any(axis=(1, 2))
         if bad.any():
             raise NotAnAutomorphism(f"action of h={hs[bad.argmax()]} does not preserve N's multiplication")
     T = np.array(generating_set(H) or [0], dtype=np.intp)  # [0]: action[0] = id when H = 1
-    for h1 in _blocks(H.n, len(T) * N.n):
+    for h1 in _blocks(H.n, len(T) * N.n * width):
         # bad[i, j]: action[h1*T[j]] != action[T[j]] applied after action[h1]
         bad = (act[H.table[h1[:, None], T]] != act[T[:, None], act[h1][:, None, :]]).any(axis=2)
         if bad.any():
@@ -584,7 +594,8 @@ def semidirect_product(
     hinv = H.inverse[hi].astype(np.int64)
     nflat = N.table.ravel()
     table = _new_table(n)
-    for rows in _blocks(n, n):
+    # a row costs N's int64 index, gathers and casts, about 16 bytes an entry, and two casts of an H.table row
+    for rows in _blocks(n, 16 * N.n + 2 * table.itemsize * H.n):
         # (a1, h1)(a2, h2) = (a1 * act[h1^-1](a2), h1 h2), so that a2^(0,h) = act[h](a2).
         # Row i as an |N| x |H| grid: na[i, a2] * |H| + H.table[h_i, h2], all below n.
         na = nflat[ai[rows, None] * N.n + act[hinv[rows]]].astype(table.dtype) * H.n

@@ -45,6 +45,7 @@ from sinklab.group import (
 )
 from sinklab.perm import Permutation, parse_cycles
 from sinklab.specfile import build_spec, parse_spec_file
+from sinklab.structure import nilpotent_residual
 from sinklab.verify import scan_row
 
 from oracles import (
@@ -202,9 +203,23 @@ def test_table_certified_at_construction(s3):
     assert GroupTable(n, t.copy(), inv.copy(), list(s3.labels), list(s3.generators)).n == n
 
 
+def test_table_dtype_too_narrow_for_its_order():
+    """An int8 table of order 200 cannot hold 128..199 (np.arange(200, dtype=int8)
+    wraps), so it is no Latin square; a uint8 table of order 256 still is one."""
+    for n, dtype, ok in ((200, np.int8, False), (256, np.uint8, True)):
+        idx = np.arange(n)
+        table = ((idx[:, None] + idx) % n).astype(dtype)  # C_n, addition mod n
+        make = functools.partial(GroupTable, n, table, (-idx % n).astype(dtype), [str(i) for i in idx], [1])
+        if ok:
+            assert make().n == n
+        else:
+            with pytest.raises(InvalidPermutation, match="Latin square"):
+                make()
+
+
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """BLOCK_ENTRIES cut to 4096 entries, so that (D12)^2 (n = 576) spans many blocks."""
+    """BLOCK_ENTRIES cut to 4096 bytes, so that (D12)^2 (n = 576) spans many blocks."""
     monkeypatch.setattr(group, "BLOCK_ENTRIES", 1 << 12)
     return build(FamilySpec("dihedral", (12,)))
 
@@ -214,7 +229,8 @@ def test_latin_square_checked_up_to_the_last_block(small_blocks):
     both in the last block, then the last and then the first rows of the last
     two blocks."""
     G = direct_product(small_blocks, small_blocks)
-    t, n, blocks = G.table, G.n, list(group._blocks(G.n, G.n))
+    t, n = G.table, G.n
+    blocks = list(group._blocks(n, n * t.itemsize))  # validate_table's row blocks
     assert len(blocks) > 10 and n - 2 in blocks[-1]
     for pair in ([n - 2, n - 1], [blocks[-2][-1], n - 1], [blocks[-2][0], blocks[-1][0]]):
         rows_broken = t.copy()
@@ -242,6 +258,35 @@ def test_build_transients_bounded_by_blocks(small_blocks):
     finally:
         tracemalloc.stop()
     assert G.table.nbytes > 2 * bound
+
+
+def test_table_passes_bounded_in_bytes(monkeypatch):
+    """With BLOCK_ENTRIES = 65536 bytes, each table-wide pass peaks within
+    3 * BLOCK_ENTRIES bytes above what stays live: validate_table and the
+    class labels' certificate on (D12)^2, the fill of E3^5:C2, and the
+    quotient of (D12)^2 by its nilpotent residual (with its class labels)."""
+    monkeypatch.setattr(group, "BLOCK_ENTRIES", 1 << 16)
+    D12, E = build(FamilySpec("dihedral", (12,))), build(FamilySpec("elementary_abelian", (3, 5)))
+    C2 = build(FamilySpec("cyclic", (2,)))
+    G, H, K = (direct_product(D12, D12) for _ in range(3))  # H and K: no class labels made on G
+    R = nilpotent_residual(K)
+    passes = {
+        "validate_table": lambda: validate_table(G),
+        "class_labels": lambda: G.class_labels,
+        "semidirect_product": lambda: semidirect_product(E, C2, [range(E.n), E.inverse.tolist()]),
+        "quotient": lambda: quotient(H, R),
+    }
+    over = {}
+    for name, run in passes.items():
+        tracemalloc.start()
+        try:
+            kept = run()  # the result stays live, so only transients count
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        over[name] = (peak - live) / group.BLOCK_ENTRIES
+    assert G.n * G.n * G.table.itemsize > 3 * group.BLOCK_ENTRIES
+    assert all(blocks <= 3 for blocks in over.values()), over
 
 
 def test_product_fill_widens_to_the_table_dtype(monkeypatch):
