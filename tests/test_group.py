@@ -268,7 +268,7 @@ def test_table_passes_bounded_in_bytes(monkeypatch):
     monkeypatch.setattr(group, "BLOCK_ENTRIES", 1 << 16)
     D12, E = build(FamilySpec("dihedral", (12,))), build(FamilySpec("elementary_abelian", (3, 5)))
     C2 = build(FamilySpec("cyclic", (2,)))
-    G, H, K = (direct_product(D12, D12) for _ in range(3))  # H and K: no class labels made on G
+    G, H, K = (direct_product(D12, D12) for _ in range(3))  # the residual (K) and the quotient (H) leave G unlabelled
     R = nilpotent_residual(K)
     passes = {
         "validate_table": lambda: validate_table(G),
