@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .group import (
-    ElementSet, GroupTable, _blocks, _comm_grid, _commuting, class_representatives, classes_meeting, comm_values,
+    ElementSet, GroupTable, _blocks, _comm, _comm_grid, _commuting, class_representatives, classes_meeting, comm_values,
 )
 
 
@@ -74,7 +74,7 @@ def _grid_walks(G: GroupTable, xs: np.ndarray, starts: np.ndarray):
     start in every direction of the block, keyed (row offset in the block's
     step grid, start index * n), advance(keys, c) one gather on the grid."""
     n = G.n
-    # a block's grid rows with _comm_grid's transients, and 48 bytes a walker: about BLOCK_ENTRIES bytes
+    # a block's grid rows with _comm's transients, and 48 bytes a walker: about BLOCK_ENTRIES bytes
     for block in _blocks(len(xs), n * (8 + 2 * G.table.itemsize) + 48 * len(starts)):
         flat_steps = _comm_grid(G, xs[block], np.arange(n)).ravel()
 
@@ -116,16 +116,15 @@ def right_engel_sink(G: GroupTable, g: int) -> SinkReport:
     or the cycle length when that is 0, so that n >= 1.
     """
     G._check(g)
-    t, inv = G.table, G.inverse
 
     def advance(keys, c):  # [c, x], walker by walker
-        return t[t[t[inv[c], inv[keys[0]]], c], keys[0]]
+        return _comm(G, c, keys[0])
 
     first = np.full(G.n, G.n)  # first[z]: the least direction whose cycle holds z, so far
     depth = np.zeros(G.n, dtype=np.int64)
     for block in _blocks(G.n, 48):  # 48 bytes a walker
-        for length, keys, _ in _brent(advance, (block,), np.full(len(block), g, dtype=t.dtype)):
-            behind = ahead = np.full(len(keys[0]), g, dtype=t.dtype)
+        for length, keys, _ in _brent(advance, (block,), np.full(len(block), g, dtype=G.table.dtype)):
+            behind = ahead = np.full(len(keys[0]), g, dtype=G.table.dtype)
             for _ in range(length):
                 ahead = advance(keys, ahead)
             mu = np.zeros(len(ahead), dtype=np.int64)

@@ -1,9 +1,9 @@
 """Finite groups as dense multiplication tables, plus exact subgroup primitives.
 
-Element 0 is always the identity. Commutators are left-normed with the
-convention [a, b] = a^-1 b^-1 a b, and a^b = b^-1 a b. Tables are immutable
-after construction and every operation here is a pure function of its
-inputs. Each table is certified once, where it is made: the GroupTable
+Element 0 is always the identity. Commutators are left-normed, [a, b] =
+a^-1 b^-1 a b (over index arrays by _comm), and a^b = b^-1 a b. Tables are
+immutable after construction and every operation here is a pure function of
+its inputs. Each table is certified once, where it is made: the GroupTable
 constructor runs validate_table.
 
 A subset of a group is an ElementSet: a read-only boolean mask over the
@@ -39,8 +39,10 @@ Product tables come from one builder, semidirect_product, which checks the
 order cap before anything else; direct_product is its trivial-action case.
 It checks its action on generating sets (generating_set), as a map that
 respects a generating set is a homomorphism: a(x y's) = a(x y') a(s).
-Every n x n table comes from _new_table, which raises CapExceeded first when
-the table plus 16 * BLOCK_ENTRIES bytes of transients exceed physical memory.
+Subgroups and quotients come from _induced. Every n x n table comes from
+_new_table: _check_memory raises CapExceeded first when the table, what its
+build holds (a closure's image rows and keys, checked as its search grows)
+and 16 * BLOCK_ENTRIES bytes of transients exceed physical memory.
 Products are filled (by columns when |H| <= 8, see semidirect_product), and
 every table is validated, in blocks of about BLOCK_ENTRIES bytes, comparing
 in the table's own dtype: a build peaks at its table plus O(BLOCK_ENTRIES).
@@ -116,10 +118,6 @@ class GroupTable:
         self.inverse.setflags(write=False)
         validate_table(self)
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def _check(self, a: int) -> int:
         if not 0 <= a < self.n:
             raise IndexOutOfRange(f"element index {a} out of range for group of order {self.n}")
@@ -170,8 +168,8 @@ class GroupTable:
         return range(self.n)
 
     def comm_step(self, x: int) -> np.ndarray:
-        """Vectorized map c -> [c, x] over all c, as an index array: row 0 of _comm_grid."""
-        return _comm_grid(self, np.array([self._check(x)]), np.arange(self.n))[0]
+        """Vectorized map c -> [c, x] over all c, as an index array (see _comm)."""
+        return _comm(self, np.arange(self.n), self._check(x))
 
     @cached_property
     def class_labels(self) -> np.ndarray:
@@ -259,9 +257,6 @@ class ElementSet:
     def __hash__(self) -> int:
         return hash(self.mask.tobytes())
 
-    def union(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.mask | ElementSet.of(self.n, other).mask)
-
 
 def validate_table(G: GroupTable) -> None:
     """Integer entries, shapes, then the Latin-square, identity and inverse
@@ -326,7 +321,7 @@ def close_generators(
         return np.ascontiguousarray(images, dtype=step.dtype).view(f"V{step.itemsize * degree}").ravel().tolist()
 
     frontier = np.arange(degree, dtype=step.dtype)[None, :]  # the identity
-    index = {keys(frontier)[0]: 0}
+    index, held = {keys(frontier)[0]: 0}, 2 * degree * step.itemsize + 48  # held: an element's row and key
     chunks, rounds, found, parent, via = [frontier], [0], [], [[0]], [[0]]
     while len(frontier):
         new = []
@@ -337,6 +332,7 @@ def close_generators(
             ids = np.array([index.setdefault(b, len(index)) for b in keys(cand)])
             if len(index) > order_cap:
                 raise CapExceeded(f"closure exceeded order cap {order_cap} (degree {degree})")
+            _check_memory(len(index) * held, f"a closure of degree {degree} at {len(index)} elements")
             first, at = np.unique(ids, return_index=True)
             at = at[first >= known]  # the new elements' first (head, generator) positions
             new.append(cand[at])
@@ -347,11 +343,11 @@ def close_generators(
         frontier = np.concatenate(new)
         chunks.append(frontier)
 
-    n, img = len(index), np.concatenate(chunks)
+    table = _new_table(len(index), len(index) * held)  # before the rows are joined into a second copy
+    n, img = len(table), np.concatenate(chunks)
     for rows in _blocks(n, degree * (img.itemsize + 1)):  # a sorted copy and a mask; img[0] is 0..degree-1
         if (np.sort(img[rows[0] : rows[-1] + 1], axis=1) != img[0]).any():
             raise InvalidPermutation("closure made an image row that is not a bijection")
-    table = _new_table(n)
     rmul = np.concatenate(found).reshape(n, k).T  # rmul[v, i]: p_i * g_v
     lmul, parent, via = rmul.copy(), np.concatenate(parent), np.concatenate(via)
     for lo, hi in zip(rounds[1:], rounds[2:]):
@@ -377,13 +373,17 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _new_table(n: int) -> np.ndarray:
-    """An empty n x n table in _index_dtype(n), once it and its build fit in memory."""
-    dtype, budget = np.dtype(_index_dtype(n)), _memory_budget()
-    need = n * n * dtype.itemsize + 16 * BLOCK_ENTRIES  # the table plus blocked transients
+def _check_memory(held: int, what: str) -> None:
+    """Raise CapExceeded, naming what, unless held bytes plus blocked transients fit in memory."""
+    need, budget = held + 16 * BLOCK_ENTRIES, _memory_budget()
     if need > budget:
-        raise CapExceeded(f"a table of order {n} needs about {need >> 20} MiB; memory is {budget >> 20} MiB")
-    return np.empty((n, n), dtype=dtype)
+        raise CapExceeded(f"{what} needs about {need >> 20} MiB; memory is {budget >> 20} MiB")
+
+
+def _new_table(n: int, held: int = 0) -> np.ndarray:
+    """An empty n x n table in _index_dtype(n), once it and the held bytes of its build fit in memory."""
+    _check_memory(n * n * np.dtype(_index_dtype(n)).itemsize + held, f"a table of order {n}")
+    return np.empty((n, n), dtype=_index_dtype(n))
 
 
 def _blocks(n: int, width: int) -> Iterable[np.ndarray]:
@@ -400,22 +400,27 @@ def _product_grid(G: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return G.table[xs[:, None], ys[None, :]]
 
 
-def _comm_grid(G: GroupTable, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """grid[i, j] = [cs[j], xs[i]] = cs[j]^-1 xs[i]^-1 cs[j] xs[i], by three
-    flat gathers on the table through one reused buffer of flat indices: it
-    peaks at 8 bytes an entry plus a grid in the table's dtype, and numpy's
+def _comm(G: GroupTable, c, x) -> np.ndarray:
+    """[c, x] = c^-1 x^-1 c x over index arrays c and x broadcast together, by
+    three flat gathers on the table through one reused buffer of flat indices:
+    it peaks at 8 bytes an entry plus a result in the table's dtype, and numpy's
     fixed iterator buffers for the broadcast and the casts (about 128 KB)."""
     n, flat = G.n, G.table.ravel()
-    at = np.multiply(G.inverse[xs][:, None], n, dtype=np.intp) + cs  # xs[i]^-1 cs[j]
+    at = np.multiply(G.inverse[x], n, dtype=np.intp) + c  # x^-1 c
     np.multiply(flat.take(at), n, out=at, dtype=np.intp)
-    at += xs[:, None]  # xs[i]^-1 cs[j] xs[i]
-    np.add(flat.take(at), np.multiply(G.inverse[cs], n, dtype=np.intp), out=at)
+    at += x  # x^-1 c x
+    np.add(flat.take(at), np.multiply(G.inverse[c], n, dtype=np.intp), out=at)
     return flat.take(at)
+
+
+def _comm_grid(G: GroupTable, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """grid[i, j] = [cs[j], xs[i]]."""
+    return _comm(G, cs[None, :], xs[:, None])
 
 
 def _values(G: GroupTable, grid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Mask of the entries of grid(G, xs, ys), gathered in blocks of xs of
-    about BLOCK_ENTRIES bytes at _comm_grid's cost an entry."""
+    about BLOCK_ENTRIES bytes at _comm's cost an entry."""
     found = np.zeros(G.n, dtype=bool)
     for rows in _blocks(len(xs), len(ys) * (8 + 2 * G.table.itemsize)):
         found[grid(G, xs[rows], ys)] = True
@@ -502,13 +507,14 @@ def classes_meeting(G: GroupTable, S: ElementSet) -> ElementSet:
     return ElementSet(np.bincount(lab[ElementSet.of(G.n, S).mask], minlength=G.n)[lab] > 0)
 
 
-def _induced_table(G: GroupTable, elems: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """table[i, j] = local[elems[i] * elems[j]], gathered in blocks of rows,
-    at a grid and local's gather an entry."""
+def _induced(G: GroupTable, elems: np.ndarray, local: np.ndarray, name: str) -> GroupTable:
+    """The group on ascending elems, with local[elems[i]] = i: table[i, j] = local[elems[i] * elems[j]]
+    in row blocks at a grid and local's gather an entry, inverses and labels read at elems; no generators."""
     table = _new_table(len(elems))
     for rows in _blocks(len(elems), len(elems) * (G.table.itemsize + local.itemsize)):
         table[rows] = local[_product_grid(G, elems[rows], elems)]
-    return table
+    labels = LazyList(lambda labels=G.labels: [labels[a] for a in elems.tolist()])
+    return GroupTable(len(elems), table, local[G.inverse[elems]].astype(table.dtype), labels, [], name=name)
 
 
 def quotient(G: GroupTable, N: ElementSet) -> tuple[GroupTable, list[int]]:
@@ -525,14 +531,8 @@ def quotient(G: GroupTable, N: ElementSet) -> tuple[GroupTable, list[int]]:
     blocks = _blocks(G.n, len(ns) * G.table.itemsize)  # a grid an entry
     minima = np.concatenate([_product_grid(G, xs, ns).min(axis=1) for xs in blocks])
     reps, projection = np.unique(minima, return_inverse=True)
-    Q = GroupTable(
-        n=len(reps),
-        table=_induced_table(G, reps, projection),
-        inverse=projection[G.inverse[reps]].astype(_index_dtype(len(reps))),
-        labels=LazyList(lambda labels=G.labels: [labels[a] for a in reps.tolist()]),
-        generators=list(dict.fromkeys(int(projection[g]) for g in G.generators if projection[g])),
-        name=f"{G.name}/N" if G.name else "",
-    )
+    Q = _induced(G, reps, projection, f"{G.name}/N" if G.name else "")
+    Q.generators = list(dict.fromkeys(int(projection[g]) for g in G.generators if projection[g]))
     return Q, projection.tolist()
 
 
@@ -625,15 +625,7 @@ def subgroup_table(G: GroupTable, S: ElementSet) -> tuple[GroupTable, list[int]]
     if not is_subgroup(G, S):
         raise NotASubgroup("set is not closed under multiplication")
     mem = np.flatnonzero(S.mask)
-    local = np.cumsum(S.mask) - 1  # local[g] is g's subgroup index for g in S
-    sub = GroupTable(
-        n=len(mem),
-        table=_induced_table(G, mem, local),
-        inverse=local[G.inverse[mem]].astype(_index_dtype(len(mem))),
-        labels=LazyList(lambda labels=G.labels: [labels[a] for a in mem.tolist()]),
-        generators=[],
-        name=f"{G.name}<sub>" if G.name else "",
-    )
+    sub = _induced(G, mem, np.cumsum(S.mask) - 1, f"{G.name}<sub>" if G.name else "")  # g in S is element cumsum - 1
     sub.generators = generating_set(sub)
     return sub, mem.tolist()
 

@@ -28,24 +28,6 @@ class Permutation:
     def identity(degree: int) -> "Permutation":
         return Permutation(degree, tuple(range(1, degree + 1)))
 
-    def apply(self, point: int) -> int:
-        return self.image[point - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self then other (left-to-right)."""
-        if self.degree != other.degree:
-            raise InvalidPermutation("cannot compose permutations of different degree")
-        return Permutation(self.degree, tuple(other.image[i - 1] for i in self.image))
-
-    def inverse(self) -> "Permutation":
-        img = [0] * self.degree
-        for i, j in enumerate(self.image, start=1):
-            img[j - 1] = i
-        return Permutation(self.degree, tuple(img))
-
-    def is_identity(self) -> bool:
-        return all(j == i for i, j in enumerate(self.image, start=1))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles of length >= 2, each starting at its smallest point."""
         img, seen = self.image, [False] * self.degree
@@ -63,9 +45,6 @@ class Permutation:
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
-
-    def __str__(self) -> str:
-        return format_cycles(self)
 
 
 def format_cycles(perm: Permutation) -> str:

@@ -48,7 +48,7 @@ from .engel import gamma_values, left_engel_set, sink_profile, sinks
 from .errors import HypothesisFailed
 from .families import FamilySpec, build
 from .group import (
-    DEFAULT_ORDER_CAP, ElementSet, GroupTable, _commuting, centralizer, class_representatives, is_subgroup,
+    DEFAULT_ORDER_CAP, ElementSet, GroupTable, _comm, _commuting, centralizer, class_representatives, is_subgroup,
     subgroup_closure, subgroup_table,
 )
 from .structure import fitting_subgroup, is_nilpotent, nilpotent_residual
@@ -111,7 +111,7 @@ def check_centralizer_power(G: GroupTable) -> CheckResult:
     checked = 0
     for g, sink in zip(reps.tolist(), sinks(G, reps)):
         m = int(sink.sum())
-        hs = np.flatnonzero(centralizer(G, [g]).mask)
+        hs = np.flatnonzero(t[g] == t[:, g])  # C(g)
         powers, back = np.unique(G.power(hs, math.factorial(m) % exponent), return_inverse=True)
         bad = np.flatnonzero(~_commuting(G, powers, np.flatnonzero(sink))[back])
         if len(bad):
@@ -141,10 +141,9 @@ def check_orbit_lemma(G: GroupTable, V: ElementSet, a: int, k: int) -> CheckResu
     if not centralizer(G, V).mask[V.mask].all():
         raise HypothesisFailed("V is not abelian")
     mem = np.flatnonzero(V.mask)
-    conj = G.table[G.table[G.inv(a), mem], a]  # conj[i] = mem[i]^a
-    if not V.mask[conj].all():
+    image = _comm(G, mem, G._check(a))  # image[i] = [mem[i], a]
+    if not V.mask[G.table[mem, image]].all():  # mem[i]^a = mem[i] [mem[i], a]
         raise HypothesisFailed("a does not normalize V")
-    image = G.table[G.inverse[mem], conj]  # image[i] = [mem[i], a] = mem[i]^-1 mem[i]^a
     if ElementSet.of(G.n, image) != V:
         raise HypothesisFailed("V != [V, a]")
 

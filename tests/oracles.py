@@ -13,7 +13,9 @@ in index order to reach each value gives the witnesses (``tail_witnesses``).
 ``coset_directions`` gives the directions ``engel.sinks`` walks, one per coset
 of the centralizer of their values, by scalar loops. ``relabel`` renames a
 table's elements, for the checks that results do not depend on the
-labelling; ``element_order``, ``commute`` and ``conj`` are scalar table reads.
+labelling; ``element_order``, ``commute`` and ``conj`` are scalar table reads,
+``compose`` and ``inverse`` the permutation products of the scalar closure
+oracle, and ``union`` the join of two element sets.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,26 @@ from sinklab.families import FamilySpec, build
 from sinklab.group import (
     ElementSet, GroupTable, _blocks, _comm_grid, class_representatives, classes_meeting, comm_values, subgroup_closure,
 )
+from sinklab.perm import Permutation
 from sinklab.structure import fitting_subgroup, is_nilpotent
+
+
+def compose(a: Permutation, b: Permutation) -> Permutation:
+    """a then b (left-to-right)."""
+    if a.degree != b.degree:
+        raise InvalidPermutation("cannot compose permutations of different degree")
+    return Permutation(a.degree, tuple(b.image[i - 1] for i in a.image))
+
+
+def inverse(p: Permutation) -> Permutation:
+    img = [0] * p.degree
+    for i, j in enumerate(p.image, start=1):
+        img[j - 1] = i
+    return Permutation(p.degree, tuple(img))
+
+
+def union(a: ElementSet, b: ElementSet) -> ElementSet:
+    return ElementSet(a.mask | b.mask)
 
 
 def element_order(G: GroupTable, a: int) -> int:
@@ -122,7 +143,7 @@ def normal_subgroups(G: GroupTable) -> list[ElementSet]:
     atoms = {normal_closure(G, [x]) for x in class_representatives(G)}  # x = 0 gives the trivial one
     found, frontier = set(atoms), set(atoms)
     while frontier:
-        frontier = {subgroup_closure(G, a.union(b)) for a in frontier for b in atoms} - found
+        frontier = {subgroup_closure(G, union(a, b)) for a in frontier for b in atoms} - found
         found |= frontier
     return sorted(found, key=lambda N: (len(N), list(N)))
 
@@ -142,7 +163,7 @@ def fitting_maximality_check(G: GroupTable) -> bool:
     for x in class_representatives(G):  # F is normal, so a class lies in F or outside it
         if x in F:
             continue
-        if is_nilpotent(G, subgroup_closure(G, F.union(normal_closure(G, [x])))):
+        if is_nilpotent(G, subgroup_closure(G, union(F, normal_closure(G, [x])))):
             return False
     return True
 
@@ -155,7 +176,7 @@ def fitting_via_normal_closures(G: GroupTable) -> ElementSet:
     for x in class_representatives(G):
         ncl = normal_closure(G, [x])
         if is_nilpotent(G, ncl):
-            pieces = pieces.union(ncl)
+            pieces = union(pieces, ncl)
     return subgroup_closure(G, pieces)
 
 

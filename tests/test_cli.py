@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -160,6 +162,26 @@ def test_cap_exceeded_exit_three(capsys, tmp_path):
     code, _, err = run(capsys, "build", str(spec), "--cap", "100")
     assert code == 3
     assert "cap" in err.lower()
+
+
+def test_perfbench_patch_targets_resolve():
+    """perfbench/tracing.py wraps sinklab functions and GroupTable methods by
+    name: with every module that sinklab.cli imports loaded, each of its
+    three patches resolves every name it wraps, and leaving it restores them."""
+    spec = importlib.util.spec_from_file_location("tracing", CORPUS_DIR.parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def targets():
+        named = {name: getattr(sys.modules[f"sinklab.{name.rsplit('.', 1)[0]}"], name.rsplit(".", 1)[1])
+                 for name in (*tracing.SPANNED, "families.build")}
+        return named, group.GroupTable.comm, group.GroupTable.comm_step
+
+    before = targets()
+    for install in (tracing.Tracer().installed, tracing.Counters().installed, tracing.Counters().build_peaks):
+        with install():
+            assert targets() != before
+        assert targets() == before
 
 
 @pytest.mark.parametrize("construct,mib", [("direct_power 2 dihedral 50", 254), ("symmetric 7", 112)])

@@ -21,12 +21,14 @@ from sinklab.group import GroupTable, close_generators
 from sinklab.perm import Permutation, format_cycles
 from sinklab.specfile import build_spec, parse_spec_file, parse_spec_text
 
+from oracles import compose, inverse
+
 REPO = Path(__file__).resolve().parent.parent
 CLOSURE_DIGESTS = Path(__file__).resolve().parent / "data" / "closure_digests.json"
 
 
 def scalar_closure(gens, order_cap):
-    """Slow oracle: one Permutation.compose per (element, generator) pair in
+    """Slow oracle: one compose per (element, generator) pair in
     breadth-first order, then the table column by column, since
     p_i * p_j = (p_i * p_parent[j]) * gen, with hashed generator columns."""
     degree = gens[0].degree
@@ -36,7 +38,7 @@ def scalar_closure(gens, order_cap):
         base = elems[head]
         head += 1
         for gi, g in enumerate(gens):
-            p = base.compose(g)
+            p = compose(base, g)
             if p.image not in index:
                 if len(elems) >= order_cap:
                     raise CapExceeded(f"closure exceeded order cap {order_cap} (degree {degree})")
@@ -46,14 +48,14 @@ def scalar_closure(gens, order_cap):
                 via.append(gi)
     n = len(elems)
     table = np.empty((n, n), dtype=group._index_dtype(n))
-    gen_col = {gi: [index[p.compose(g).image] for p in elems] for gi, g in enumerate(gens)}
+    gen_col = {gi: [index[compose(p, g).image] for p in elems] for gi, g in enumerate(gens)}
     table[:, 0] = np.arange(n)
     for j in range(1, n):
         table[:, j] = np.array(gen_col[via[j]])[table[:, parent[j]]]
     return GroupTable(
         n=n,
         table=table,
-        inverse=np.array([index[p.inverse().image] for p in elems], dtype=table.dtype),
+        inverse=np.array([index[inverse(p).image] for p in elems], dtype=table.dtype),
         labels=[format_cycles(p) for p in elems],
         generators=list(dict.fromkeys(index[g.image] for g in gens)),
         perms=elems,
@@ -139,6 +141,28 @@ def test_closure_transients_bounded_by_blocks(monkeypatch):
     assert peak - live <= bound
     assert G.table.nbytes > 2 * bound
     assert np.array_equal(G.table, want.table) and np.array_equal(G.inverse, want.inverse)
+
+
+@pytest.mark.parametrize("mib,message", [
+    (12, "a table of order 2000 needs about 16 MiB; memory is 12 MiB"),
+    (8, r"a closure of degree 1000 at \d+ elements needs about \d+ MiB; memory is 8 MiB"),
+], ids=["at_the_table", "in_the_search"])
+def test_closure_search_counts_its_rows_and_keys_against_memory(monkeypatch, mib, message):
+    """dihedral 1000 (n = 2000, degree 1000) holds 3.8 MiB of image rows and
+    about as much in byte keys before its 7.6 MiB table: with BLOCK_ENTRIES
+    at 1 << 16 its build raises CapExceeded, naming its estimate, before its
+    tracemalloc peak reaches the budget: at the table's check with 12 MiB,
+    and from the search itself with 8 MiB."""
+    monkeypatch.setattr(group, "BLOCK_ENTRIES", 1 << 16)
+    monkeypatch.setattr(group, "_memory_budget", lambda: mib << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=message):
+            build(FamilySpec("dihedral", (1000,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mib << 20
 
 
 def n_cycle(n):
