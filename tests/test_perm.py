@@ -38,7 +38,7 @@ def test_inverse():
     assert inverse(p).image == (4, 1, 2, 3)
 
 
-def test_image():
+def test_apply():
     p = parse_cycles("(1 2)(3 4 5)", 5)
     assert p.image == (2, 1, 4, 5, 3)
 
