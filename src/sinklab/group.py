@@ -3,16 +3,16 @@
 Element 0 is always the identity. Commutators are left-normed, [a, b] =
 a^-1 b^-1 a b (over index arrays by _comm), and a^b = b^-1 a b. Tables are
 immutable after construction and every operation here is a pure function of
-its inputs. Each table is certified once, where it is made: the GroupTable
-constructor runs validate_table.
+its inputs. Each table is certified once, where it is made: GroupTable(...)
+runs validate_table, and a product, Latin by construction, its O(n) laws.
 
-A subset of a group is an ElementSet: a read-only boolean mask over the
-element indices, with ``members`` a frozenset view derived from it. Subgroup
-primitives are table gathers over index arrays, and pass their sets through
-ElementSet.of, which rejects wrong-order sets. Every pass over a table runs
-in blocks of rows of about BLOCK_ENTRIES bytes (see _blocks): a pass's block
-width is the bytes that one of its rows allocates, its grids, masks and
-int64 indices together, so memory stays bounded at the order cap.
+A subset of a group is an ElementSet, a read-only boolean mask over the
+element indices. Subgroup primitives are table gathers over index arrays,
+and pass their sets through ElementSet.of, which rejects wrong-order sets.
+Every pass over a table runs in blocks of rows of about BLOCK_ENTRIES bytes
+(see _blocks): a pass's block width is the bytes that one of its rows
+allocates, its grids, masks and int64 indices together, so memory stays
+bounded at the order cap: a build peaks at its table plus O(BLOCK_ENTRIES).
 
 GroupTable.class_labels, made on first use and kept, maps each element to
 the least element of its conjugacy class: min-label propagation over
@@ -37,15 +37,14 @@ first terms; the structure layer reads the first whenever it asks for G's own.
 
 Product tables come from one builder, semidirect_product, which checks the
 order cap before anything else; direct_product is its trivial-action case.
-It checks its action on generating sets (generating_set), as a map that
-respects a generating set is a homomorphism: a(x y's) = a(x y') a(s).
+Its table is a Latin square by construction, as N's and H's are and every
+action entry is checked to be a bijection of N (Robinson, A Course in the
+Theory of Groups, 1.5), so _certified runs only validate_table's O(n) laws
+(dtype, shape, identity, inverse); tier-1 runs validate_table on products.
 Subgroups and quotients come from _induced. Every n x n table comes from
 _new_table: _check_memory raises CapExceeded first when the table, what its
 build holds (a closure's image rows and keys, checked as its search grows)
 and 16 * BLOCK_ENTRIES bytes of transients exceed physical memory.
-Products are filled (by columns when |H| <= 8, see semidirect_product), and
-every table is validated, in blocks of about BLOCK_ENTRIES bytes, comparing
-in the table's own dtype: a build peaks at its table plus O(BLOCK_ENTRIES).
 """
 
 from __future__ import annotations
@@ -216,10 +215,6 @@ class ElementSet:
     def n(self) -> int:
         return len(self.mask)
 
-    @property
-    def members(self) -> frozenset[int]:
-        return frozenset(self)
-
     @staticmethod
     def of(n: int, members: "ElementSet | Iterable[int]") -> "ElementSet":
         if isinstance(members, ElementSet):
@@ -259,9 +254,13 @@ class ElementSet:
 
 
 def validate_table(G: GroupTable) -> None:
-    """Integer entries, shapes, then the Latin-square, identity and inverse
-    laws, in blocks of rows and of columns, each block sorted in one reused
-    buffer and compared in the table's dtype. Raises on violation."""
+    """Integer entries, shapes, then the Latin-square, identity and inverse laws, in blocks of rows
+    and of columns, each block sorted in one reused buffer and compared in the table's dtype. Raises
+    on violation. GroupTable(...) runs it all; a product, certified by construction, all but the sorts."""
+    _check_laws(G, latin=True)
+
+
+def _check_laws(G: GroupTable, latin: bool) -> None:  # validate_table, its O(n^2 log n) sorts only if latin
     n, t, inv = G.n, G.table, G.inverse
     if t.dtype.kind not in "iu" or inv.dtype.kind not in "iu":
         raise InvalidPermutation(f"table and inverse must hold integers, not {t.dtype} and {inv.dtype}")
@@ -270,24 +269,35 @@ def validate_table(G: GroupTable) -> None:
     if np.iinfo(t.dtype).max < n - 1:  # then np.arange(n, dtype=t.dtype) wraps
         raise InvalidPermutation(f"multiplication table is not a Latin square: {t.dtype} cannot hold {n - 1}")
     idx, width = np.arange(n, dtype=t.dtype), n * t.itemsize
-    buf = np.empty((len(next(_blocks(n, width))), n), dtype=t.dtype)  # one buffer for the row and the column sorts
+    if latin:
+        buf = np.empty((len(next(_blocks(n, width))), n), dtype=t.dtype)  # one buffer for the row and the column sorts
 
-    def latin(b: np.ndarray) -> bool:  # sorts b's rows in place, then compares them 64 at a time
-        b.sort(axis=1)
-        return all((b[lo : lo + 64] == idx).all() for lo in range(0, len(b), 64))
+        def latin_rows(b: np.ndarray) -> bool:  # sorts b's rows in place, then compares them 64 at a time
+            b.sort(axis=1)
+            return all((b[lo : lo + 64] == idx).all() for lo in range(0, len(b), 64))
 
-    for rows in _blocks(n, width):
-        b, s = buf[: len(rows)], slice(rows[0], rows[-1] + 1)
-        b[:] = t[s]
-        rows_latin = latin(b)
-        for lo in range(0, n, 256):  # columns s as rows, copied contiguous by tiles: the strided view sorts slower
-            b[:, lo : lo + 256] = t[lo : lo + 256, s].T
-        if not (rows_latin and latin(b)):
-            raise InvalidPermutation("multiplication table is not a Latin square")
+        for rows in _blocks(n, width):
+            b, s = buf[: len(rows)], slice(rows[0], rows[-1] + 1)
+            b[:] = t[s]
+            rows_latin = latin_rows(b)
+            for lo in range(0, n, 256):  # columns s as rows, copied contiguous by tiles: the strided view sorts slower
+                b[:, lo : lo + 256] = t[lo : lo + 256, s].T
+            if not (rows_latin and latin_rows(b)):
+                raise InvalidPermutation("multiplication table is not a Latin square")
     if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
         raise InvalidPermutation("identity law fails: element 0 is not the identity")
     if ((inv < 0) | (inv >= n)).any() or (t[idx, inv] != 0).any() or (t[inv, idx] != 0).any():
         raise InvalidPermutation("inverse law fails")
+
+
+def _certified(**fields) -> GroupTable:
+    """GroupTable(**fields) for a table certified by its construction (see the module docstring)."""
+    G = object.__new__(GroupTable)
+    vars(G).update(fields)  # perms and name, when not given, read GroupTable's defaults
+    for a in (G.table, G.inverse):
+        a.setflags(write=False)
+    _check_laws(G, latin=False)
+    return G
 
 
 def close_generators(
@@ -377,7 +387,7 @@ def _check_memory(held: int, what: str) -> None:
     """Raise CapExceeded, naming what, unless held bytes plus blocked transients fit in memory."""
     need, budget = held + 16 * BLOCK_ENTRIES, _memory_budget()
     if need > budget:
-        raise CapExceeded(f"{what} needs about {need >> 20} MiB; memory is {budget >> 20} MiB")
+        raise CapExceeded(f"{what} needs about {-(-need >> 20)} MiB; memory is {budget >> 20} MiB")
 
 
 def _new_table(n: int, held: int = 0) -> np.ndarray:
@@ -606,7 +616,7 @@ def semidirect_product(
         else:
             np.add(na[:, :, None], H.table[hi[rows]].astype(table.dtype)[:, None, :], out=grid)
     inverse = act[hi, N.inverse[ai]].astype(np.int64) * H.n + hinv
-    return GroupTable(
+    return _certified(
         n=n,
         table=table,
         inverse=inverse.astype(table.dtype),

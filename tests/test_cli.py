@@ -184,7 +184,7 @@ def test_perfbench_patch_targets_resolve():
         assert targets() == before
 
 
-@pytest.mark.parametrize("construct,mib", [("direct_power 2 dihedral 50", 254), ("symmetric 7", 112)])
+@pytest.mark.parametrize("construct,mib", [("direct_power 2 dihedral 50", 255), ("symmetric 7", 113)])
 def test_build_beyond_memory_exits_three_before_allocating(capsys, tmp_path, monkeypatch, construct, mib):
     """With a 100 MiB memory budget the order-10000 product (a 191 MiB table)
     and the closure of S7 (48 MiB, plus the block transients) fail with

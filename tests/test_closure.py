@@ -144,7 +144,7 @@ def test_closure_transients_bounded_by_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("mib,message", [
-    (12, "a table of order 2000 needs about 16 MiB; memory is 12 MiB"),
+    (12, "a table of order 2000 needs about 17 MiB; memory is 12 MiB"),
     (8, r"a closure of degree 1000 at \d+ elements needs about \d+ MiB; memory is 8 MiB"),
 ], ids=["at_the_table", "in_the_search"])
 def test_closure_search_counts_its_rows_and_keys_against_memory(monkeypatch, mib, message):

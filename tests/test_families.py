@@ -8,7 +8,7 @@ import pytest
 
 from sinklab.errors import InvalidParameters
 from sinklab.families import FamilySpec, build, validate
-from sinklab.group import ElementSet, centralizer
+from sinklab.group import ElementSet, centralizer, validate_table
 from sinklab.specfile import parse_spec_text
 from sinklab.structure import nilpotent_residual
 
@@ -62,6 +62,7 @@ def test_quaternion8(q8):
 
 
 def test_inversion_extension_small(ie31):
+    validate_table(ie31)  # a product runs only the O(n) laws when built; this is its Latin-square oracle
     assert ie31.n == 6
     assert sorted(element_order(ie31, x) for x in range(6)) == [1, 2, 2, 2, 3, 3]
 
@@ -69,16 +70,18 @@ def test_inversion_extension_small(ie31):
 @pytest.mark.parametrize("r", (1, 2, 3))
 def test_inversion_extension_torsion_part(r):
     G = build(FamilySpec("inversion_extension", (3, r)))
+    validate_table(G)
     T = nilpotent_residual(G)
     assert len(T) == 3**r
     assert G.n // len(T) == 2
     alpha = G.generators[-1]
-    assert {G.comm(u, alpha) for u in T} == T.members  # [T, alpha] = T
+    assert {G.comm(u, alpha) for u in T} == set(T)  # [T, alpha] = T
 
 
 def test_frobenius_hypotheses(frob732):
+    validate_table(frob732)
     assert frob732.n == 21
-    assert centralizer(frob732, ElementSet.full(frob732.n)).members == {0}
+    assert set(centralizer(frob732, ElementSet.full(frob732.n))) == {0}
     V = nilpotent_residual(frob732)
     a = frob732.generators[-1]
     fixed = {v for v in V if conj(frob732, v, a) == v}
@@ -90,6 +93,8 @@ def test_direct_power():
     assert G.n == 8
     assert G.exponent() == 2
     S3sq = build(FamilySpec("direct_power", (2,), base=FamilySpec("symmetric", (3,))))
+    validate_table(G)
+    validate_table(S3sq)
     assert S3sq.n == 36
     assert len(centralizer(S3sq, ElementSet.full(S3sq.n))) == 1
 
@@ -99,9 +104,10 @@ PRODUCT_DIGESTS = Path(__file__).resolve().parent / "data" / "product_digests.js
 
 def test_product_builds_pinned():
     """Product and semidirect-product builds match their pinned tables,
-    inverses, labels, generators and names."""
+    inverses, labels, generators and names, and pass validate_table."""
     for text, want in json.loads(PRODUCT_DIGESTS.read_text(encoding="utf-8")).items():
         G = build(parse_spec_text(f"group construct {text}\n").family)
+        validate_table(G)
         got = {
             "order": G.n,
             "dtype": str(G.table.dtype),
@@ -119,6 +125,7 @@ def test_component_embedding_commutes_with_mul():
     and of component 2 is x itself: both strides embed B."""
     base = build(FamilySpec("inversion_extension", (3, 1)))
     G = build(FamilySpec("direct_power", (2,), base=FamilySpec("inversion_extension", (3, 1))))
+    validate_table(G)
     e1, e2 = base.n, 1
     for x in range(base.n):
         for y in range(base.n):

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import types
 import weakref
 from collections import Counter
 from functools import reduce
@@ -149,7 +150,7 @@ def test_index_out_of_range(s3):
 def test_element_set_surface():
     S = ElementSet.of(6, [4, 0, 2, 4])
     assert S.n == 6 and len(S) == 3
-    assert list(S) == [0, 2, 4] and S.members == {0, 2, 4}
+    assert list(S) == [0, 2, 4] and set(S) == {0, 2, 4}
     assert 2 in S and 3 not in S and 6 not in S and -1 not in S
     assert S == ElementSet.of(6, (4, 2, 0)) and hash(S) == hash(ElementSet.of(6, (4, 2, 0)))
     assert S != ElementSet.of(7, [0, 2, 4])
@@ -292,6 +293,32 @@ def test_table_passes_bounded_in_bytes(monkeypatch):
     assert all(blocks <= 3 for blocks in over.values()), over
 
 
+def test_product_fill_fault_passes_the_laws_and_fails_the_oracle(monkeypatch):
+    """A product's build checks only the O(n) laws, so a fill that writes one
+    column wrong (rows 1 and 2 of column 2 swapped, in the |H| <= 8 branch)
+    still builds; validate_table, the products' tier-1 oracle, then finds
+    that rows 1 and 2 are no permutations."""
+    spec = FamilySpec("inversion_extension", (3, 2))  # E3^2:C2, n = 18
+    honest = build(spec)
+    validate_table(honest)
+    calls = []
+
+    def add(x, y, out=None, **kwargs):  # the fill's first np.add writes product column 0 of each a2
+        np.add(x, y, out=out, **kwargs)
+        if not calls and out is not None:
+            out[[1, 2], 1] = out[[2, 1], 1]  # column 1 * |H| + 0 = 2, rows 1 and 2
+        calls.append(out is not None)
+
+    monkeypatch.setattr(group, "np", types.SimpleNamespace(**{**vars(np), "add": add}))
+    G = build(spec)
+    monkeypatch.undo()
+    assert calls and all(calls)  # the fill, and only the fill, called np.add
+    assert (G.table != honest.table).sum() == 2 and G.table[1, 2] == honest.table[2, 2]
+    assert np.array_equal(G.inverse, honest.inverse)
+    with pytest.raises(InvalidPermutation, match="Latin square"):
+        validate_table(G)
+
+
 def test_product_fill_widens_to_the_table_dtype(monkeypatch):
     """Factors of order <= 255 in uint8 and a product of order 486 in uint16:
     the fill must compute in the product's dtype, not in the factors'."""
@@ -320,7 +347,7 @@ def test_every_table_allocation_checks_memory_first(s4, monkeypatch):
 
 
 def test_subgroup_closure_examples(s3, s4):
-    assert subgroup_closure(s3, [0]).members == {0}
+    assert set(subgroup_closure(s3, [0])) == {0}
     rot = s3.labels.index("(1 2 3)")
     assert len(subgroup_closure(s3, [rot])) == 3
     v4 = subgroup_closure(s4, [s4.labels.index("(1 2)(3 4)"), s4.labels.index("(1 3)(2 4)")])
@@ -329,7 +356,7 @@ def test_subgroup_closure_examples(s3, s4):
 
 
 def test_center_examples(s3, q8):
-    assert centralizer(s3, ElementSet.full(s3.n)).members == {0}
+    assert set(centralizer(s3, ElementSet.full(s3.n))) == {0}
     assert len(centralizer(q8, ElementSet.full(q8.n))) == 2
 
 
@@ -353,8 +380,8 @@ def test_comm_values_of_sets_that_are_not_class_unions(s3):
     """[x, g] for x in S3 and g = (1 2 3) is never (1 2 3) itself, so this
     value set is not a union of classes and must not be spread to one."""
     full, c = ElementSet.full(s3.n), s3.labels.index("(1 2 3)")
-    assert comm_values(s3, full, [c]).members == {0, s3.labels.index("(1 3 2)")}
-    assert comm_values(s3, [c], full).members == {0, c}
+    assert set(comm_values(s3, full, [c])) == {0, s3.labels.index("(1 3 2)")}
+    assert set(comm_values(s3, [c], full)) == {0, c}
 
 
 def test_class_labels_lazy_and_read_only(s4):
@@ -378,7 +405,7 @@ def test_commutators_match_scalar_comm_and_feed_both_series():
     for G in groups + [relabel(big, pi)]:
         assert "commutators" not in G.__dict__, G.name  # the constructor does not pay for it
         values = G.commutators
-        assert values.members == {G.comm(x, g) for x in G.elements() for g in G.elements()}, G.name
+        assert set(values) == {G.comm(x, g) for x in G.elements() for g in G.elements()}, G.name
         assert not values.mask.flags.writeable and G.commutators is values
         full = ElementSet.full(G.n)
         assert comm_values(G, full, full) is values and gamma_values(G, 2) == values
@@ -407,10 +434,10 @@ def test_normal_closure_minimal_small(s3, s4, corpus):
         for seed in ([1], [2], [1, 2]):
             ncl = normal_closure(G, seed)
             assert is_normal(G, ncl)
-            assert set(seed) <= ncl.members
+            assert set(seed) <= set(ncl)
             for N in all_normals:
-                if set(seed) <= N.members:
-                    assert ncl.members <= N.members
+                if set(seed) <= set(N):
+                    assert set(ncl) <= set(N)
 
 
 def test_quotient_examples(s3, s4):
@@ -458,7 +485,7 @@ def test_semidirect_inversion_is_s3_shaped(s3):
     inversion = [int(v) for v in c3.inverse]
     G = semidirect_product(c3, c2, [list(range(3)), inversion])
     assert G.n == 6
-    assert centralizer(G, ElementSet.full(G.n)).members == {0}
+    assert set(centralizer(G, ElementSet.full(G.n))) == {0}
     assert len(G.lower_central[1]) == 3
     assert sorted(element_order(G, x) for x in range(6)) == sorted(
         element_order(s3, x) for x in range(6)
@@ -608,7 +635,9 @@ def test_generator_checks_match_the_full_checks(N, H, data):
         h1, h2 = map(int, re.search(r"h1=(\d+), h2=(\d+)", str(caught.value)).groups())
         assert (h1, h2) in bad_pairs
     else:
-        assert semidirect_product(N, H, action).n == N.n * H.n
+        G = semidirect_product(N, H, action)
+        assert G.n == N.n * H.n
+        validate_table(G)
 
 
 def test_action_checks_extend_untrusted_generators():

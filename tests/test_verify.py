@@ -216,19 +216,19 @@ def ref_orbit_lemma(G, V, a, k):
     def fail(ce):
         return CheckResult("orbit_lemma", verify._gid(G), False, ce, {"order": G.n})
 
-    mem = sorted(V.members)
+    mem = sorted(set(V))
     if not verify.is_subgroup(G, V):
         raise HypothesisFailed("V is not a subgroup")
     if not all(commute(G, u, v) for u in mem for v in mem):
         raise HypothesisFailed("V is not abelian")
     if not all(conj(G, v, a) in V for v in mem):
         raise HypothesisFailed("a does not normalize V")
-    if {G.comm(u, a) for u in mem} != V.members:
+    if {G.comm(u, a) for u in mem} != set(V):
         raise HypothesisFailed("V != [V, a]")
     fixed = [v for v in mem if conj(G, v, a) == v]
     if fixed != [0]:
         return fail({"fixed_point": next(v for v in fixed if v != 0)})
-    H, embed = subgroup_table(G, subgroup_closure(G, V.members | {a}))
+    H, embed = subgroup_table(G, subgroup_closure(G, set(V) | {a}))
     local = {g: i for i, g in enumerate(embed)}
     values = verify.gamma_values(H, k)
     missing = [v for v in mem if local[v] not in values]
