@@ -257,10 +257,10 @@ def validate_table(G: GroupTable) -> None:
     """Integer entries, shapes, then the Latin-square, identity and inverse laws, in blocks of rows
     and of columns, each block sorted in one reused buffer and compared in the table's dtype. Raises
     on violation. GroupTable(...) runs it all; a product, certified by construction, all but the sorts."""
-    _check_laws(G, latin=True)
+    _check_laws(G, sorts=True)
 
 
-def _check_laws(G: GroupTable, latin: bool) -> None:  # validate_table, its O(n^2 log n) sorts only if latin
+def _check_laws(G: GroupTable, sorts: bool) -> None:  # validate_table, its O(n^2 log n) Latin-square sorts if asked
     n, t, inv = G.n, G.table, G.inverse
     if t.dtype.kind not in "iu" or inv.dtype.kind not in "iu":
         raise InvalidPermutation(f"table and inverse must hold integers, not {t.dtype} and {inv.dtype}")
@@ -269,20 +269,20 @@ def _check_laws(G: GroupTable, latin: bool) -> None:  # validate_table, its O(n^
     if np.iinfo(t.dtype).max < n - 1:  # then np.arange(n, dtype=t.dtype) wraps
         raise InvalidPermutation(f"multiplication table is not a Latin square: {t.dtype} cannot hold {n - 1}")
     idx, width = np.arange(n, dtype=t.dtype), n * t.itemsize
-    if latin:
+    if sorts:
         buf = np.empty((len(next(_blocks(n, width))), n), dtype=t.dtype)  # one buffer for the row and the column sorts
 
-        def latin_rows(b: np.ndarray) -> bool:  # sorts b's rows in place, then compares them 64 at a time
+        def latin(b: np.ndarray) -> bool:  # sorts b's rows in place, then compares them 64 at a time
             b.sort(axis=1)
             return all((b[lo : lo + 64] == idx).all() for lo in range(0, len(b), 64))
 
         for rows in _blocks(n, width):
             b, s = buf[: len(rows)], slice(rows[0], rows[-1] + 1)
             b[:] = t[s]
-            rows_latin = latin_rows(b)
+            rows_latin = latin(b)
             for lo in range(0, n, 256):  # columns s as rows, copied contiguous by tiles: the strided view sorts slower
                 b[:, lo : lo + 256] = t[lo : lo + 256, s].T
-            if not (rows_latin and latin_rows(b)):
+            if not (rows_latin and latin(b)):
                 raise InvalidPermutation("multiplication table is not a Latin square")
     if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
         raise InvalidPermutation("identity law fails: element 0 is not the identity")
@@ -296,7 +296,7 @@ def _certified(**fields) -> GroupTable:
     vars(G).update(fields)  # perms and name, when not given, read GroupTable's defaults
     for a in (G.table, G.inverse):
         a.setflags(write=False)
-    _check_laws(G, latin=False)
+    _check_laws(G, sorts=False)
     return G
 
 
