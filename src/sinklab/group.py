@@ -11,8 +11,8 @@ element indices. Subgroup primitives are table gathers over index arrays,
 and pass their sets through ElementSet.of, which rejects wrong-order sets.
 Every pass over a table runs in blocks of rows of about BLOCK_ENTRIES bytes
 (see _blocks): a pass's block width is the bytes that one of its rows
-allocates, its grids, masks and int64 indices together, so memory stays
-bounded at the order cap: a build peaks at its table plus O(BLOCK_ENTRIES).
+allocates, its grids, masks and int64 indices together, so a build peaks
+at its table, a closure's image rows and O(BLOCK_ENTRIES) bytes of transients.
 
 GroupTable.class_labels, made on first use and kept, maps each element to
 the least element of its conjugacy class: min-label propagation over
@@ -43,8 +43,8 @@ Theory of Groups, 1.5), so _certified runs only validate_table's O(n) laws
 (dtype, shape, identity, inverse); tier-1 runs validate_table on products.
 Subgroups and quotients come from _induced. Every n x n table comes from
 _new_table: _check_memory raises CapExceeded first when the table, what its
-build holds (a closure's image rows and keys, checked as its search grows)
-and 16 * BLOCK_ENTRIES bytes of transients exceed physical memory.
+build holds (a closure's image rows; its search also counts their byte keys,
+dropped before the table) and 16 * BLOCK_ENTRIES bytes exceed physical memory.
 """
 
 from __future__ import annotations
@@ -309,13 +309,14 @@ def close_generators(
 
     Elements are indexed in breadth-first discovery order from the identity,
     applying generators in input order; this makes tables reproducible
-    byte-for-byte. Labels (cycle notations) and perms are made on first read. Each search
-    round composes the last round's image rows with every generator, one
-    gather per block, and appends new rows in (head, generator) order with
-    their Schreier-tree parent and generator. This gives rmul[v, i] = p_i * g_v,
-    then lmul[v, j] = g_v * p_j = rmul[via[j], lmul[v, parent[j]]] down the
-    tree, and table[i] = table[parent[i]][lmul[via[i]]] by rows, since
-    p_i * p_j = p_parent[i] * (g_via[i] * p_j). An inverse is the column holding 0 in its row.
+    byte-for-byte. The generators are checked first to be bijections, and so
+    are their products. Each search round composes the last round's image rows with
+    every generator, one gather per block, and appends new rows in (head, generator)
+    order with their Schreier-tree parent and generator; its byte keys go when it ends,
+    and its rows stay for perms, made on first read like labels (cycle notations).
+    This gives rmul[v, i] = p_i * g_v, then lmul[v, j] = g_v * p_j = rmul[via[j], lmul[v, parent[j]]]
+    down the tree, and table[i] = table[parent[i]][lmul[via[i]]] by rows, since p_i * p_j =
+    p_parent[i] * (g_via[i] * p_j). An inverse is the column holding 0 in its row.
     """
     if not gens:
         raise InvalidPermutation("need at least one generator")
@@ -326,6 +327,8 @@ def close_generators(
         if g.degree != degree:
             raise InvalidPermutation("generators must share one degree")
     step = (np.array([g.image for g in gens]) - 1).astype(_index_dtype(degree))  # step[v, x] = g_v(x), 0-based
+    if (np.sort(step, axis=1) != np.arange(degree)).any():  # then every product of them is a bijection too
+        raise InvalidPermutation("a generator image is not a bijection")
 
     def keys(images: np.ndarray) -> list[bytes]:
         return np.ascontiguousarray(images, dtype=step.dtype).view(f"V{step.itemsize * degree}").ravel().tolist()
@@ -353,11 +356,8 @@ def close_generators(
         frontier = np.concatenate(new)
         chunks.append(frontier)
 
-    table = _new_table(len(index), len(index) * held)  # before the rows are joined into a second copy
-    n, img = len(table), np.concatenate(chunks)
-    for rows in _blocks(n, degree * (img.itemsize + 1)):  # a sorted copy and a mask; img[0] is 0..degree-1
-        if (np.sort(img[rows[0] : rows[-1] + 1], axis=1) != img[0]).any():
-            raise InvalidPermutation("closure made an image row that is not a bijection")
+    n, index = len(index), None  # the keys go; the rows stay, in their search blocks, for perms
+    table = _new_table(n, n * degree * step.itemsize)
     rmul = np.concatenate(found).reshape(n, k).T  # rmul[v, i]: p_i * g_v
     lmul, parent, via = rmul.copy(), np.concatenate(parent), np.concatenate(via)
     for lo, hi in zip(rounds[1:], rounds[2:]):
@@ -367,7 +367,8 @@ def close_generators(
         table[i] = table[parent[i]][lmul[via[i]]]
     inverse = table.argmin(axis=1)  # the column of 0 in each row, read in place
     points = list(range(1, degree + 1))  # the perms' tuples share these ints
-    perms = LazyList(lambda: [Permutation(degree, tuple(map(points.__getitem__, row.tolist()))) for row in img])
+    perms = LazyList(lambda: [Permutation(degree, tuple(map(points.__getitem__, row.tolist())))
+                              for c in chunks for row in c])  # the search's own rows, in index order
     return GroupTable(
         n=n,
         table=table,

@@ -23,16 +23,14 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def report_envelope(command: str, spec_echo: str | None, results, timing_ms: float) -> dict:
-    body = {
+def report_envelope(command: str, spec_echo: str, results, timing_ms: float) -> dict:
+    return {
         "tool": {"name": "sinklab", "version": __version__},
         "command": command,
         "results": results,
+        "spec": spec_echo,
+        "timing_ms": round(timing_ms, 3),
     }
-    if spec_echo is not None:
-        body["spec"] = spec_echo
-    body["timing_ms"] = round(timing_ms, 3)
-    return body
 
 
 def sink_payload(G: GroupTable, report: SinkReport) -> dict:

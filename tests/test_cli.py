@@ -221,6 +221,18 @@ def test_bad_element_exit_two(capsys):
         assert err
 
 
+@pytest.mark.parametrize("name,message", [
+    ("A4", "permutation (1 2) is not an element of this group"),
+    ("symmetric_3_pow2", "cycle-notation addressing needs a permutation-built group"),
+])
+def test_cycle_notation_outside_the_group_exits_two(capsys, name, message):
+    """A valid permutation that no element's perm equals, and cycle notation
+    on a product, which has no perms, both exit 2 with no body."""
+    code, out, err = run(capsys, "sink", spec_path(name), "--element", "(1 2)")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_element_word_addressing(s3):
     assert parse_element(s3, "e") == 0
     assert parse_element(s3, "0") == 0

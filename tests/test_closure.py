@@ -144,14 +144,15 @@ def test_closure_transients_bounded_by_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("mib,message", [
-    (12, "a table of order 2000 needs about 17 MiB; memory is 12 MiB"),
+    (12, "a table of order 2000 needs about 13 MiB; memory is 12 MiB"),
     (8, r"a closure of degree 1000 at \d+ elements needs about \d+ MiB; memory is 8 MiB"),
 ], ids=["at_the_table", "in_the_search"])
 def test_closure_search_counts_its_rows_and_keys_against_memory(monkeypatch, mib, message):
-    """dihedral 1000 (n = 2000, degree 1000) holds 3.8 MiB of image rows and
-    about as much in byte keys before its 7.6 MiB table: with BLOCK_ENTRIES
-    at 1 << 16 its build raises CapExceeded, naming its estimate, before its
-    tracemalloc peak reaches the budget: at the table's check with 12 MiB,
+    """dihedral 1000 (n = 2000, degree 1000) holds 3.8 MiB of image rows, and
+    in its search about as much in byte keys, which it drops before its 7.6 MiB
+    table: with BLOCK_ENTRIES at 1 << 16 its build raises CapExceeded, naming
+    its estimate, before its tracemalloc peak reaches the budget: at the
+    table's check with 12 MiB (7.6 + 3.8 + 1 MiB of transients, 12.44 MiB),
     and from the search itself with 8 MiB."""
     monkeypatch.setattr(group, "BLOCK_ENTRIES", 1 << 16)
     monkeypatch.setattr(group, "_memory_budget", lambda: mib << 20)
@@ -163,6 +164,26 @@ def test_closure_search_counts_its_rows_and_keys_against_memory(monkeypatch, mib
     finally:
         tracemalloc.stop()
     assert peak < mib << 20
+
+
+def test_closure_peaks_within_its_table_estimate(monkeypatch):
+    """With the budget out of the way, dihedral 1000 at BLOCK_ENTRIES = 1 << 16
+    peaks within the estimate that _new_table checks: its 7.6 MiB table, its
+    3.8 MiB of image rows and 16 * BLOCK_ENTRIES bytes, 12.44 MiB in all. The
+    byte keys are gone by then, and the rows are not joined into a copy."""
+    monkeypatch.setattr(group, "BLOCK_ENTRIES", 1 << 16)
+    checked = []
+    monkeypatch.setattr(group, "_check_memory", lambda held, what: checked.append(held))
+    tracemalloc.start()
+    try:
+        G = build(FamilySpec("dihedral", (1000,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = checked[-1] + 16 * group.BLOCK_ENTRIES  # _check_memory's formula at the table
+    assert checked[-1] == G.table.nbytes + G.n * 1000 * 2  # the table and the uint16 image rows
+    assert estimate == 13_048_576  # 12.44 MiB
+    assert G.table.nbytes < peak <= estimate
 
 
 def n_cycle(n):

@@ -856,11 +856,14 @@ def test_lazy_labels_hold_no_table():
     assert G.labels == [f"({a} {h})" for a in T_labels for h in C2.labels]
 
 
-def test_closure_checks_every_row_is_a_bijection():
-    """A generator that slipped past Permutation's own check is caught by the
-    closure's row check, not later by the Latin-square law."""
+@pytest.mark.parametrize("image", [(1, 1, 3), (0, 2, 3), (1, 2, 4)], ids=["repeated", "below", "above"])
+def test_closure_checks_every_row_is_a_bijection(image):
+    """A generator that slipped past Permutation's own check, with a repeated
+    point or a point out of range, is caught by the closure's check of its
+    generator rows before the search gathers on them, not later by the
+    Latin-square law or as an IndexError."""
     fake = object.__new__(Permutation)
     object.__setattr__(fake, "degree", 3)
-    object.__setattr__(fake, "image", (1, 1, 3))
+    object.__setattr__(fake, "image", image)
     with pytest.raises(InvalidPermutation, match="not a bijection"):
         close_generators([fake])
