@@ -309,8 +309,8 @@ def close_generators(
 
     Elements are indexed in breadth-first discovery order from the identity,
     applying generators in input order; this makes tables reproducible
-    byte-for-byte. The generators are checked first to be bijections, and so
-    are their products. Each search round composes the last round's image rows with
+    byte-for-byte. The generators are checked first to be bijections, which
+    makes every product of them one. Each search round composes the last round's image rows with
     every generator, one gather per block, and appends new rows in (head, generator)
     order with their Schreier-tree parent and generator; its byte keys go when it ends,
     and its rows stay for perms, made on first read like labels (cycle notations).

@@ -224,7 +224,7 @@ def test_bad_element_exit_two(capsys):
 @pytest.mark.parametrize("name,message", [
     ("A4", "permutation (1 2) is not an element of this group"),
     ("symmetric_3_pow2", "cycle-notation addressing needs a permutation-built group"),
-])
+], ids=["not_an_element", "product"])
 def test_cycle_notation_outside_the_group_exits_two(capsys, name, message):
     """A valid permutation that no element's perm equals, and cycle notation
     on a product, which has no perms, both exit 2 with no body."""
