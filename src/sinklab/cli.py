@@ -72,9 +72,10 @@ def parse_element(G: GroupTable, text: str) -> int:
         if G.perms is None:
             raise CliInputError("cycle-notation addressing needs a permutation-built group; use an index or a word")
         perm = parse_cycles(s, G.perms[0].degree)
-        if perm not in G.perms:
-            raise CliInputError(f"permutation {s} is not an element of this group")
-        return G.perms.index(perm)
+        try:
+            return G.perms.index(perm)
+        except ValueError:
+            raise CliInputError(f"permutation {s} is not an element of this group") from None
     result = 0
     for token in s.split("*"):
         token = token.strip()

@@ -117,12 +117,12 @@ def _cyclic(n: int, cap: int) -> GroupTable:
     for i in range(n):
         table[i] = doubled[i : i + n]
     points = list(range(1, n + 1)) * 2  # g^i maps point x to points[x - 1 + i]
-    perms = LazyList(lambda: [Permutation(n, tuple(points[i : i + n])) for i in range(n)])
+    perms = LazyList(n, lambda i: Permutation(n, tuple(points[i : i + n])))
     return GroupTable(
         n=n,
         table=table,
         inverse=doubled[n:0:-1].copy(),  # -i mod n
-        labels=LazyList(lambda: [format_cycles(p) for p in perms]),
+        labels=LazyList(n, lambda i: format_cycles(perms[i])),
         generators=[1 % n],
         perms=perms,
         name=f"C{n}",

@@ -12,7 +12,7 @@ and pass their sets through ElementSet.of, which rejects wrong-order sets.
 Every pass over a table runs in blocks of rows of about BLOCK_ENTRIES bytes
 (see _blocks): a pass's block width is the bytes that one of its rows
 allocates, its grids, masks and int64 indices together, so a build peaks
-at its table, a closure's image rows and O(BLOCK_ENTRIES) bytes of transients.
+at its table, a closure's tree and O(BLOCK_ENTRIES) bytes of transients.
 
 GroupTable.class_labels, made on first use and kept, maps each element to
 the least element of its conjugacy class: min-label propagation over
@@ -25,11 +25,12 @@ unions starts from class minima.
 
 Permutation groups are closed by close_generators, which grows a Schreier
 tree (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
-sec. 4.1) breadth first, in rounds of numpy gathers over the elements' image
-rows in blocks of about BLOCK_ENTRIES bytes, with one dict from row bytes
-to element index. The search's right Cayley maps give the left ones down the
-tree, and the table is filled by contiguous rows, each from its parent's row.
-No build makes labels or perms: each passes LazyLists, made whole on first read.
+sec. 4.1) breadth first, in rounds of numpy gathers over the last round's image
+rows in blocks of about BLOCK_ENTRIES bytes, with one dict from row bytes to
+element index, and keeps the tree, not the rows. One walk down the tree turns
+the search's right Cayley maps into the left ones, which fill the table by
+rows, each from its parent's row, and rebuilds the rows when a perm is read.
+No build makes labels or perms: a LazyList makes item i only when i is read.
 GroupTable.lower_central, G's lower central series, and commutators, the
 values [x, g] over all of G, are also made on first use and kept: comm_values
 returns the second for G and G, to gamma_values' first step and both series'
@@ -43,8 +44,8 @@ Theory of Groups, 1.5), so _certified runs only validate_table's O(n) laws
 (dtype, shape, identity, inverse); tier-1 runs validate_table on products.
 Subgroups and quotients come from _induced. Every n x n table comes from
 _new_table: _check_memory raises CapExceeded first when the table, what its
-build holds (a closure's image rows; its search also counts their byte keys,
-dropped before the table) and 16 * BLOCK_ENTRIES bytes exceed physical memory.
+build holds (a closure's image rows, which a perm read rebuilds; its search
+also counts their byte keys) and 16 * BLOCK_ENTRIES bytes exceed physical memory.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -76,27 +77,21 @@ def _index_dtype(n: int):
     return np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32
 
 
-@dataclass(repr=False)
 class LazyList(Sequence):
-    """A read-only list made whole by make() on first read, which is then dropped."""
+    """A read-only list of n items: item i is make(i), made on its first read and then kept."""
 
-    make: Callable[[], list]  # a builder's make holds the data it reads, never a GroupTable
-
-    @cached_property
-    def items(self) -> list:
-        return self.__dict__.pop("make")()
+    def __init__(self, n: int, make: Callable[[int], object]):  # make holds the data it reads, never a GroupTable
+        self.n, self.make = n, cache(make)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self.n
 
     def __getitem__(self, i):
-        return self.items[i]
-
-    def __iter__(self):
-        return iter(self.items)
+        at = range(self.n)[i]  # an int, or a range for a slice; IndexError past either end
+        return [self.make(j) for j in at] if isinstance(i, slice) else self.make(at)
 
     def __eq__(self, other) -> bool:
-        return self.items == other
+        return list(self) == other
 
 
 @dataclass(eq=False)
@@ -107,7 +102,7 @@ class GroupTable:
     n: int
     table: np.ndarray  # (n, n), table[a, b] = a * b
     inverse: np.ndarray  # (n,)
-    labels: Sequence[str]  # a LazyList from every builder: made on first read
+    labels: Sequence[str]  # a LazyList from every builder: label i made when read
     generators: list[int]
     perms: Optional[Sequence[Permutation]] = None  # set when built from a permutation action
     name: str = ""
@@ -254,9 +249,9 @@ class ElementSet:
 
 
 def validate_table(G: GroupTable) -> None:
-    """Integer entries, shapes, then the Latin-square, identity and inverse laws, in blocks of rows
-    and of columns, each block sorted in one reused buffer and compared in the table's dtype. Raises
-    on violation. GroupTable(...) runs it all; a product, certified by construction, all but the sorts."""
+    """Integer entries, shapes, n labels (and perms), generators in range, then the Latin-square, identity
+    and inverse laws, in blocks of rows and of columns, each block sorted in one reused buffer and compared
+    in the table's dtype. Raises on violation. GroupTable(...) runs it all; a product all but the sorts."""
     _check_laws(G, sorts=True)
 
 
@@ -266,6 +261,10 @@ def _check_laws(G: GroupTable, sorts: bool) -> None:  # validate_table, its O(n^
         raise InvalidPermutation(f"table and inverse must hold integers, not {t.dtype} and {inv.dtype}")
     if t.shape != (n, n) or inv.shape != (n,):
         raise InvalidPermutation(f"table shape {t.shape} or inverse shape {inv.shape} does not fit order {n}")
+    if len(G.labels) != n or (G.perms is not None and len(G.perms) != n):
+        raise InvalidPermutation(f"{len(G.labels)} labels, or the perms, do not fit order {n}")
+    if not all(0 <= g < n for g in G.generators):
+        raise IndexOutOfRange(f"generators {G.generators} out of range for group of order {n}")
     if np.iinfo(t.dtype).max < n - 1:  # then np.arange(n, dtype=t.dtype) wraps
         raise InvalidPermutation(f"multiplication table is not a Latin square: {t.dtype} cannot hold {n - 1}")
     idx, width = np.arange(n, dtype=t.dtype), n * t.itemsize
@@ -311,12 +310,13 @@ def close_generators(
     applying generators in input order; this makes tables reproducible
     byte-for-byte. The generators are checked first to be bijections, which
     makes every product of them one. Each search round composes the last round's image rows with
-    every generator, one gather per block, and appends new rows in (head, generator)
-    order with their Schreier-tree parent and generator; its byte keys go when it ends,
-    and its rows stay for perms, made on first read like labels (cycle notations).
+    every generator, one gather per block, and records the new elements in (head, generator)
+    order with their Schreier-tree parent and generator; only the tree outlives the search.
     This gives rmul[v, i] = p_i * g_v, then lmul[v, j] = g_v * p_j = rmul[via[j], lmul[v, parent[j]]]
-    down the tree, and table[i] = table[parent[i]][lmul[via[i]]] by rows, since p_i * p_j =
-    p_parent[i] * (g_via[i] * p_j). An inverse is the column holding 0 in its row.
+    by down, and table[i] = table[parent[i]][lmul[via[i]]] by rows, since p_i * p_j =
+    p_parent[i] * (g_via[i] * p_j). An inverse is the column holding 0 in its row. The first
+    perm read rebuilds the image rows, p_i = g_via[i] after p_parent[i], by down too, and keeps
+    them; perm i and label i (its cycle notation) are made when read.
     """
     if not gens:
         raise InvalidPermutation("need at least one generator")
@@ -335,7 +335,7 @@ def close_generators(
 
     frontier = np.arange(degree, dtype=step.dtype)[None, :]  # the identity
     index, held = {keys(frontier)[0]: 0}, 2 * degree * step.itemsize + 48  # held: an element's row and key
-    chunks, rounds, found, parent, via = [frontier], [0], [], [[0]], [[0]]
+    rounds, found, parent, via = [0], [], [[0]], [[0]]
     while len(frontier):
         new = []
         # a head's copy, its k candidates and their keys (bytes objects of about 48 bytes plus the row)
@@ -354,26 +354,30 @@ def close_generators(
             found.append(ids)
         rounds.append(rounds[-1] + len(frontier))
         frontier = np.concatenate(new)
-        chunks.append(frontier)
 
-    n, index = len(index), None  # the keys go; the rows stay, in their search blocks, for perms
+    n, index, parent, via = len(index), None, np.concatenate(parent), np.concatenate(via)
+
+    def down(maps: np.ndarray, root: np.ndarray) -> np.ndarray:  # out[i] = maps[via[i]][out[parent[i]]], a round at a time
+        out = np.empty((n, len(root)), dtype=maps.dtype)
+        out[0] = root
+        for lo, hi in zip(rounds[1:], rounds[2:]):
+            out[lo:hi] = maps[via[lo:hi, None], out[parent[lo:hi]]]
+        return out
+
     table = _new_table(n, n * degree * step.itemsize)
     rmul = np.concatenate(found).reshape(n, k).T  # rmul[v, i]: p_i * g_v
-    lmul, parent, via = rmul.copy(), np.concatenate(parent), np.concatenate(via)
-    for lo, hi in zip(rounds[1:], rounds[2:]):
-        lmul[:, lo:hi] = rmul[via[lo:hi], lmul[:, parent[lo:hi]]]
+    lmul = down(rmul, rmul[:, 0]).T  # lmul[v, j] = g_v * p_j
     table[0] = np.arange(n)
     for i in range(1, n):
         table[i] = table[parent[i]][lmul[via[i]]]
     inverse = table.argmin(axis=1)  # the column of 0 in each row, read in place
-    points = list(range(1, degree + 1))  # the perms' tuples share these ints
-    perms = LazyList(lambda: [Permutation(degree, tuple(map(points.__getitem__, row.tolist())))
-                              for c in chunks for row in c])  # the search's own rows, in index order
+    points, image_rows = list(range(1, degree + 1)), cache(lambda: down(step, np.arange(degree)))  # perms share points
+    perms = LazyList(n, lambda i: Permutation(degree, tuple(map(points.__getitem__, image_rows()[i].tolist()))))
     return GroupTable(
         n=n,
         table=table,
         inverse=inverse.astype(table.dtype),
-        labels=LazyList(lambda: [format_cycles(p) for p in perms]),
+        labels=LazyList(n, lambda i: format_cycles(perms[i])),
         generators=list(dict.fromkeys(rmul[:, 0].tolist())),
         perms=perms,
         name=name,
@@ -524,7 +528,7 @@ def _induced(G: GroupTable, elems: np.ndarray, local: np.ndarray, name: str) -> 
     table = _new_table(len(elems))
     for rows in _blocks(len(elems), len(elems) * (G.table.itemsize + local.itemsize)):
         table[rows] = local[_product_grid(G, elems[rows], elems)]
-    labels = LazyList(lambda labels=G.labels: [labels[a] for a in elems.tolist()])
+    labels = LazyList(len(elems), lambda i, labels=G.labels: labels[elems[i]])
     return GroupTable(len(elems), table, local[G.inverse[elems]].astype(table.dtype), labels, [], name=name)
 
 
@@ -621,7 +625,7 @@ def semidirect_product(
         n=n,
         table=table,
         inverse=inverse.astype(table.dtype),
-        labels=LazyList(lambda nl=N.labels, hl=H.labels: [f"({a} {h})" for a in nl for h in hl]),
+        labels=LazyList(n, lambda i, nl=N.labels, hl=H.labels, m=H.n: f"({nl[i // m]} {hl[i % m]})"),
         generators=[a * H.n for a in N.generators] + [int(h) for h in H.generators],
         name=f"{N.name}:{H.name}" if N.name and H.name else "",
     )

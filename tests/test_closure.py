@@ -186,6 +186,24 @@ def test_closure_peaks_within_its_table_estimate(monkeypatch):
     assert G.table.nbytes < peak <= estimate
 
 
+def test_closure_keeps_its_tree_and_rebuilds_its_rows_on_first_read():
+    """dihedral 1000 (order 2000, degree 1000) holds its 7.63 MiB table once
+    built, and no image rows; its first label read rebuilds the 3.81 MiB of
+    uint16 rows down the Schreier tree and keeps them, with one perm and one
+    label. Each figure has 1 MiB of slack for the tree and the points list."""
+    tracemalloc.start()
+    try:
+        G = build(FamilySpec("dihedral", (1000,)))
+        built = tracemalloc.get_traced_memory()[0]
+        assert G.labels[1] == "(" + " ".join(map(str, range(1, 1001))) + ")"  # the rotation
+        read = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    table, rows = G.table.nbytes, G.n * 1000 * 2
+    assert table < built <= table + 2**20
+    assert table + rows < read <= table + rows + 2**20
+
+
 def n_cycle(n):
     return Permutation(n, (*range(2, n + 1), 1))
 

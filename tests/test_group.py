@@ -207,6 +207,23 @@ def test_table_certified_at_construction(s3):
     assert GroupTable(n, t.copy(), inv.copy(), list(s3.labels), list(s3.generators)).n == n
 
 
+@pytest.mark.parametrize("field,value,error", [
+    ("generators", [9], IndexOutOfRange),
+    ("generators", [1, -1], IndexOutOfRange),
+    ("labels", ["()"], InvalidPermutation),
+    ("perms", [], InvalidPermutation),
+], ids=["generator_above", "generator_below", "one_label", "no_perms"])
+def test_table_rejects_inputs_that_do_not_fit_its_order(s3, field, value, error):
+    """Generators outside 0..n-1, and labels or perms not n long, are rejected
+    where the table is made, not later as a numpy IndexError or a wrong label."""
+    fields = dict(n=s3.n, table=s3.table, inverse=s3.inverse, labels=list(s3.labels),
+                  generators=list(s3.generators), perms=list(s3.perms))
+    GroupTable(**fields)
+    fields[field] = value
+    with pytest.raises(error, match="order 6"):
+        GroupTable(**fields)
+
+
 def test_table_dtype_too_narrow_for_its_order():
     """An int8 table of order 200 cannot hold 128..199 (np.arange(200, dtype=int8)
     wraps), so it is no Latin square; a uint8 table of order 256 still is one."""
@@ -792,16 +809,17 @@ def label_work(monkeypatch):
 
 def test_builds_make_no_labels_or_perms(label_work):
     """Closures and products format no cycle notation and construct no
-    Permutation beyond their generators; reading labels then makes them."""
+    Permutation beyond their generators; reading a label then makes its own
+    element's perm and label, once."""
     for spec in BUILD_CAP_SPECS:
         G = build(spec)
         assert label_work["format_cycles"] == 0, spec
         assert label_work["Permutation"] == label_work["generators"], spec
     generators = label_work["Permutation"]
-    assert G.labels[1] == "(1 2 3 4 5)"  # S5: the first read makes all perms, then all labels
-    assert (label_work["Permutation"], label_work["format_cycles"]) == (generators + G.n, G.n)
-    assert G.labels[-1] == perm.format_cycles(G.perms[-1])
-    assert label_work["Permutation"] == generators + G.n  # both lists were kept
+    assert G.labels[1] == "(1 2 3 4 5)"  # S5: one perm, then one label
+    assert (label_work["Permutation"], label_work["format_cycles"]) == (generators + 1, 1)
+    assert G.labels[1] == "(1 2 3 4 5)" and G.perms[1].image == (2, 3, 4, 5, 1)
+    assert (label_work["Permutation"], label_work["format_cycles"]) == (generators + 1, 1)  # both were kept
 
 
 def test_scan_rows_make_no_labels_or_perms(label_work):
@@ -816,19 +834,22 @@ def test_scan_rows_make_no_labels_or_perms(label_work):
 
 def test_lazy_list_reads_like_a_read_only_list():
     made = []
-    items = LazyList(lambda: made.append(1) or ["e", "(1 2)", "(1 2 3)"])
-    assert not made
-    assert len(items) == 3 and items[-1] == "(1 2 3)" and items[0] == "e"
-    with pytest.raises(IndexError):
-        items[3]
-    assert items[1:] == ["(1 2)", "(1 2 3)"] and type(items[1:]) is list
+    items = LazyList(3, lambda i: made.append(i) or ["e", "(1 2)", "(1 2 3)"][i])
+    assert len(items) == 3 and not made
+    assert items[-1] == "(1 2 3)" and items[0] == "e" and made == [2, 0]
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            items[i]
+    assert items[1:] == ["(1 2)", "(1 2 3)"] and type(items[1:]) is list and items[::-2] == ["(1 2 3)", "e"]
     assert list(items) == ["e", "(1 2)", "(1 2 3)"] and items.index("(1 2)") == 1
     assert "(1 2)" in items and "(2 3)" not in items
+    with pytest.raises(ValueError):
+        items.index("(2 3)")
     assert items == ["e", "(1 2)", "(1 2 3)"] and ["e", "(1 2)", "(1 2 3)"] == items
     assert items != ["e"] and ["e"] != items
     with pytest.raises(TypeError):
         items[0] = "x"
-    assert made == [1]  # made whole on the first read, then kept
+    assert made == [2, 0, 1]  # each item made on its first read, then kept
 
 
 def test_lazy_labels_hold_no_table():
