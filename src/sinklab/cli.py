@@ -28,7 +28,7 @@ from .verify import (
     check_orbit_lemma,
     check_sink_oracle,
     contrast_report,
-    theorem_scan,
+    scan_row,
 )
 
 VERIFY_CHECKS = ("heineken", "centralizer_power", "m1_iff_nilpotent", "sink_oracle", "orbit_lemma")
@@ -213,20 +213,16 @@ def _write_text(path_or_none, text: str) -> None:
 
 
 def cmd_scan(args) -> int:
-    cap = _order_cap(args)
-    entries = load_corpus(args.corpus)
-    corpus = []
-    build_errors = []
-    for group_id, path in entries:
+    cap, rows, errors = _order_cap(args), [], []
+    for group_id, path in load_corpus(args.corpus):  # one table at a time: each goes once its row is made
         try:
             spec = parse_spec_file(path)
-            corpus.append((spec.display_name(group_id), build_spec(spec, cap)))
-        except SinklabError as exc:
-            build_errors.append((group_id, f"{type(exc).__name__}: {exc}"))
-    rows, scan_errors = theorem_scan(corpus, args.k)
-    _write_text(args.out, scan_csv(rows))
-    for group_id, message in build_errors + scan_errors:
-        print(f"error: {group_id}: {message}", file=sys.stderr)
+            group_id = spec.display_name(group_id)
+            rows.append(scan_row(build_spec(spec, cap), group_id, args.k))
+        except Exception as exc:  # a group's error skips that group only
+            errors.append(f"error: {group_id}: {type(exc).__name__}: {exc}\n")
+    _write_text(args.out, scan_csv(sorted(rows, key=lambda row: row.group)))  # stable: equal names keep corpus order
+    sys.stderr.write("".join(errors))
     return 0
 
 
@@ -289,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run lemma checks against one group")
     p.add_argument("spec")
     p.add_argument("--check", default="all", choices=VERIFY_CHECKS + ("all",))
-    p.add_argument("-k", type=weight, default=2, help="weight for gamma-based checks (default 2)")
+    p.add_argument("-k", type=weight, default=2, help="weight of orbit_lemma, and of m1_iff_nilpotent when checked "
+                   "alone; --check all runs m1_iff_nilpotent at k = 2 and 3 (default 2)")
     add_cap(p)
     p.set_defaults(func=cmd_verify)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidParameters
 from .group import (
-    DEFAULT_ORDER_CAP, GroupTable, LazyList, _new_table, close_generators, direct_product, semidirect_product,
+    DEFAULT_ORDER_CAP, GroupTable, LazyList, PermRows, _new_table, close_generators, direct_product, semidirect_product,
 )
 from .perm import Permutation, format_cycles
 
@@ -116,8 +116,7 @@ def _cyclic(n: int, cap: int) -> GroupTable:
     doubled = np.tile(np.arange(n, dtype=table.dtype), 2)  # doubled[i + j] = (i + j) mod n
     for i in range(n):
         table[i] = doubled[i : i + n]
-    points = list(range(1, n + 1)) * 2  # g^i maps point x to points[x - 1 + i]
-    perms = LazyList(n, lambda i: Permutation(n, tuple(points[i : i + n])))
+    perms = PermRows(n, n, lambda: table)  # g^i maps x to x + i mod n, so row i is its image row
     return GroupTable(
         n=n,
         table=table,

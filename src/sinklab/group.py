@@ -29,8 +29,8 @@ sec. 4.1) breadth first, in rounds of numpy gathers over the last round's image
 rows in blocks of about BLOCK_ENTRIES bytes, with one dict from row bytes to
 element index, and keeps the tree, not the rows. One walk down the tree turns
 the search's right Cayley maps into the left ones, which fill the table by
-rows, each from its parent's row, and rebuilds the rows when a perm is read.
-No build makes labels or perms: a LazyList makes item i only when i is read.
+rows, each from its parent's row, and rebuilds the rows when a perm is read or
+sought. No build makes labels or perms: a LazyList makes item i only when read.
 GroupTable.lower_central, G's lower central series, and commutators, the
 values [x, g] over all of G, are also made on first use and kept: comm_values
 returns the second for G and G, to gamma_values' first step and both series'
@@ -92,6 +92,22 @@ class LazyList(Sequence):
 
     def __eq__(self, other) -> bool:
         return list(self) == other
+
+
+class PermRows(LazyList):
+    """Perm i is made from row i of rows(), the 0-based image rows; index(perm) compares rows and makes no perm."""
+
+    def __init__(self, n: int, degree: int, rows: Callable[[], np.ndarray]):
+        points = list(range(1, degree + 1))  # the perms share these ints
+        super().__init__(n, lambda i: Permutation(degree, tuple(map(points.__getitem__, rows()[i].tolist()))))
+        self.rows = rows
+
+    def index(self, perm: Permutation) -> int:
+        rows, want = self.rows(), np.array(perm.image) - 1
+        for i in np.flatnonzero(rows[:, 0] == want[0]).tolist():  # the rows that agree with perm at point 1
+            if np.array_equal(rows[i], want):
+                return i
+        raise ValueError(f"{perm} is not an element")
 
 
 @dataclass(eq=False)
@@ -216,6 +232,8 @@ class ElementSet:
             if members.n != n:
                 raise IndexOutOfRange(f"set over {members.n} elements used in a group of order {n}")
             return members
+        if isinstance(members, np.ndarray) and members.dtype == bool:  # np.fromiter would read True as index 1
+            raise IndexOutOfRange("a boolean mask is not a set of members: pass indices, or ElementSet(mask)")
         idx = np.fromiter(members, dtype=np.int64)
         bad = idx[(idx < 0) | (idx >= n)]
         if len(bad):
@@ -315,8 +333,8 @@ def close_generators(
     This gives rmul[v, i] = p_i * g_v, then lmul[v, j] = g_v * p_j = rmul[via[j], lmul[v, parent[j]]]
     by down, and table[i] = table[parent[i]][lmul[via[i]]] by rows, since p_i * p_j =
     p_parent[i] * (g_via[i] * p_j). An inverse is the column holding 0 in its row. The first
-    perm read rebuilds the image rows, p_i = g_via[i] after p_parent[i], by down too, and keeps
-    them; perm i and label i (its cycle notation) are made when read.
+    perm read or lookup rebuilds the image rows, p_i = g_via[i] after p_parent[i], by down too, and
+    keeps them; perm i and label i (its cycle notation) are made when read (PermRows).
     """
     if not gens:
         raise InvalidPermutation("need at least one generator")
@@ -371,8 +389,7 @@ def close_generators(
     for i in range(1, n):
         table[i] = table[parent[i]][lmul[via[i]]]
     inverse = table.argmin(axis=1)  # the column of 0 in each row, read in place
-    points, image_rows = list(range(1, degree + 1)), cache(lambda: down(step, np.arange(degree)))  # perms share points
-    perms = LazyList(n, lambda i: Permutation(degree, tuple(map(points.__getitem__, image_rows()[i].tolist()))))
+    perms = PermRows(n, degree, cache(lambda: down(step, np.arange(degree))))
     return GroupTable(
         n=n,
         table=table,

@@ -1,4 +1,4 @@
-"""Lemma-level checkers and corpus scans.
+"""Lemma-level checkers, and scan_row: one CSV row of sink and Fitting data per group.
 
 Each checker confronts one finite-group statement with exhaustive
 computation over a concrete table. Failures are self-certifying: the
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -265,16 +265,3 @@ def contrast_report(p: int, ranks: Iterable[int], order_cap: int = DEFAULT_ORDER
         scan_row(build(FamilySpec("inversion_extension", (p, r)), order_cap), f"inversion_extension_{p}_{r}", 2)
         for r in ranks
     ]
-
-
-def theorem_scan(corpus: Sequence[tuple[str, GroupTable]], k: int) -> tuple[list[ScanRow], list[tuple[str, str]]]:
-    """Scan rows for every named group, sorted by group id; build or
-    computation errors are collected per group and do not stop the scan."""
-    rows: list[ScanRow] = []
-    errors: list[tuple[str, str]] = []
-    for group_id, G in sorted(corpus, key=lambda item: item[0]):
-        try:
-            rows.append(scan_row(G, group_id, k))
-        except Exception as exc:  # pragma: no cover - defensive collection
-            errors.append((group_id, f"{type(exc).__name__}: {exc}"))
-    return rows, errors

@@ -271,6 +271,51 @@ def test_scan_collects_build_errors(capsys, tmp_path):
     assert "broken" in err
 
 
+def test_scan_sorts_rows_and_names_the_broken_spec(capsys, tmp_path):
+    """Rows come out sorted by group id, not in manifest order, and a spec
+    that is rejected skips its group only, with one error line after the CSV."""
+    for stem, construct in (("zzz", "dihedral 4"), ("broken", "frobenius 7 3 3"), ("aaa", "symmetric 3")):
+        (tmp_path / f"{stem}.grp").write_text(f"group construct {construct}\n", encoding="utf-8")
+    (tmp_path / "manifest.txt").write_text("zzz.grp\nbroken.grp\naaa.grp\n", encoding="utf-8")
+    code, out, err = run(capsys, "scan", "--corpus", str(tmp_path))
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["aaa", "zzz"]
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: broken: SpecParseError")
+
+
+def test_scan_errors_keep_corpus_order_and_display_names(capsys, tmp_path):
+    """A group that fails after its spec parses is named by its display name;
+    errors print in corpus order, whatever the rows' order."""
+    (tmp_path / "a.grp").write_text("name BIG\ngroup construct cyclic 20000\n", encoding="utf-8")
+    (tmp_path / "b.grp").write_text("group construct cyclic 4\n", encoding="utf-8")
+    (tmp_path / "c.grp").write_text("group construct frobenius 7 3 3\n", encoding="utf-8")
+    (tmp_path / "manifest.txt").write_text("c.grp\nb.grp\na.grp\n", encoding="utf-8")
+    code, out, err = run(capsys, "scan", "--corpus", str(tmp_path))
+    assert code == 0 and out.splitlines()[1:] == ["b,4,2,1,0,1,1,1"]
+    assert [line.split(":")[1].strip() for line in err.splitlines()] == ["c", "BIG"]
+    assert "CapExceeded" in err.splitlines()[1]
+
+
+def test_scan_holds_one_table_at_a_time(capsys, tmp_path):
+    """Each table is dropped once its row is made: the tracemalloc peak of a
+    scan over dihedral 601..603 stays within that of dihedral 603 alone plus
+    1 MiB (a table of order 1206 takes 2.8 MiB)."""
+    def peak(*ns):
+        corpus = tmp_path / "_".join(map(str, ns))
+        corpus.mkdir()
+        for n in ns:
+            (corpus / f"D{n}.grp").write_text(f"group construct dihedral {n}\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert run(capsys, "scan", "--corpus", str(corpus))[0] == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(601, 602, 603) <= peak(603) + (1 << 20)
+
+
 def test_contrast_table(capsys):
     code, out, _ = run(capsys, "contrast", "-p", "3", "--ranks", "1..3")
     assert code == 0

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from sinklab import families, group, perm
 from sinklab.cli import load_corpus, parse_element
-from sinklab.engel import gamma_values
+from sinklab.engel import gamma_values, sinks
 from sinklab.errors import (
     CapExceeded,
     IndexOutOfRange,
@@ -162,6 +162,20 @@ def test_element_set_surface():
         ElementSet.of(6, [0, 6])
     with pytest.raises(IndexOutOfRange):
         ElementSet.of(6, [-1])
+
+
+@pytest.mark.parametrize("entry", [
+    lambda G, mask: ElementSet.of(G.n, mask),
+    sinks,
+    subgroup_closure,
+    centralizer,
+], ids=["ElementSet.of", "sinks", "subgroup_closure", "centralizer"])
+def test_boolean_mask_is_not_a_member_list(s3, entry):
+    """A boolean array would read as the indices 0 and 1: it is rejected, and
+    the message points to indices or ElementSet(mask)."""
+    mask = np.array([True, False, True, False, False, False])
+    with pytest.raises(IndexOutOfRange, match=r"ElementSet\(mask\)"):
+        entry(s3, mask)
 
 
 def test_wrong_order_sets_rejected(s3):
@@ -830,6 +844,16 @@ def test_scan_rows_make_no_labels_or_perms(label_work):
     for G in corpus:
         scan_row(G, G.name, 2)
     assert label_work == Counter()
+
+
+def test_cycle_notation_lookup_compares_rows(label_work):
+    """Resolving dihedral 1000's last element from its cycle notation compares
+    image rows: it makes perm 0 (for the degree) and the parsed perm only."""
+    G = build(FamilySpec("dihedral", (1000,)))
+    label = G.labels[G.n - 1]
+    label_work.clear()
+    assert parse_element(G, label) == G.n - 1
+    assert label_work["Permutation"] <= 3
 
 
 def test_lazy_list_reads_like_a_read_only_list():

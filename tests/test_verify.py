@@ -21,7 +21,6 @@ from sinklab.verify import (
     check_sink_oracle,
     contrast_report,
     scan_row,
-    theorem_scan,
 )
 
 from oracles import commutator_tail, commute, component_sink_size, conj, element_order
@@ -158,21 +157,15 @@ def test_contrast_report():
         assert row.residual_order == 3**i
 
 
-def test_theorem_scan_sorted_and_error_collection(s3, d4):
-    rows, errors = theorem_scan([("zzz", d4), ("aaa", s3)], 2)
-    assert [r.group for r in rows] == ["aaa", "zzz"]
-    assert errors == []
-
-
 def test_centralizer_power_corpus_wide(corpus):
     for group_id, G in corpus:
         assert check_centralizer_power(G).passed, group_id
 
 
 def test_scan_row_invariants(corpus):
-    rows, errors = theorem_scan(corpus, 2)
-    assert not errors
-    for row in rows:
+    for group_id, G in corpus:
+        row = scan_row(G, group_id, 2)
+        assert row.group == group_id and row.n == G.n
         assert row.m_full >= 1
         assert row.n % row.fitting_index == 0
         assert row.n % row.residual_order == 0
