@@ -1,7 +1,9 @@
 """Command-line front end; one argparse parser per process serves every main call.
+verify.run_checks decides what `verify` runs; report.write_json streams each body.
 
-Exit codes: 0 success, 1 at least one check failed, 2 input parse error
-(messages name the offending line), 3 order cap exceeded.
+Exit codes: 0 success, 1 at least one check failed, 2 bad input: a spec parse
+error (naming its line), a path not read or written, or a check whose
+hypotheses fail (HypothesisFailed); 3 order cap exceeded.
 """
 
 from __future__ import annotations
@@ -17,21 +19,10 @@ from .engel import gamma_values, right_engel_sink
 from .errors import CapExceeded, IndexOutOfRange, SinklabError, SpecParseError
 from .group import DEFAULT_ORDER_CAP, GroupTable
 from .perm import parse_cycles
-from .report import canonical_json, check_payload, report_envelope, scan_csv, sink_payload
+from .report import check_payload, report_envelope, scan_csv, sink_payload, write_json
 from .specfile import GroupSpec, build_spec, emit_spec, parse_spec_file
-from .structure import fitting_subgroup, nilpotency_class, nilpotent_residual
-from .verify import (
-    ORACLE_CAP,
-    check_centralizer_power,
-    check_heineken,
-    check_m1_iff_nilpotent,
-    check_orbit_lemma,
-    check_sink_oracle,
-    contrast_report,
-    scan_row,
-)
-
-VERIFY_CHECKS = ("heineken", "centralizer_power", "m1_iff_nilpotent", "sink_oracle", "orbit_lemma")
+from .structure import fitting_subgroup, nilpotency_class
+from .verify import CHECKS, contrast_report, run_checks, scan_row
 
 
 class CliInputError(SinklabError):
@@ -108,8 +99,7 @@ def _report(args, command: str, results) -> list[dict]:
     spec = parse_spec_file(args.spec)
     G = build_spec(spec, _order_cap(args))
     payloads = results(spec, G)
-    envelope = report_envelope(command, emit_spec(spec), payloads, (time.perf_counter() - started) * 1e3)
-    sys.stdout.write(canonical_json(envelope))
+    write_json(report_envelope(command, emit_spec(spec), payloads, (time.perf_counter() - started) * 1e3), sys.stdout)
     return payloads
 
 
@@ -143,39 +133,9 @@ def cmd_gamma(args) -> int:
     return 0
 
 
-def _orbit_lemma_inputs(spec: GroupSpec, G: GroupTable):
-    if spec.kind != "construct" or spec.family.family not in ("inversion_extension", "frobenius"):
-        return None
-    return nilpotent_residual(G), G.generators[-1]
-
-
-def _run_checks(spec: GroupSpec, G: GroupTable, which: str, k: int):
-    results = []
-    if which in ("heineken", "all"):
-        results.append(check_heineken(G))
-    if which in ("centralizer_power", "all"):
-        results.append(check_centralizer_power(G))
-    if which in ("m1_iff_nilpotent", "all"):
-        ks = (2, 3) if which == "all" else (k,)
-        for kk in ks:
-            results.append(check_m1_iff_nilpotent(G, kk))
-    if which in ("sink_oracle", "all"):
-        if G.n <= ORACLE_CAP:
-            results.append(check_sink_oracle(G))
-        elif which == "sink_oracle":
-            raise CliInputError(f"sink_oracle is capped at order {ORACLE_CAP}; group has order {G.n}")
-    if which in ("orbit_lemma", "all"):
-        inputs = _orbit_lemma_inputs(spec, G)
-        if inputs is not None:
-            results.append(check_orbit_lemma(G, inputs[0], inputs[1], k))
-        elif which == "orbit_lemma":
-            raise CliInputError("orbit_lemma needs a group constructed as inversion_extension or frobenius")
-    return results
-
-
 def cmd_verify(args) -> int:
     payloads = _report(
-        args, "verify", lambda spec, G: [check_payload(G, r) for r in _run_checks(spec, G, args.check, args.k)]
+        args, "verify", lambda spec, G: [check_payload(G, r) for r in run_checks(G, args.check, args.k, spec.family)]
     )
     return 0 if all(p["passed"] for p in payloads) else 1
 
@@ -187,6 +147,8 @@ def load_corpus(corpus_dir: str | Path) -> list[tuple[str, Path]]:
     present, otherwise every *.grp file in name order.
     """
     root = Path(corpus_dir)
+    if not root.is_dir():
+        raise CliInputError(f"corpus {root} is not a directory")
     manifest = root / "manifest.txt"
     if manifest.exists():
         names = []
@@ -284,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run lemma checks against one group")
     p.add_argument("spec")
-    p.add_argument("--check", default="all", choices=VERIFY_CHECKS + ("all",))
+    p.add_argument("--check", default="all", choices=CHECKS + ("all",))
     p.add_argument("-k", type=weight, default=2, help="weight of orbit_lemma, and of m1_iff_nilpotent when checked "
                    "alone; --check all runs m1_iff_nilpotent at k = 2 and 3 (default 2)")
     add_cap(p)
@@ -317,7 +279,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except CliInputError as exc:
+    except (CliInputError, OSError) as exc:  # an OSError names its path: a spec not read, --out not written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SinklabError as exc:

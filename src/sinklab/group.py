@@ -652,8 +652,10 @@ def subgroup_table(G: GroupTable, S: ElementSet) -> tuple[GroupTable, list[int]]
     """Reindex a subgroup as its own GroupTable; returns (table, embedding).
 
     embedding[i] is the G-index of the subgroup's element i. Elements keep
-    ascending G-index order, so 0 stays the identity.
+    ascending G-index order, so 0 stays the identity. All of G is G itself.
     """
+    if len(ElementSet.of(G.n, S)) == G.n:
+        return G, list(range(G.n))
     if not is_subgroup(G, S):
         raise NotASubgroup("set is not closed under multiplication")
     mem = np.flatnonzero(S.mask)

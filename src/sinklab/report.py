@@ -2,13 +2,15 @@
 
 Result bodies contain no timestamps and order every collection, so repeated
 runs on the same input are byte-identical; wall-clock timing goes in a
-separate field that comparisons ignore.
+separate field that comparisons ignore. write_json writes a body to its
+stream chunk by chunk, never whole; canonical_json returns it as one string.
 """
 
 from __future__ import annotations
 
+import io
 import json
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from . import __version__
 from .engel import SinkReport
@@ -19,8 +21,16 @@ from .verify import CSV_COLUMNS, CheckResult, ScanRow
 ELEMENT_KEYS = frozenset({"argmax", "g", "g_inverse", "h", "h_power", "v", "v_not_gamma_value", "z"})
 
 
+def write_json(payload: dict, out: TextIO) -> None:
+    """Write payload to out in the canonical format, chunk by chunk, never as one string."""
+    json.dump(payload, out, indent=2, sort_keys=True)
+    out.write("\n")
+
+
 def canonical_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    out = io.StringIO()
+    write_json(payload, out)
+    return out.getvalue()
 
 
 def report_envelope(command: str, spec_echo: str, results, timing_ms: float) -> dict:
@@ -50,9 +60,9 @@ def sink_payload(G: GroupTable, report: SinkReport) -> dict:
 def check_payload(G: GroupTable, result: CheckResult) -> dict:
     payload = {
         "check": result.check,
-        "group": result.group,
+        "group": G.name or f"order{G.n}",
         "passed": result.passed,
-        "stats": dict(sorted(result.stats.items())),
+        "stats": dict(sorted({**result.stats, "order": G.n}.items())),
     }
     if result.counterexample is None:
         payload["counterexample"] = None

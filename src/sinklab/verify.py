@@ -1,4 +1,6 @@
-"""Lemma-level checkers, and scan_row: one CSV row of sink and Fitting data per group.
+"""Lemma-level checkers; run_checks, the plan of `sinklab verify`: which run, at
+which k, on which V and a; and scan_row: one CSV row of sink and Fitting data
+per group. A CheckResult names no group: check_payload adds its name and order.
 
 Each checker confronts one finite-group statement with exhaustive
 computation over a concrete table. Failures are self-certifying: the
@@ -57,7 +59,6 @@ from .structure import fitting_subgroup, is_nilpotent, nilpotent_residual
 @dataclass
 class CheckResult:
     check: str
-    group: str
     passed: bool
     counterexample: Optional[dict] = None
     stats: dict[str, int] = field(default_factory=dict)
@@ -80,10 +81,7 @@ class ScanRow:
 
 CSV_COLUMNS = "group,n,k,mFull,mNontrivial,fittingIndex,residualOrder,quotientExponent"
 ORACLE_CAP = 100  # largest order check_sink_oracle accepts
-
-
-def _gid(G: GroupTable) -> str:
-    return G.name or f"order{G.n}"
+CHECKS = ("heineken", "centralizer_power", "m1_iff_nilpotent", "sink_oracle", "orbit_lemma")
 
 
 def check_heineken(G: GroupTable) -> CheckResult:
@@ -94,11 +92,9 @@ def check_heineken(G: GroupTable) -> CheckResult:
     bad = right_engel[~left_engel_set(G).mask[G.inverse[right_engel]]]
     if len(bad):
         g = int(bad[0])
-        return CheckResult(
-            "heineken", _gid(G), False, counterexample={"g": g, "g_inverse": G.inv(g)}, stats={"order": G.n},
-        )
+        return CheckResult("heineken", False, counterexample={"g": g, "g_inverse": G.inv(g)})
     count = int(np.bincount(G.class_labels)[right_engel].sum())
-    return CheckResult("heineken", _gid(G), True, stats={"order": G.n, "right_engel_count": count})
+    return CheckResult("heineken", True, stats={"right_engel_count": count})
 
 
 def check_centralizer_power(G: GroupTable) -> CheckResult:
@@ -118,12 +114,10 @@ def check_centralizer_power(G: GroupTable) -> CheckResult:
             h, p = int(hs[bad[0]]), int(powers[back[bad[0]]])
             z = int(np.flatnonzero(sink & (t[p] != t[:, p]))[0])
             return CheckResult(
-                "centralizer_power", _gid(G), False,
-                counterexample={"g": g, "h": h, "h_power": p, "z": z, "m": m},
-                stats={"order": G.n},
+                "centralizer_power", False, counterexample={"g": g, "h": h, "h_power": p, "z": z, "m": m},
             )
         checked += int(size[g]) * len(hs) * m
-    return CheckResult("centralizer_power", _gid(G), True, stats={"order": G.n, "pairs_checked": checked})
+    return CheckResult("centralizer_power", True, stats={"pairs_checked": checked})
 
 
 def check_orbit_lemma(G: GroupTable, V: ElementSet, a: int, k: int) -> CheckResult:
@@ -147,18 +141,11 @@ def check_orbit_lemma(G: GroupTable, V: ElementSet, a: int, k: int) -> CheckResu
     if ElementSet.of(G.n, image) != V:
         raise HypothesisFailed("V != [V, a]")
 
-    S = subgroup_closure(G, [a, *V])
-    if S.mask.all():  # <V, a> is G: no copy
-        H, local = G, mem
-    else:
-        H, local = subgroup_table(G, S)[0], (np.cumsum(S.mask) - 1)[mem]  # local[i] is mem[i]'s index in H
+    H, embedding = subgroup_table(G, subgroup_closure(G, [a, *V]))
+    local = np.searchsorted(embedding, mem)  # local[i] is mem[i]'s index in H
     missing = mem[~gamma_values(H, k).mask[local]]
     if len(missing):
-        return CheckResult(
-            "orbit_lemma", _gid(G), False,
-            counterexample={"v_not_gamma_value": int(missing[0]), "k": k},
-            stats={"order": G.n},
-        )
+        return CheckResult("orbit_lemma", False, counterexample={"v_not_gamma_value": int(missing[0]), "k": k})
 
     sink_mask = sinks(H, local)  # row i: sink of mem[i], as local ascends
     in_sink = sink_mask[:, local]  # in_sink[i, j]: mem[j] lies in the sink of mem[i]
@@ -171,16 +158,11 @@ def check_orbit_lemma(G: GroupTable, V: ElementSet, a: int, k: int) -> CheckResu
         inside &= in_sink[start, cur]
     outside = mem[~inside]
     if len(outside):
-        return CheckResult(
-            "orbit_lemma", _gid(G), False,
-            counterexample={"v": int(outside[0]), "orbit_value_outside_sink": 1},
-            stats={"order": G.n},
-        )
+        return CheckResult("orbit_lemma", False, counterexample={"v": int(outside[0]), "orbit_value_outside_sink": 1})
     equality = np.array_equal(sink_mask.sum(axis=1), length + (mem != 0))  # the orbit of v != 1 avoids 1
     return CheckResult(
-        "orbit_lemma", _gid(G), True,
+        "orbit_lemma", True,
         stats={
-            "order": G.n,
             "v_count": len(mem),
             "k": k,
             "max_orbit": int(length.max()),
@@ -194,10 +176,7 @@ def check_m1_iff_nilpotent(G: GroupTable, k: int) -> CheckResult:
     m_full, _, argmax = sink_profile(G, k)
     nilpotent = is_nilpotent(G)
     passed = (m_full == 1) == nilpotent
-    result = CheckResult(
-        "m1_iff_nilpotent", _gid(G), passed,
-        stats={"order": G.n, "k": k, "m_full": m_full, "nilpotent": int(nilpotent)},
-    )
+    result = CheckResult("m1_iff_nilpotent", passed, stats={"k": k, "m_full": m_full, "nilpotent": int(nilpotent)})
     if not passed:
         result.counterexample = {"m_full": m_full, "nilpotent": int(nilpotent), "argmax": argmax}
     return result
@@ -230,15 +209,41 @@ def check_sink_oracle(G: GroupTable) -> CheckResult:
     if len(bad):
         g = int(bad[0])
         return CheckResult(
-            "sink_oracle", _gid(G), False,
+            "sink_oracle", False,
             counterexample={
                 "g": g,
                 "oracle_only": np.flatnonzero(oracle[g] & ~sink[g]).tolist(),
                 "sink_only": np.flatnonzero(sink[g] & ~oracle[g]).tolist(),
             },
-            stats={"order": n},
         )
-    return CheckResult("sink_oracle", _gid(G), True, stats={"order": n})
+    return CheckResult("sink_oracle", True)
+
+
+def run_checks(G: GroupTable, which: str, k: int, family: Optional[FamilySpec]) -> list[CheckResult]:
+    """The check named which, or with "all" each check in CHECKS that applies,
+    on G built from family (None for a permutation spec). All runs
+    m1_iff_nilpotent at k = 2 and 3, sink_oracle up to ORACLE_CAP, and
+    orbit_lemma (V the nilpotent residual, a the last generator, weight k) on
+    inversion_extension and frobenius only. A check alone that does not apply
+    raises HypothesisFailed."""
+    every = which == "all"
+    if not every and which not in CHECKS:
+        raise ValueError(f"unknown check {which!r}")
+    orbit = family is not None and family.family in ("inversion_extension", "frobenius")
+    if which == "orbit_lemma" and not orbit:
+        raise HypothesisFailed("orbit_lemma needs a group constructed as inversion_extension or frobenius")
+    results = []
+    if which in ("heineken", "all"):
+        results.append(check_heineken(G))
+    if which in ("centralizer_power", "all"):
+        results.append(check_centralizer_power(G))
+    if which in ("m1_iff_nilpotent", "all"):
+        results.extend(check_m1_iff_nilpotent(G, kk) for kk in ((2, 3) if every else (k,)))
+    if which == "sink_oracle" or every and G.n <= ORACLE_CAP:  # alone above the cap, the checker raises
+        results.append(check_sink_oracle(G))
+    if which == "orbit_lemma" or every and orbit:
+        results.append(check_orbit_lemma(G, nilpotent_residual(G), G.generators[-1], k))
+    return results
 
 
 def scan_row(G: GroupTable, group_id: str, k: int) -> ScanRow:

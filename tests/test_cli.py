@@ -8,7 +8,7 @@ import pytest
 
 from sinklab import group, verify
 from sinklab.cli import build_parser, main, parse_element
-from sinklab.report import check_payload
+from sinklab.report import canonical_json, check_payload
 from sinklab.verify import ORACLE_CAP, CheckResult
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -121,12 +121,10 @@ def test_verify_all_checks(capsys):
 
 
 def test_verify_failed_check_exits_one(capsys, monkeypatch):
-    import sinklab.cli as cli
-
     def fake_check(G):
-        return CheckResult("heineken", G.name, False, counterexample={"g": 1})
+        return CheckResult("heineken", False, counterexample={"g": 1})
 
-    monkeypatch.setattr(cli, "check_heineken", fake_check)
+    monkeypatch.setattr(verify, "check_heineken", fake_check)
     code, out, _ = run(capsys, "verify", spec_path("S3"), "--check", "heineken")
     assert code == 1
     result = json.loads(out)["results"][0]
@@ -136,7 +134,7 @@ def test_verify_failed_check_exits_one(capsys, monkeypatch):
 
 def test_counterexample_labels_only_elements(s3):
     def counterexample(**ce):
-        return check_payload(s3, CheckResult("check", "S3", False, counterexample=ce))["counterexample"]
+        return check_payload(s3, CheckResult("check", False, counterexample=ce))["counterexample"]
 
     ce = counterexample(m_full=2, nilpotent=0, argmax=1)
     assert ce["m_full"] == 2 and ce["nilpotent"] == 0
@@ -248,6 +246,45 @@ def test_sink_oracle_above_its_cap_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "verify", str(spec), "--check", "sink_oracle")
     assert (code, out) == (2, "")
     assert f"capped at order {ORACLE_CAP}" in err
+
+
+def test_orbit_lemma_alone_on_a_permutation_spec_exits_two(capsys):
+    code, out, err = run(capsys, "verify", spec_path("C2xS3"), "--check", "orbit_lemma")
+    assert (code, out) == (2, "")
+    assert "error: HypothesisFailed: orbit_lemma needs a group constructed as inversion_extension or frobenius" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["scan", "--corpus", "/nonexistent", "-k", "2"], "corpus /nonexistent is not a directory"),
+    (["build", "/nonexistent.grp"], "No such file or directory: '/nonexistent.grp'"),
+    (["scan", "--corpus", str(CORPUS_DIR), "--out", "/nonexistent/x.csv"], "'/nonexistent/x.csv'"),
+], ids=["corpus", "spec", "out"])
+def test_missing_path_exits_two(capsys, argv, message):
+    """A corpus that is not a directory, a spec that cannot be read and an
+    --out that cannot be written exit 2 with an error naming the path."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_json_body_is_streamed(capsys, monkeypatch, tmp_path):
+    """The report goes to stdout in chunks, each far shorter than the body,
+    which is its own canonical JSON."""
+    spec = tmp_path / "d200.grp"
+    spec.write_text("group construct dihedral 200\n", encoding="utf-8")
+    largest = 0
+    real_write = sys.stdout.write
+
+    def write(text):
+        nonlocal largest
+        largest = max(largest, len(text))
+        return real_write(text)
+
+    monkeypatch.setattr(sys.stdout, "write", write)
+    code, out, _ = run(capsys, "sink", str(spec), "--element", "1")
+    assert code == 0
+    assert out == canonical_json(json.loads(out))
+    assert 0 < largest < len(out)
 
 
 def test_scan_deterministic(capsys, tmp_path):

@@ -20,6 +20,7 @@ from sinklab.verify import (
     check_orbit_lemma,
     check_sink_oracle,
     contrast_report,
+    run_checks,
     scan_row,
 )
 
@@ -185,8 +186,8 @@ def ref_heineken(G):
             continue
         right_engel += 1
         if G.inv(g) not in left_engel:
-            return CheckResult("heineken", verify._gid(G), False, {"g": g, "g_inverse": G.inv(g)}, {"order": G.n})
-    return CheckResult("heineken", verify._gid(G), True, stats={"order": G.n, "right_engel_count": right_engel})
+            return CheckResult("heineken", False, {"g": g, "g_inverse": G.inv(g)})
+    return CheckResult("heineken", True, stats={"right_engel_count": right_engel})
 
 
 def ref_centralizer_power(G):
@@ -201,13 +202,13 @@ def ref_centralizer_power(G):
                 checked += 1
                 if not commute(G, hp, z):
                     ce = {"g": g, "h": h, "h_power": hp, "z": z, "m": m}
-                    return CheckResult("centralizer_power", verify._gid(G), False, ce, {"order": G.n})
-    return CheckResult("centralizer_power", verify._gid(G), True, stats={"order": G.n, "pairs_checked": checked})
+                    return CheckResult("centralizer_power", False, ce)
+    return CheckResult("centralizer_power", True, stats={"pairs_checked": checked})
 
 
 def ref_orbit_lemma(G, V, a, k):
     def fail(ce):
-        return CheckResult("orbit_lemma", verify._gid(G), False, ce, {"order": G.n})
+        return CheckResult("orbit_lemma", False, ce)
 
     mem = sorted(set(V))
     if not verify.is_subgroup(G, V):
@@ -241,8 +242,8 @@ def ref_orbit_lemma(G, V, a, k):
             return fail({"v": v, "identity_in_orbit": 1})
         if sink != set(orbit) | {0}:
             equality = 0
-    stats = {"order": G.n, "v_count": len(mem), "k": k, "max_orbit": max_orbit}
-    return CheckResult("orbit_lemma", verify._gid(G), True, stats={**stats, "sink_equals_orbit_plus_identity": equality})
+    stats = {"v_count": len(mem), "k": k, "max_orbit": max_orbit}
+    return CheckResult("orbit_lemma", True, stats={**stats, "sink_equals_orbit_plus_identity": equality})
 
 
 def _sinks_spread_to_classes(G, elements=None):
@@ -320,3 +321,27 @@ def test_orbit_lemma_hypotheses_match_reference(s4, ie31):
                 check(G, V, a, 2)
             messages.append(str(exc.value))
         assert messages[0] == messages[1], messages
+
+
+M1_AT_2_AND_3 = [("heineken", None), ("centralizer_power", None), ("m1_iff_nilpotent", 2), ("m1_iff_nilpotent", 3)]
+
+
+@pytest.mark.parametrize("family,plan", [
+    (None, [*M1_AT_2_AND_3, ("sink_oracle", None)]),
+    (FamilySpec("frobenius", (7, 3, 2)), [*M1_AT_2_AND_3, ("sink_oracle", None), ("orbit_lemma", 3)]),
+    (FamilySpec("symmetric", (5,)), M1_AT_2_AND_3),
+], ids=["S4", "frobenius_7_3_2", "S5"])
+def test_run_checks_all_plan(s4, family, plan):
+    """`all` runs m1_iff_nilpotent at k = 2 and 3, sink_oracle up to
+    ORACLE_CAP (S5 has order 120), and orbit_lemma at the given k only on the
+    inversion extensions and Frobenius groups; S4 is taken as if from a
+    permutation spec, which has no family."""
+    G = s4 if family is None else build(family)
+    results = run_checks(G, "all", 3, family)
+    assert [(r.check, r.stats.get("k")) for r in results] == plan
+    assert all(r.passed for r in results)
+
+
+def test_run_checks_rejects_an_unknown_check(s3):
+    with pytest.raises(ValueError, match="unknown check 'engel'"):
+        run_checks(s3, "engel", 2, None)
