@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import nullcontext
 from functools import cache
 from pathlib import Path
 
@@ -167,23 +168,22 @@ def load_corpus(corpus_dir: str | Path) -> list[tuple[str, Path]]:
     return out
 
 
-def _write_text(path_or_none, text: str) -> None:
-    if path_or_none:
-        Path(path_or_none).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
+def _output(path_or_none):
+    """The open --out file, or stdout (left open) when there is none."""
+    return open(path_or_none, "w", encoding="utf-8", newline="\n") if path_or_none else nullcontext(sys.stdout)
 
 
 def cmd_scan(args) -> int:
-    cap, rows, errors = _order_cap(args), [], []
-    for group_id, path in load_corpus(args.corpus):  # one table at a time: each goes once its row is made
-        try:
-            spec = parse_spec_file(path)
-            group_id = spec.display_name(group_id)
-            rows.append(scan_row(build_spec(spec, cap), group_id, args.k))
-        except Exception as exc:  # a group's error skips that group only
-            errors.append(f"error: {group_id}: {type(exc).__name__}: {exc}\n")
-    _write_text(args.out, scan_csv(sorted(rows, key=lambda row: row.group)))  # stable: equal names keep corpus order
+    cap, rows, errors, corpus = _order_cap(args), [], [], load_corpus(args.corpus)
+    with _output(args.out) as out:  # opened before the first build: an --out not writable exits 2 at once
+        for group_id, path in corpus:  # one table at a time: each goes once its row is made
+            try:
+                spec = parse_spec_file(path)
+                group_id = spec.display_name(group_id)
+                rows.append(scan_row(build_spec(spec, cap), group_id, args.k))
+            except Exception as exc:  # a group's error skips that group only
+                errors.append(f"error: {group_id}: {type(exc).__name__}: {exc}\n")
+        out.write(scan_csv(sorted(rows, key=lambda row: row.group)))  # stable: equal names keep corpus order
     sys.stderr.write("".join(errors))
     return 0
 
@@ -204,7 +204,8 @@ def _parse_ranks(text: str) -> tuple[int, int]:
 def cmd_contrast(args) -> int:
     lo, hi = _parse_ranks(args.ranks)
     rows = contrast_report(args.p, range(lo, hi + 1), _order_cap(args))
-    _write_text(args.out, scan_csv(rows))
+    with _output(args.out) as out:
+        out.write(scan_csv(rows))
     return 0
 
 

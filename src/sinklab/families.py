@@ -107,7 +107,9 @@ def validate(spec: FamilySpec) -> None:
 def _cyclic(n: int, cap: int) -> GroupTable:
     """The closure of the n-cycle g, whose breadth-first search finds g^i as
     element i: table[i, j] = (i + j) mod n, row i copied from a doubled
-    arange in the table's dtype, after the closure's cap checks."""
+    arange in the table's dtype, after the closure's cap checks. Addition mod
+    n is a Latin square, so GroupTable(...) checks its O(n) laws only, and
+    validate_table(G) is its oracle."""
     if cap < 1:
         raise CapExceeded("order cap must be at least 1")
     if n > cap:

@@ -3,8 +3,10 @@
 Element 0 is always the identity. Commutators are left-normed, [a, b] =
 a^-1 b^-1 a b (over index arrays by _comm), and a^b = b^-1 a b. Tables are
 immutable after construction and every operation here is a pure function of
-its inputs. Each table is certified once, where it is made: GroupTable(...)
-runs validate_table, and a product, Latin by construction, its O(n) laws.
+its inputs. There is one constructor, GroupTable(...), and it certifies each
+table once, where it is made, by validate_table's O(n) laws (sorts=False):
+every builder's table is a Latin square by construction (see below), so the
+O(n^2 log n) sorts are left to validate_table(G), the full oracle.
 
 A subset of a group is an ElementSet, a read-only boolean mask over the
 element indices. Subgroup primitives are table gathers over index arrays,
@@ -36,12 +38,17 @@ values [x, g] over all of G, are also made on first use and kept: comm_values
 returns the second for G and G, to gamma_values' first step and both series'
 first terms; the structure layer reads the first whenever it asks for G's own.
 
+Why each builder's table is a Latin square (Holt, Eick & O'Brien 4.1;
+Robinson, A Course in the Theory of Groups, 1.5): a closure's elements are
+distinct permutations, keyed by their full rows and closed under right
+multiplication by the generators, and its table is filled from exact Cayley
+maps; cyclic n is addition mod n; a product's factors are tables of this
+module and every action entry is checked to be a bijection of N; _induced
+restricts G's table to a subgroup that is_subgroup checked, or to the cosets
+of a normal subgroup that is_normal checked. A wrong table can then come only
+from a bug in a fill, which is what validate_table(G) is run to find.
 Product tables come from one builder, semidirect_product, which checks the
 order cap before anything else; direct_product is its trivial-action case.
-Its table is a Latin square by construction, as N's and H's are and every
-action entry is checked to be a bijection of N (Robinson, A Course in the
-Theory of Groups, 1.5), so _certified runs only validate_table's O(n) laws
-(dtype, shape, identity, inverse); tier-1 runs validate_table on products.
 Subgroups and quotients come from _induced. Every n x n table comes from
 _new_table: _check_memory raises CapExceeded first when the table, what its
 build holds (a closure's image rows, which a perm read rebuilds; its search
@@ -126,7 +133,7 @@ class GroupTable:
     def __post_init__(self):
         self.table.setflags(write=False)
         self.inverse.setflags(write=False)
-        validate_table(self)
+        validate_table(self, sorts=False)  # the O(n) laws: every builder's table is Latin by construction
 
     def _check(self, a: int) -> int:
         if not 0 <= a < self.n:
@@ -266,14 +273,12 @@ class ElementSet:
         return hash(self.mask.tobytes())
 
 
-def validate_table(G: GroupTable) -> None:
-    """Integer entries, shapes, n labels (and perms), generators in range, then the Latin-square, identity
-    and inverse laws, in blocks of rows and of columns, each block sorted in one reused buffer and compared
-    in the table's dtype. Raises on violation. GroupTable(...) runs it all; a product all but the sorts."""
-    _check_laws(G, sorts=True)
-
-
-def _check_laws(G: GroupTable, sorts: bool) -> None:  # validate_table, its O(n^2 log n) Latin-square sorts if asked
+def validate_table(G: GroupTable, sorts: bool = True) -> None:
+    """The full oracle of a table: integer entries, shapes, n labels (and perms), generators in range, then
+    the Latin-square, identity and inverse laws. Raises on violation. The Latin-square sorts, O(n^2 log n),
+    run in blocks of rows and of columns, each block sorted in one reused buffer and compared in the table's
+    dtype. GroupTable(...) runs all but the sorts (sorts=False), as every builder's table is Latin by
+    construction; validate_table(G) is the tests', CI's and the user's check that it is."""
     n, t, inv = G.n, G.table, G.inverse
     if t.dtype.kind not in "iu" or inv.dtype.kind not in "iu":
         raise InvalidPermutation(f"table and inverse must hold integers, not {t.dtype} and {inv.dtype}")
@@ -307,16 +312,6 @@ def _check_laws(G: GroupTable, sorts: bool) -> None:  # validate_table, its O(n^
         raise InvalidPermutation("inverse law fails")
 
 
-def _certified(**fields) -> GroupTable:
-    """GroupTable(**fields) for a table certified by its construction (see the module docstring)."""
-    G = object.__new__(GroupTable)
-    vars(G).update(fields)  # perms and name, when not given, read GroupTable's defaults
-    for a in (G.table, G.inverse):
-        a.setflags(write=False)
-    _check_laws(G, sorts=False)
-    return G
-
-
 def close_generators(
     gens: Sequence[Permutation],
     order_cap: int = DEFAULT_ORDER_CAP,
@@ -334,7 +329,8 @@ def close_generators(
     by down, and table[i] = table[parent[i]][lmul[via[i]]] by rows, since p_i * p_j =
     p_parent[i] * (g_via[i] * p_j). An inverse is the column holding 0 in its row. The first
     perm read or lookup rebuilds the image rows, p_i = g_via[i] after p_parent[i], by down too, and
-    keeps them; perm i and label i (its cycle notation) are made when read (PermRows).
+    keeps them; perm i and label i (its cycle notation) are made when read (PermRows). The table is
+    Latin by construction, so GroupTable(...) checks its O(n) laws only; validate_table(G) is its oracle.
     """
     if not gens:
         raise InvalidPermutation("need at least one generator")
@@ -638,7 +634,7 @@ def semidirect_product(
         else:
             np.add(na[:, :, None], H.table[hi[rows]].astype(table.dtype)[:, None, :], out=grid)
     inverse = act[hi, N.inverse[ai]].astype(np.int64) * H.n + hinv
-    return _certified(
+    return GroupTable(
         n=n,
         table=table,
         inverse=inverse.astype(table.dtype),

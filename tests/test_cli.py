@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sinklab import group, verify
+from sinklab import cli, group, verify
 from sinklab.cli import build_parser, main, parse_element
 from sinklab.report import canonical_json, check_payload
 from sinklab.verify import ORACLE_CAP, CheckResult
@@ -265,6 +265,16 @@ def test_missing_path_exits_two(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+def test_scan_out_not_writable_exits_before_any_build(capsys, monkeypatch):
+    """scan opens --out before its loop, so an --out that cannot be written
+    exits 2 with no group built."""
+    built = []
+    monkeypatch.setattr(cli, "build_spec", lambda *args: built.append(args))
+    code, out, err = run(capsys, "scan", "--corpus", str(CORPUS_DIR), "--out", "/nonexistent/x.csv")
+    assert (code, out, built) == (2, "", [])
+    assert "'/nonexistent/x.csv'" in err
 
 
 def test_json_body_is_streamed(capsys, monkeypatch, tmp_path):

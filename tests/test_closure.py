@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from sinklab import group
 from sinklab.cli import main
-from sinklab.errors import CapExceeded
+from sinklab.errors import CapExceeded, InvalidPermutation
 from sinklab.families import FamilySpec, build
-from sinklab.group import GroupTable, close_generators
+from sinklab.group import GroupTable, close_generators, validate_table
 from sinklab.perm import Permutation, format_cycles
 from sinklab.specfile import build_spec, parse_spec_file, parse_spec_text
 
@@ -104,13 +104,31 @@ def closure_digest(G):
 
 def test_closure_builds_pinned():
     """Every closure of the corpus, and S6, S7, A7, D50, C24, Q8, E3^5, D300
-    and C500, match their pinned tables, inverses, labels, generators and names."""
+    and C500, match their pinned tables, inverses, labels, generators and names,
+    and pass validate_table, the Latin-square oracle that their build skips."""
     for key, want in json.loads(CLOSURE_DIGESTS.read_text(encoding="utf-8")).items():
         if key.endswith(".grp"):
             G = build_spec(parse_spec_file(REPO / key))
         else:
             G = build(parse_spec_text(f"group construct {key}\n").family)
         assert closure_digest(G) == want, key
+        validate_table(G)
+
+
+def test_closure_fill_fault_passes_the_laws_and_fails_the_oracle():
+    """A closure's build checks only the O(n) laws, so a copy of S5's table
+    with two entries of one column swapped (no 0 moves, so the identity and
+    inverse laws hold) is still made; validate_table, the closures' tier-1
+    oracle, then finds that the two rows are no permutations."""
+    honest = build(FamilySpec("symmetric", (5,)))
+    validate_table(honest)
+    t, c = honest.table.copy(), honest.n - 1
+    a, b = [r for r in range(1, honest.n) if t[r, c]][:2]  # t[r, c] is 0 for r = c^-1 only
+    t[[a, b], c] = t[[b, a], c]
+    G = GroupTable(honest.n, t, honest.inverse, honest.labels, list(honest.generators), honest.perms)
+    assert (G.table != honest.table).sum() == 2
+    with pytest.raises(InvalidPermutation, match="Latin square"):
+        validate_table(G)
 
 
 @pytest.mark.parametrize("spec", [FamilySpec("alternating", (5,)), FamilySpec("dihedral", (12,)),
@@ -225,7 +243,9 @@ def test_cyclic_closed_form_matches_the_closure():
         return close_generators([n_cycle(n)], order_cap, name=f"C{n}")
 
     def closed_form(n, order_cap):
-        return build(FamilySpec("cyclic", (n,)), order_cap)
+        G = build(FamilySpec("cyclic", (n,)), order_cap)
+        validate_table(G)  # the Latin-square oracle that the build skips
+        return G
 
     for n in [*range(1, 65), 500, 2000]:
         for order_cap in (n, n - 1, 0) if n <= 64 else (n,):

@@ -192,12 +192,19 @@ def test_wrong_order_sets_rejected(s3):
 
 
 def test_table_certified_at_construction(s3):
-    """Each broken table fails one law of validate_table, run by the constructor."""
+    """Each table that breaks an O(n) law fails it in the constructor; each
+    that breaks only the Latin-square law is made, and validate_table, the
+    full oracle, rejects it."""
     t, inv, n = s3.table, s3.inverse, s3.n
+    a, b = [r for r in range(1, n) if t[r, 1]][:2]  # two rows whose entry in column 1 is not 0
     rows_broken = t.copy()
-    rows_broken[:, 1] = t[:, 2]  # columns stay permutations, rows repeat a value
+    rows_broken[[a, b], 1] = t[[b, a], 1]  # column 1 stays a permutation, rows a and b repeat a value
     cols_broken = t.copy()
-    cols_broken[1] = t[2]  # rows stay permutations, columns repeat a value
+    cols_broken[1, [a, b]] = t[1, [b, a]]  # row 1 stays a permutation, columns a and b repeat a value
+    for table in (rows_broken, cols_broken):  # no 0 moves, so the identity and inverse laws hold
+        G = GroupTable(n, table, inv.copy(), list(s3.labels), list(s3.generators))
+        with pytest.raises(InvalidPermutation, match="Latin square"):
+            validate_table(G)
     pi = np.array([1, 0] + list(range(2, n)), dtype=t.dtype)  # the identity becomes element 1
     moved, moved_inv = np.empty_like(t), np.empty_like(inv)
     moved[np.ix_(pi, pi)] = pi[t]
@@ -205,8 +212,6 @@ def test_table_certified_at_construction(s3):
     out_of_range = inv.copy()
     out_of_range[1] = 9
     cases = [
-        (rows_broken, inv, "Latin square"),
-        (cols_broken, inv, "Latin square"),
         (moved, moved_inv, "identity law"),
         (t.copy(), np.arange(n, dtype=inv.dtype), "inverse law"),  # 3-cycles are not involutions
         (t[:, :-1].copy(), inv, "shape"),
@@ -262,19 +267,21 @@ def small_blocks(monkeypatch):
 def test_latin_square_checked_up_to_the_last_block(small_blocks):
     """Two rows (then two columns) swap one entry, so only they break the law:
     both in the last block, then the last and then the first rows of the last
-    two blocks."""
+    two blocks. No 0 moves, so each table is made, and validate_table finds it."""
     G = direct_product(small_blocks, small_blocks)
     t, n = G.table, G.n
     blocks = list(group._blocks(n, n * t.itemsize))  # validate_table's row blocks
     assert len(blocks) > 10 and n - 2 in blocks[-1]
     for pair in ([n - 2, n - 1], [blocks[-2][-1], n - 1], [blocks[-2][0], blocks[-1][0]]):
+        c = max(set(range(1, n)) - set(G.inverse[pair].tolist()))  # t[r, c] and t[c, r] are 0 for c = r^-1 only
         rows_broken = t.copy()
-        rows_broken[pair, n - 1] = t[pair[::-1], n - 1]  # column n-1 stays a permutation
+        rows_broken[pair, c] = t[pair[::-1], c]  # column c stays a permutation
         cols_broken = t.copy()
-        cols_broken[n - 1, pair] = t[n - 1, pair[::-1]]  # row n-1 stays a permutation
-        for table in (rows_broken, cols_broken):
+        cols_broken[c, pair] = t[c, pair[::-1]]  # row c stays a permutation
+        for table in (rows_broken, cols_broken):  # each is made, then fails the full oracle
+            broken = GroupTable(n, table, G.inverse.copy(), list(G.labels), list(G.generators))
             with pytest.raises(InvalidPermutation, match="Latin square"):
-                GroupTable(n, table, G.inverse.copy(), list(G.labels), list(G.generators))
+                validate_table(broken)
 
 
 def test_build_transients_bounded_by_blocks(small_blocks):

@@ -6,7 +6,7 @@ from sinklab import structure
 from sinklab.engel import is_left_engel
 from sinklab.errors import InternalInconsistency
 from sinklab.families import FamilySpec, build
-from sinklab.group import ElementSet, GroupTable, is_normal, quotient, subgroup_closure, subgroup_table
+from sinklab.group import ElementSet, GroupTable, is_normal, quotient, subgroup_closure, subgroup_table, validate_table
 from sinklab.structure import (
     fitting_subgroup,
     is_nilpotent,
@@ -148,6 +148,7 @@ def test_residual_minimality_small(s3, s4):
     for G in (s3, s4, a4, d6):
         res = nilpotent_residual(G)
         Q, _ = quotient(G, res)
+        validate_table(Q)  # a quotient's build checks only the O(n) laws
         assert is_nilpotent(Q)
         for N in normal_subgroups(G):
             QN, _ = quotient(G, N)
@@ -183,6 +184,7 @@ def test_fitting_properties(s4, frob732, ie32):
         F = fitting_subgroup(G)
         assert is_normal(G, F)
         sub, _ = subgroup_table(G, F)
+        validate_table(sub)  # a subgroup table's build checks only the O(n) laws
         assert is_nilpotent(sub)
 
 

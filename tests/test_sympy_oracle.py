@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sinklab.group import ElementSet, centralizer, close_generators
+from sinklab.group import ElementSet, centralizer, close_generators, validate_table
 from sinklab.perm import Permutation
 from sinklab.structure import is_nilpotent, lower_central_series
 
@@ -61,6 +61,7 @@ def permutation_groups(draw):
 @settings(max_examples=25, deadline=None)
 @given(permutation_groups(), st.data())
 def test_random_groups_match_sympy(G, data):
+    validate_table(G)  # the Latin-square oracle that the closure's build skips
     elements = data.draw(st.lists(st.integers(min_value=0, max_value=G.n - 1), min_size=1, max_size=4))
     assert_matches_sympy(G, elements)
 
