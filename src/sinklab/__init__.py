@@ -25,6 +25,7 @@ from .group import (
     semidirect_product,
     subgroup_closure,
     subgroup_table,
+    validate_table,
 )
 from .perm import Permutation, format_cycles, parse_cycles
 from .specfile import GroupSpec, build_spec, emit_spec, parse_spec_file, parse_spec_text

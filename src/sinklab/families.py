@@ -3,10 +3,12 @@ elementary abelian, the inversion extension T:C2, Frobenius groups Cp:Cq, and
 direct powers of any of these.
 
 Base families are realized as permutation groups (so their elements carry
-cycle-notation labels): cyclic n is filled in closed form, as addition mod n,
-which is the table close_generators makes from the n-cycle; the others are
-closed by close_generators. The extension families are assembled with the
-semidirect/direct product constructors.
+cycle-notation labels), each with the table close_generators makes from its
+generators: cyclic n is filled in closed form, as addition mod n; dihedral n
+and elementary_abelian p r hand their Schreier trees (element order and right
+Cayley maps) in closed form to group._from_tree, the closure's own tail; the
+others are searched by close_generators. The extension families are
+assembled with the semidirect/direct product constructors.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidParameters
 from .group import (
-    DEFAULT_ORDER_CAP, GroupTable, LazyList, PermRows, _new_table, close_generators, direct_product, semidirect_product,
+    DEFAULT_ORDER_CAP, GroupTable, LazyList, PermRows, _from_tree, _index_dtype, _new_table, close_generators,
+    direct_product, semidirect_product,
 )
 from .perm import Permutation, format_cycles
 
@@ -130,16 +133,53 @@ def _cyclic(n: int, cap: int) -> GroupTable:
     )
 
 
+def _closure_cap(n: int, degree: int, cap: int) -> None:
+    """The closure's cap checks, with its messages, before a closed form allocates anything."""
+    if cap < 1:
+        raise CapExceeded("order cap must be at least 1")
+    if n > cap:
+        raise CapExceeded(f"closure exceeded order cap {cap} (degree {degree})")
+
+
+def _closed_tree(step: np.ndarray, round_of: np.ndarray, slot: np.ndarray, images: np.ndarray, name: str) -> GroupTable:
+    """The closure of the generators g_v with 0-based image rows step[v], through _from_tree, with its
+    elements as codes c: code c is in breadth-first round round_of[c], a round lists its codes by
+    ascending slot[c], and images[v, c] is the code of c * g_v. Codes are distinct normal forms and
+    images exact arithmetic, so the tree is the closure's own. No Permutation is made until read."""
+    order = np.lexsort((slot, round_of))  # order[i]: the code of element i
+    index = np.argsort(order)  # index[c]: the element of code c
+    rounds = np.concatenate([[0], np.cumsum(np.bincount(round_of))]).tolist()
+    return _from_tree(step.astype(_index_dtype(step.shape[1])), index[images[:, order]], rounds, name)
+
+
 def _elementary_abelian(p: int, r: int, cap: int) -> GroupTable:
-    degree = p * r
-    gens = [_cycle(list(range(i * p + 1, (i + 1) * p + 1)), degree) for i in range(r)]
-    return close_generators(gens, cap, name=f"E{p}^{r}")
+    """The closure of the r disjoint p-cycles g_1..g_r, in closed form after the closure's cap checks:
+    g_1^d_1 ... g_r^d_r is code sum d_v p^(r-v), in round d_1 + ... + d_r, a round lists its digit
+    vectors in descending lexicographic order, and times g_v adds 1 to d_v mod p."""
+    degree, n = p * r, p**r
+    _closure_cap(n, degree, cap)
+    x = np.arange(degree)
+    step = np.where(x // p == np.arange(r)[:, None], x - x % p + (x + 1) % p, x)  # g_v's 0-based image row
+    code, place = np.arange(n), p ** np.arange(r - 1, -1, -1)[:, None]  # place[v - 1] = p^(r-v)
+    digits = code // place % p  # digits[v - 1, c] = d_v
+    images = code + np.where(digits < p - 1, place, (1 - p) * place)
+    return _closed_tree(step, digits.sum(axis=0), -code, images, f"E{p}^{r}")
 
 
 def _dihedral(n: int, cap: int) -> GroupTable:
-    rot = _cycle(list(range(1, n + 1)), n)
-    refl = Permutation(n, tuple([1] + [n + 2 - k for k in range(2, n + 1)]))
-    return close_generators([rot, refl], cap, name=f"D{n}")
+    """The closure of rot = (1 2 ... n) and refl: k -> n + 2 - k, in closed form after the closure's
+    cap checks. On 0-based points (a, b) is x -> (-1)^b x + a, code a + n b; (a, b) rot = (a + 1, b)
+    and (a, b) refl = (-a, 1 - b). rot^a is in round a at slot 0 if a <= n - a + 2, else in round
+    n - a + 2 at slot 3; the reflection (c, 1) in round n - c + 1 at slot 1 if n - c + 1 <= c + 1,
+    else in round c + 1 at slot 2; a round lists its slots in ascending order. (rot^a is rot a times
+    over, or refl rot^(n-a) refl; (c, 1) is rot^(n-c) refl, or refl rot^c: the shorter word decides.)"""
+    _closure_cap(2 * n, n, cap)
+    a = np.arange(n)  # also the 0-based points
+    up, left = a <= n - a + 2, n - a + 1 <= a + 1
+    round_of = np.concatenate([np.where(up, a, n - a + 2), np.where(left, n - a + 1, a + 1)])
+    slot = np.concatenate([np.where(up, 0, 3), np.where(left, 1, 2)])
+    images = np.array([np.concatenate([(a + 1) % n, (a + 1) % n + n]), np.concatenate([-a % n + n, -a % n])])
+    return _closed_tree(np.array([(a + 1) % n, -a % n]), round_of, slot, images, f"D{n}")
 
 
 def _symmetric(d: int, cap: int) -> GroupTable:

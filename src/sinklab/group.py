@@ -29,24 +29,29 @@ Permutation groups are closed by close_generators, which grows a Schreier
 tree (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
 sec. 4.1) breadth first, in rounds of numpy gathers over the last round's image
 rows in blocks of about BLOCK_ENTRIES bytes, with one dict from row bytes to
-element index, and keeps the tree, not the rows. One walk down the tree turns
-the search's right Cayley maps into the left ones, which fill the table by
-rows, each from its parent's row, and rebuilds the rows when a perm is read or
-sought. No build makes labels or perms: a LazyList makes item i only when read.
+element index, and keeps its right Cayley maps and rounds, not the rows.
+_from_tree, the one tail from a tree to a table (families hands it dihedral
+and elementary abelian trees in closed form), reads the tree parents off the
+maps, and one walk down the tree makes the left maps, which fill the table by
+rows, each from its parent's row; the same walk rebuilds the rows when a perm
+is read or sought. No build makes labels or perms: a LazyList makes item i
+only when read.
 GroupTable.lower_central, G's lower central series, and commutators, the
 values [x, g] over all of G, are also made on first use and kept: comm_values
 returns the second for G and G, to gamma_values' first step and both series'
 first terms; the structure layer reads the first whenever it asks for G's own.
 
 Why each builder's table is a Latin square (Holt, Eick & O'Brien 4.1;
-Robinson, A Course in the Theory of Groups, 1.5): a closure's elements are
-distinct permutations, keyed by their full rows and closed under right
-multiplication by the generators, and its table is filled from exact Cayley
-maps; cyclic n is addition mod n; a product's factors are tables of this
-module and every action entry is checked to be a bijection of N; _induced
-restricts G's table to a subgroup that is_subgroup checked, or to the cosets
-of a normal subgroup that is_normal checked. A wrong table can then come only
-from a bug in a fill, which is what validate_table(G) is run to find.
+Robinson, A Course in the Theory of Groups, 1.5): a searched closure's
+elements are distinct permutations, keyed by their full rows and closed under
+right multiplication by the generators, and its table is filled from exact
+Cayley maps; a closed-form tree's elements are distinct normal forms, and its
+right Cayley maps come from exact integer arithmetic; cyclic n is addition
+mod n; a product's factors are tables of this module and every action entry
+is checked to be a bijection of N; _induced restricts G's table to a subgroup
+that is_subgroup checked, or to the cosets of a normal subgroup that is_normal
+checked. A wrong table can then come only from a bug in a fill, which is what
+validate_table(G) is run to find.
 Product tables come from one builder, semidirect_product, which checks the
 order cap before anything else; direct_product is its trivial-action case.
 Subgroups and quotients come from _induced. Every n x n table comes from
@@ -323,14 +328,9 @@ def close_generators(
     applying generators in input order; this makes tables reproducible
     byte-for-byte. The generators are checked first to be bijections, which
     makes every product of them one. Each search round composes the last round's image rows with
-    every generator, one gather per block, and records the new elements in (head, generator)
-    order with their Schreier-tree parent and generator; only the tree outlives the search.
-    This gives rmul[v, i] = p_i * g_v, then lmul[v, j] = g_v * p_j = rmul[via[j], lmul[v, parent[j]]]
-    by down, and table[i] = table[parent[i]][lmul[via[i]]] by rows, since p_i * p_j =
-    p_parent[i] * (g_via[i] * p_j). An inverse is the column holding 0 in its row. The first
-    perm read or lookup rebuilds the image rows, p_i = g_via[i] after p_parent[i], by down too, and
-    keeps them; perm i and label i (its cycle notation) are made when read (PermRows). The table is
-    Latin by construction, so GroupTable(...) checks its O(n) laws only; validate_table(G) is its oracle.
+    every generator, one gather per block, and numbers the new elements in (head, generator)
+    order; the search keeps the ids it looks up, rmul[v, i] = p_i * g_v, and the round
+    boundaries, and drops its rows and byte keys before _from_tree builds the table from them.
     """
     if not gens:
         raise InvalidPermutation("need at least one generator")
@@ -349,7 +349,7 @@ def close_generators(
 
     frontier = np.arange(degree, dtype=step.dtype)[None, :]  # the identity
     index, held = {keys(frontier)[0]: 0}, 2 * degree * step.itemsize + 48  # held: an element's row and key
-    rounds, found, parent, via = [0], [], [[0]], [[0]]
+    rounds, found = [0], []
     while len(frontier):
         new = []
         # a head's copy, its k candidates and their keys (bytes objects of about 48 bytes plus the row)
@@ -361,15 +361,34 @@ def close_generators(
                 raise CapExceeded(f"closure exceeded order cap {order_cap} (degree {degree})")
             _check_memory(len(index) * held, f"a closure of degree {degree} at {len(index)} elements")
             first, at = np.unique(ids, return_index=True)
-            at = at[first >= known]  # the new elements' first (head, generator) positions
-            new.append(cand[at])
-            parent.append(rounds[-1] + rows[0] + at // k)
-            via.append(at % k)
+            new.append(cand[at[first >= known]])  # the new elements, at their first (head, generator) positions
             found.append(ids)
         rounds.append(rounds[-1] + len(frontier))
         frontier = np.concatenate(new)
 
-    n, index, parent, via = len(index), None, np.concatenate(parent), np.concatenate(via)
+    index = None  # the byte keys go before the table
+    return _from_tree(step, np.concatenate(found).reshape(-1, k).T, rounds, name)
+
+
+def _from_tree(step: np.ndarray, rmul: np.ndarray, rounds: Sequence[int], name: str) -> GroupTable:
+    """The table of a closure, from its generators' 0-based image rows step, its right Cayley maps
+    rmul[v, i] = p_i * g_v over the elements in breadth-first order, and its round boundaries
+    (rounds[r]: the first element of round r, ending with n), from the search or in closed form.
+
+    Element j's tree parent is the least element that some generator takes to j, via the least such
+    generator: that is the search's first discovery, as no round before j's previous one reaches j
+    by one generator (j would have been found a round earlier) and that round's elements come first.
+    Then lmul[v, j] = g_v * p_j = rmul[via[j], lmul[v, parent[j]]] by down, and table[i] =
+    table[parent[i]][lmul[via[i]]] by rows, since p_i * p_j = p_parent[i] * (g_via[i] * p_j). An
+    inverse is the column holding 0 in its row. The first perm read or lookup rebuilds the image
+    rows, p_i = g_via[i] after p_parent[i], by down too, and keeps them; perm i and label i (its
+    cycle notation) are made when read (PermRows). The table is Latin by construction, so
+    GroupTable(...) checks its O(n) laws only; validate_table(G) is its oracle.
+    """
+    (k, n), degree = rmul.shape, step.shape[1]
+    first = np.unique(rmul.T, return_index=True)[1]  # first[j]: j's first (element, generator) position
+    parent, via = np.divmod(first, k)
+    parent[0] = via[0] = 0
 
     def down(maps: np.ndarray, root: np.ndarray) -> np.ndarray:  # out[i] = maps[via[i]][out[parent[i]]], a round at a time
         out = np.empty((n, len(root)), dtype=maps.dtype)
@@ -379,7 +398,6 @@ def close_generators(
         return out
 
     table = _new_table(n, n * degree * step.itemsize)
-    rmul = np.concatenate(found).reshape(n, k).T  # rmul[v, i]: p_i * g_v
     lmul = down(rmul, rmul[:, 0]).T  # lmul[v, j] = g_v * p_j
     table[0] = np.arange(n)
     for i in range(1, n):
@@ -535,14 +553,14 @@ def classes_meeting(G: GroupTable, S: ElementSet) -> ElementSet:
     return ElementSet(np.bincount(lab[ElementSet.of(G.n, S).mask], minlength=G.n)[lab] > 0)
 
 
-def _induced(G: GroupTable, elems: np.ndarray, local: np.ndarray, name: str) -> GroupTable:
+def _induced(G: GroupTable, elems: np.ndarray, local: np.ndarray, generators: list[int], name: str) -> GroupTable:
     """The group on ascending elems, with local[elems[i]] = i: table[i, j] = local[elems[i] * elems[j]]
-    in row blocks at a grid and local's gather an entry, inverses and labels read at elems; no generators."""
+    in row blocks at a grid and local's gather an entry, inverses and labels read at elems."""
     table = _new_table(len(elems))
     for rows in _blocks(len(elems), len(elems) * (G.table.itemsize + local.itemsize)):
         table[rows] = local[_product_grid(G, elems[rows], elems)]
     labels = LazyList(len(elems), lambda i, labels=G.labels: labels[elems[i]])
-    return GroupTable(len(elems), table, local[G.inverse[elems]].astype(table.dtype), labels, [], name=name)
+    return GroupTable(len(elems), table, local[G.inverse[elems]].astype(table.dtype), labels, generators, name=name)
 
 
 def quotient(G: GroupTable, N: ElementSet) -> tuple[GroupTable, list[int]]:
@@ -559,9 +577,8 @@ def quotient(G: GroupTable, N: ElementSet) -> tuple[GroupTable, list[int]]:
     blocks = _blocks(G.n, len(ns) * G.table.itemsize)  # a grid an entry
     minima = np.concatenate([_product_grid(G, xs, ns).min(axis=1) for xs in blocks])
     reps, projection = np.unique(minima, return_inverse=True)
-    Q = _induced(G, reps, projection, f"{G.name}/N" if G.name else "")
-    Q.generators = list(dict.fromkeys(int(projection[g]) for g in G.generators if projection[g]))
-    return Q, projection.tolist()
+    gens = list(dict.fromkeys(int(projection[g]) for g in G.generators if projection[g]))
+    return _induced(G, reps, projection, gens, f"{G.name}/N" if G.name else ""), projection.tolist()
 
 
 def direct_product(A: GroupTable, B: GroupTable, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -655,8 +672,8 @@ def subgroup_table(G: GroupTable, S: ElementSet) -> tuple[GroupTable, list[int]]
     if not is_subgroup(G, S):
         raise NotASubgroup("set is not closed under multiplication")
     mem = np.flatnonzero(S.mask)
-    sub = _induced(G, mem, np.cumsum(S.mask) - 1, f"{G.name}<sub>" if G.name else "")  # g in S is element cumsum - 1
-    sub.generators = generating_set(sub)
+    sub = _induced(G, mem, np.cumsum(S.mask) - 1, [], f"{G.name}<sub>" if G.name else "")  # g in S: cumsum - 1
+    sub.generators = generating_set(sub)  # which reads the built table
     return sub, mem.tolist()
 
 

@@ -161,12 +161,18 @@ def test_closure_transients_bounded_by_blocks(monkeypatch):
     assert np.array_equal(G.table, want.table) and np.array_equal(G.inverse, want.inverse)
 
 
+def rot_refl(n):
+    """dihedral n's generators: the n-cycle and k -> n + 2 - k."""
+    return [n_cycle(n), Permutation(n, (1, *range(n, 1, -1)))]
+
+
 @pytest.mark.parametrize("mib,message", [
     (12, "a table of order 2000 needs about 13 MiB; memory is 12 MiB"),
     (8, r"a closure of degree 1000 at \d+ elements needs about \d+ MiB; memory is 8 MiB"),
 ], ids=["at_the_table", "in_the_search"])
 def test_closure_search_counts_its_rows_and_keys_against_memory(monkeypatch, mib, message):
-    """dihedral 1000 (n = 2000, degree 1000) holds 3.8 MiB of image rows, and
+    """The closure of dihedral 1000's rot and refl (n = 2000, degree 1000; the
+    family itself is built in closed form) holds 3.8 MiB of image rows, and
     in its search about as much in byte keys, which it drops before its 7.6 MiB
     table: with BLOCK_ENTRIES at 1 << 16 its build raises CapExceeded, naming
     its estimate, before its tracemalloc peak reaches the budget: at the
@@ -177,7 +183,7 @@ def test_closure_search_counts_its_rows_and_keys_against_memory(monkeypatch, mib
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded, match=message):
-            build(FamilySpec("dihedral", (1000,)))
+            close_generators(rot_refl(1000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -185,16 +191,17 @@ def test_closure_search_counts_its_rows_and_keys_against_memory(monkeypatch, mib
 
 
 def test_closure_peaks_within_its_table_estimate(monkeypatch):
-    """With the budget out of the way, dihedral 1000 at BLOCK_ENTRIES = 1 << 16
-    peaks within the estimate that _new_table checks: its 7.6 MiB table, its
-    3.8 MiB of image rows and 16 * BLOCK_ENTRIES bytes, 12.44 MiB in all. The
-    byte keys are gone by then, and the rows are not joined into a copy."""
+    """With the budget out of the way, the closure of dihedral 1000's rot and
+    refl at BLOCK_ENTRIES = 1 << 16 peaks within the estimate that _new_table
+    checks: its 7.6 MiB table, its 3.8 MiB of image rows and 16 *
+    BLOCK_ENTRIES bytes, 12.44 MiB in all. The byte keys are gone by then,
+    and the rows are not joined into a copy."""
     monkeypatch.setattr(group, "BLOCK_ENTRIES", 1 << 16)
     checked = []
     monkeypatch.setattr(group, "_check_memory", lambda held, what: checked.append(held))
     tracemalloc.start()
     try:
-        G = build(FamilySpec("dihedral", (1000,)))
+        G = close_generators(rot_refl(1000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -205,13 +212,14 @@ def test_closure_peaks_within_its_table_estimate(monkeypatch):
 
 
 def test_closure_keeps_its_tree_and_rebuilds_its_rows_on_first_read():
-    """dihedral 1000 (order 2000, degree 1000) holds its 7.63 MiB table once
-    built, and no image rows; its first label read rebuilds the 3.81 MiB of
-    uint16 rows down the Schreier tree and keeps them, with one perm and one
-    label. Each figure has 1 MiB of slack for the tree and the points list."""
+    """The closure of dihedral 1000's rot and refl (order 2000, degree 1000)
+    holds its 7.63 MiB table once built, and no image rows; its first label
+    read rebuilds the 3.81 MiB of uint16 rows down the Schreier tree and keeps
+    them, with one perm and one label. Each figure has 1 MiB of slack for the
+    tree and the points list."""
     tracemalloc.start()
     try:
-        G = build(FamilySpec("dihedral", (1000,)))
+        G = close_generators(rot_refl(1000))
         built = tracemalloc.get_traced_memory()[0]
         assert G.labels[1] == "(" + " ".join(map(str, range(1, 1001))) + ")"  # the rotation
         read = tracemalloc.get_traced_memory()[0]
@@ -250,6 +258,58 @@ def test_cyclic_closed_form_matches_the_closure():
     for n in [*range(1, 65), 500, 2000]:
         for order_cap in (n, n - 1, 0) if n <= 64 else (n,):
             assert cyclic_fields(closed_form, n, order_cap) == cyclic_fields(closure, n, order_cap), (n, order_cap)
+
+
+def fields(make, order_cap):
+    """Every field of the table make(order_cap) builds, or its CapExceeded
+    message. Above order 200 the perms are compared by the PermRows image
+    rows they are made from, and every 25th label, as formatting them all
+    would take most of the time."""
+    try:
+        G = make(order_cap)
+    except CapExceeded as exc:
+        return str(exc)
+    small = G.n <= 200
+    return (G.n, G.table.dtype, G.table.tobytes(), G.inverse.dtype, G.inverse.tobytes(), G.generators,
+            list(G.perms) if small else G.perms.rows().tobytes(), G.labels[:: 1 if small else 25], G.name)
+
+
+def assert_closed_form_is_the_closure(spec, gens):
+    """build(spec) is close_generators(gens) field by field and passes
+    validate_table; for order <= 64 both raise one message at the caps
+    order - 1 and 0."""
+    name = build(spec).name
+
+    def closure(order_cap):
+        return close_generators(gens, order_cap, name=name)
+
+    def closed_form(order_cap):
+        G = build(spec, order_cap)
+        validate_table(G)  # the Latin-square oracle that the build skips
+        return G
+
+    want = fields(closure, group.DEFAULT_ORDER_CAP)
+    n = want[0]
+    assert fields(closed_form, n) == want, spec
+    for order_cap in (n - 1, 0) if n <= 64 else ():
+        assert fields(closed_form, order_cap) == fields(closure, order_cap), (spec, order_cap)
+
+
+def test_elementary_abelian_closed_form_matches_the_closure():
+    """E_p^r's closed-form tree is the closure of its r disjoint p-cycles, for
+    every p in {2, 3, 5, 7} with p^r <= 2187."""
+    for p in (2, 3, 5, 7):
+        for r in range(1, 12):
+            if p**r <= 2187:  # g_v cycles the points v p + 1 .. v p + p
+                gens = [Permutation(p * r, tuple(p * v + (x + 1) % p + 1 if x // p == v else x + 1
+                                                 for x in range(p * r))) for v in range(r)]
+                assert_closed_form_is_the_closure(FamilySpec("elementary_abelian", (p, r)), gens)
+
+
+def test_dihedral_closed_form_matches_the_closure():
+    """D_n's closed-form tree is the closure of rot and refl for n = 3..300."""
+    for n in range(3, 301):
+        assert_closed_form_is_the_closure(FamilySpec("dihedral", (n,)), rot_refl(n))
 
 
 def test_deepest_closure_digests_pinned_through_the_closure():

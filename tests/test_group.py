@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sinklab
 from sinklab import families, group, perm
 from sinklab.cli import load_corpus, parse_element
 from sinklab.engel import gamma_values, sinks
@@ -224,6 +225,19 @@ def test_table_certified_at_construction(s3):
         with pytest.raises(InvalidPermutation, match=law):
             GroupTable(n, table, inverse.copy(), list(s3.labels), list(s3.generators))
     assert GroupTable(n, t.copy(), inv.copy(), list(s3.labels), list(s3.generators)).n == n
+
+
+def test_package_exports_the_oracle(s3):
+    """sinklab.validate_table, the full oracle, is exported beside
+    sinklab.GroupTable, and rejects the swapped-entry S3 table that the
+    constructor's O(n) laws accept."""
+    t = s3.table.copy()
+    a, b = [r for r in range(1, s3.n) if t[r, 1]][:2]
+    t[[a, b], 1] = t[[b, a], 1]  # no 0 moves, so the identity and inverse laws hold
+    G = sinklab.GroupTable(s3.n, t, s3.inverse.copy(), list(s3.labels), list(s3.generators))
+    with pytest.raises(InvalidPermutation, match="Latin square"):
+        sinklab.validate_table(G)
+    assert sinklab.validate_table is validate_table
 
 
 @pytest.mark.parametrize("field,value,error", [
@@ -490,6 +504,22 @@ def test_quotient_examples(s3, s4):
     Q3, proj3 = quotient(s4, v4)
     assert Q3.n == 6
     assert any(not commute(Q3, a, b) for a in range(6) for b in range(6))
+
+
+def test_quotient_generators_reach_the_constructor(s4, monkeypatch):
+    """quotient hands its projected generators to GroupTable(...), so the
+    constructor's range check sees the generators that the table keeps."""
+    seen, real = [], group.validate_table
+
+    def recording(G, sorts=True):
+        seen.append(list(G.generators))
+        real(G, sorts)
+
+    monkeypatch.setattr(group, "validate_table", recording)
+    v4 = subgroup_closure(s4, [s4.labels.index("(1 2)(3 4)"), s4.labels.index("(1 3)(2 4)")])
+    Q, proj = quotient(s4, v4)
+    assert seen == [Q.generators] and Q.generators == list(dict.fromkeys(proj[g] for g in s4.generators if proj[g]))
+    assert len(subgroup_closure(Q, Q.generators)) == Q.n
 
 
 def test_quotient_projection_is_homomorphism(s4):
