@@ -20,6 +20,8 @@ cycle, whose length is the steps since the reset.
 If z commutes with c, [c, z x] = [c, x], and a walk's values lie in S, the
 commutators and the targets' classes: ``sinks`` walks one direction per coset
 of C = C_G(S), its least element. C is normal and read off the class minima.
+The left Engel walks stay in the commutators K: ``left_engel_set`` walks the
+cosets of C_G(K) that meet the class minima (G.commutator_cosets, kept).
 The witness walk takes all n directions, one walker each: that costs less
 than the class labels and commutators that C needs. As sink(g^h) = sink(g)^h,
 left Engel, sink sizes and value sets are computed on class minima only.
@@ -28,13 +30,12 @@ left Engel, sink sizes and value sets are computed on class minima only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .group import (
-    ElementSet, GroupTable, _blocks, _comm, _comm_grid, _commuting, class_representatives, classes_meeting, comm_values,
+    ElementSet, GroupTable, _blocks, _comm, _comm_grid, _coset_minima, class_representatives, classes_meeting, comm_values,
 )
 
 
@@ -87,19 +88,14 @@ def _grid_walks(G: GroupTable, xs: np.ndarray, starts: np.ndarray):
 
 def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> np.ndarray:
     """Read-only bool matrix of the sinks of the given elements (default: all of G), one row each, ascending."""
-    n, lab = G.n, G.class_labels
+    n = G.n
     targets = ElementSet.full(n) if elements is None else ElementSet.of(n, elements)
-    cols, S = np.flatnonzero(targets.mask), G.commutators.mask
-    if not S[cols].all():  # S holds every walk's values: the targets' classes and the commutators
-        S = S | classes_meeting(G, targets).mask
-    reps = class_representatives(G)
-    central = np.zeros(n, dtype=bool)
-    central[reps] = _commuting(G, reps, np.flatnonzero(S))
-    C = np.flatnonzero(central[lab])  # C_G(S), a class union
-    # least[x] = min over z in C of z x, the least element of the coset C x
-    least = reduce(np.minimum, (G.table[C[zs]].min(axis=0) for zs in _blocks(len(C), n * G.table.itemsize)))
+    cols, K = targets.mask.nonzero()[0], G.commutators.mask
+    # every walk's values lie in the commutators and the targets' classes
+    least = G.commutator_cosets if K[cols].all() else _coset_minima(G, K | classes_meeting(G, targets).mask)
+    directions = (least == np.arange(n)).nonzero()[0]  # before found, so their transients never meet
     found = np.zeros(len(cols) * n, dtype=bool)
-    for _, advance, met in _grid_walks(G, np.flatnonzero(least == np.arange(n)), cols):
+    for _, advance, met in _grid_walks(G, directions, cols):
         for length, keys, cur in met:  # once round each cycle from the meeting points
             for _ in range(length):
                 found[keys[1] + cur] = True
@@ -145,7 +141,7 @@ def right_engel_sink(G: GroupTable, g: int) -> SinkReport:
 def _left_engel(G: GroupTable, xs: np.ndarray) -> np.ndarray:
     """Mask over xs of the left Engel elements: the walks from the commutators meet their cycles only at 1."""
     engel = np.ones(len(xs), dtype=bool)
-    for block, _, met in _grid_walks(G, xs, np.flatnonzero(G.commutators.mask)):
+    for block, _, met in _grid_walks(G, xs, G.commutators.mask.nonzero()[0]):
         for _, keys, cur in met:
             engel[block[keys[0][cur != 0] // G.n]] = False
     return engel
@@ -157,10 +153,13 @@ def is_left_engel(G: GroupTable, x: int) -> bool:
 
 
 def left_engel_set(G: GroupTable) -> ElementSet:
-    """The left Engel elements, from the walks in the class minima's directions."""
-    reps, engel = class_representatives(G), np.zeros(G.n, dtype=bool)
-    engel[reps] = _left_engel(G, reps)
-    return ElementSet(engel[G.class_labels])
+    """The left Engel elements: x has the verdict of the least element of C label[x], for C the centralizer
+    of the commutators, so the walks take one direction per coset of C that meets the class minima."""
+    least, engel = G.commutator_cosets, np.zeros(G.n, dtype=bool)
+    engel[least[class_representatives(G)]] = True
+    directions = engel.nonzero()[0]
+    engel[directions] = _left_engel(G, directions)
+    return ElementSet(engel[least[G.class_labels]])
 
 
 def gamma_values(G: GroupTable, k: int) -> ElementSet:
@@ -185,4 +184,4 @@ def sink_profile(G: GroupTable, k: int) -> tuple[int, int, int]:
     the weight-k commutator values, with the smallest witnessing index."""
     minima = gamma_values(G, k).mask & (G.class_labels == np.arange(G.n))  # the least witness is one
     sizes = sinks(G, ElementSet(minima)).sum(axis=1)  # the identity is in every sink
-    return int(sizes.max()), int(sizes.max()) - 1, int(np.flatnonzero(minima)[sizes.argmax()])  # the first maximum
+    return int(sizes.max()), int(sizes.max()) - 1, int(minima.nonzero()[0][sizes.argmax()])  # the first maximum

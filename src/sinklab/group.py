@@ -23,7 +23,8 @@ generators are not trusted: their orbits refine the classes, and by
 Burnside's lemma there are (commuting pairs) / n classes, so equal counts
 certify the labels; the pairs are counted as sum |orbit| * |C(orbit minimum)|.
 Normality is then H.mask == H.mask[label], and comm_values of two class
-unions starts from class minima.
+unions starts from the left one's class minima m: one gather over the left set
+against all of G ([m, g] = m^-1 m^g, m^g runs over m's class), else a grid.
 
 Permutation groups are closed by close_generators, which grows a Schreier
 tree (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
@@ -36,10 +37,10 @@ maps, and one walk down the tree makes the left maps, which fill the table by
 rows, each from its parent's row; the same walk rebuilds the rows when a perm
 is read or sought. No build makes labels or perms: a LazyList makes item i
 only when read.
-GroupTable.lower_central, G's lower central series, and commutators, the
-values [x, g] over all of G, are also made on first use and kept: comm_values
-returns the second for G and G, to gamma_values' first step and both series'
-first terms; the structure layer reads the first whenever it asks for G's own.
+GroupTable.lower_central (G's lower central series; a trivial term repeats
+uncomputed), commutators (the values [x, g] over G; comm_values(G, G, G)) and
+commutator_cosets (the least elements of the cosets of their centralizer) are
+also made on first use and kept, for gamma_values, both series and the walks.
 
 Why each builder's table is a Latin square (Holt, Eick & O'Brien 4.1;
 Robinson, A Course in the Theory of Groups, 1.5): a searched closure's
@@ -65,7 +66,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -93,14 +94,17 @@ class LazyList(Sequence):
     """A read-only list of n items: item i is make(i), made on its first read and then kept."""
 
     def __init__(self, n: int, make: Callable[[int], object]):  # make holds the data it reads, never a GroupTable
-        self.n, self.make = n, cache(make)
+        self.n, self.make, self.made = n, make, {}
 
     def __len__(self) -> int:
         return self.n
 
+    def _item(self, i: int):
+        return self.made[i] if i in self.made else self.made.setdefault(i, self.make(i))
+
     def __getitem__(self, i):
         at = range(self.n)[i]  # an int, or a range for a slice; IndexError past either end
-        return [self.make(j) for j in at] if isinstance(i, slice) else self.make(at)
+        return [self._item(j) for j in at] if isinstance(i, slice) else self._item(at)
 
     def __eq__(self, other) -> bool:
         return list(self) == other
@@ -203,7 +207,7 @@ class GroupTable:
         while (lab != prev).any():
             prev, lab = lab, np.minimum(lab, lab[conj].min(axis=0, initial=n))
             lab = lab[lab]
-        reps, orbit = np.flatnonzero(lab == idx), np.bincount(lab)  # |C(c)| is constant on orbits
+        reps, orbit = (lab == idx).nonzero()[0], np.bincount(lab)  # |C(c)| is constant on orbits
         blocks = (reps[b] for b in _blocks(len(reps), n * (2 * t.itemsize + 1)))  # two grids and a mask
         commuting = sum(np.count_nonzero(t[r] == t[:, r].T, axis=1) @ orbit[r] for r in blocks)
         if len(reps) * n != commuting:
@@ -214,7 +218,12 @@ class GroupTable:
     @cached_property
     def commutators(self) -> ElementSet:
         """The values [x, g] over all x and g in G (see comm_values); made on first use and kept."""
-        return _class_comm_values(self, np.ones(self.n, dtype=bool), np.arange(self.n))
+        return _comm_values_against_all(self, np.ones(self.n, dtype=bool))
+
+    @cached_property
+    def commutator_cosets(self) -> np.ndarray:
+        """least[x], the least element of C x for C the centralizer of the commutators; made on first use and kept."""
+        return _coset_minima(self, self.commutators.mask)
 
     @cached_property
     def lower_central(self) -> tuple[ElementSet, ...]:
@@ -269,10 +278,10 @@ class ElementSet:
         return 0 <= i < self.n and bool(self.mask[i])
 
     def __iter__(self):
-        return iter(np.flatnonzero(self.mask).tolist())
+        return iter(self.mask.nonzero()[0].tolist())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ElementSet) and np.array_equal(self.mask, other.mask)
+        return isinstance(other, ElementSet) and self.n == other.n and bool((self.mask == other.mask).all())
 
     def __hash__(self) -> int:
         return hash(self.mask.tobytes())
@@ -311,7 +320,7 @@ def validate_table(G: GroupTable, sorts: bool = True) -> None:
                 b[:, lo : lo + 256] = t[lo : lo + 256, s].T
             if not (rows_latin and latin(b)):
                 raise InvalidPermutation("multiplication table is not a Latin square")
-    if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
+    if not ((t[0] == idx).all() and (t[:, 0] == idx).all()):
         raise InvalidPermutation("identity law fails: element 0 is not the identity")
     if ((inv < 0) | (inv >= n)).any() or (t[idx, inv] != 0).any() or (t[inv, idx] != 0).any():
         raise InvalidPermutation("inverse law fails")
@@ -476,48 +485,60 @@ def _values(G: GroupTable, grid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def comm_values(G: GroupTable, left: ElementSet, right: ElementSet) -> ElementSet:
     """The commutator values {[x, g] : x in left, g in right} (not a subgroup).
 
-    When left and right are class unions, so is the value set ([x, g]^h =
-    [x^h, g^h]): it is spread from left's class minima, and kept for G, G."""
+    When left and right are class unions, so is the value set ([x, g]^h = [x^h, g^h]): it is spread from
+    the values at left's class minima, by one gather over left against all of G (kept for G, G), else by
+    a grid of left's minima by right."""
     lab, lm, rm = G.class_labels, ElementSet.of(G.n, left).mask, ElementSet.of(G.n, right).mask
     if lm.all() and rm.all():
         return G.commutators
     if (lm ^ lm[lab]).any() or (rm ^ rm[lab]).any():
-        return ElementSet(_values(G, _comm_grid, np.flatnonzero(rm), np.flatnonzero(lm)))
-    return _class_comm_values(G, lm, np.flatnonzero(rm))
+        return ElementSet(_values(G, _comm_grid, rm.nonzero()[0], lm.nonzero()[0]))
+    if rm.all():
+        return _comm_values_against_all(G, lm)
+    return _class_comm_values(G, lm, rm.nonzero()[0])
 
 
 def _class_comm_values(G: GroupTable, left_mask: np.ndarray, right: np.ndarray) -> ElementSet:
-    minima = np.flatnonzero(left_mask & (G.class_labels == np.arange(G.n)))
+    minima = (left_mask & (G.class_labels == np.arange(G.n))).nonzero()[0]
     return classes_meeting(G, ElementSet(_values(G, _comm_grid, right, minima)))
+
+
+def _comm_values_against_all(G: GroupTable, left_mask: np.ndarray) -> ElementSet:
+    """{[x, g] : x in the class union left_mask, g in G}, in one gather over it: [m, g] = m^-1 m^g,
+    and m^g runs over m's class, so the values at a class minimum m are m^-1 y for y in its class."""
+    ys, values = left_mask.nonzero()[0], np.zeros(G.n, dtype=bool)
+    values[G.table[G.inverse[G.class_labels[ys]], ys]] = True
+    return classes_meeting(G, ElementSet(values))
 
 
 def subgroup_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> ElementSet:
     """Smallest subgroup of G containing the seed elements, grown breadth
     first by right products with the seeds, one gather per round."""
     members = ElementSet.of(G.n, seed).mask.copy()
-    gens = np.flatnonzero(members)
+    gens = members.nonzero()[0]
     if not len(gens):
         raise NotASubgroup("cannot close an empty set")
     members[0] = True
-    frontier = np.flatnonzero(members)
+    frontier = members.nonzero()[0]
     while len(frontier):
         new = _values(G, _product_grid, frontier, gens) & ~members
         members |= new
-        frontier = np.flatnonzero(new)
+        frontier = new.nonzero()[0]
     return ElementSet(members)
 
 
 def _series_terms(G: GroupTable, S: ElementSet) -> tuple[ElementSet, ...]:
-    """S, then [T, S] after each term T, down to the first repeat."""
+    """S, then [T, S] after each term T, down to the first repeat; a trivial term repeats uncomputed, as [1, S] = 1."""
     terms = [S]
     while len(terms) < 2 or terms[-1] != terms[-2]:
-        terms.append(subgroup_closure(G, comm_values(G, terms[-1], S)))
+        T = terms[-1]
+        terms.append(T if len(T) == 1 and T.mask[0] else subgroup_closure(G, comm_values(G, T, S)))
     return tuple(terms)
 
 
 def is_subgroup(G: GroupTable, S: ElementSet) -> bool:
     S = ElementSet.of(G.n, S)
-    mem = np.flatnonzero(S.mask)
+    mem = S.mask.nonzero()[0]
     return 0 in S and bool(S.mask[_values(G, _product_grid, mem, mem)].all())
 
 
@@ -542,9 +563,19 @@ def centralizer(G: GroupTable, S: ElementSet | Iterable[int]) -> ElementSet:
     return ElementSet(_commuting(G, np.arange(G.n), np.flatnonzero(ElementSet.of(G.n, S).mask)))
 
 
+def _coset_minima(G: GroupTable, S: np.ndarray) -> np.ndarray:
+    """least[x], the least element of C x for C = C_G(S), S the mask of a class union (so C is normal, a class union)."""
+    reps, central = class_representatives(G), np.zeros(G.n, dtype=bool)
+    central[reps] = _commuting(G, reps, S.nonzero()[0])
+    C = central[G.class_labels].nonzero()[0]
+    least = reduce(np.minimum, (G.table[C[zs]].min(axis=0) for zs in _blocks(len(C), G.n * G.table.itemsize)))
+    least.setflags(write=False)
+    return least
+
+
 def class_representatives(G: GroupTable) -> np.ndarray:
     """The least element of each conjugacy class, as an ascending index array."""
-    return np.flatnonzero(G.class_labels == np.arange(G.n))
+    return (G.class_labels == np.arange(G.n)).nonzero()[0]
 
 
 def classes_meeting(G: GroupTable, S: ElementSet) -> ElementSet:

@@ -9,7 +9,7 @@ When S is normal, so is every term, and comm_values uses class minima.
 G's own series is kept with its table (GroupTable.lower_central) and read
 whenever S is all of G; G/1 is G, so the residual's certificate reads it too.
 A series is a plain tuple of ElementSets that ends in its first repeated
-term, so its last entry is the stable one.
+term, so its last entry is the stable one; 1 repeats without a computation.
 """
 
 from __future__ import annotations

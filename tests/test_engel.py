@@ -17,7 +17,7 @@ from sinklab.group import ElementSet, quotient, subgroup_closure
 from sinklab.structure import nilpotent_residual
 from sinklab.verify import window_sinks
 
-from oracles import commutator_tail, coset_directions, landing, landing_sinks, tail_witnesses
+from oracles import commutator_tail, coset_directions, landing, landing_sinks, relabel, tail_witnesses
 
 
 def brute_commutator_set(G, xs):
@@ -261,8 +261,14 @@ def test_heineken_implication(corpus):
 def test_engel_sets_match_iteration_oracle(corpus):
     """Left and right Engel sets against n-fold iteration of comm_step, with
     no pointer jumping and no cycle detection: after n steps every tail has
-    left its preperiod, so it ends in the identity iff it sits there."""
-    for group_id, G in corpus:
+    left its preperiod, so it ends in the identity iff it sits there.
+    left_engel_set walks one direction per coset of C_G(K), K the
+    commutators, so it is also compared with is_left_engel in every
+    direction, on every corpus group and on a relabelled one."""
+    big = max((G for _, G in corpus), key=lambda G: G.n)
+    pi = np.array([0, *np.random.default_rng(11).permutation(np.arange(1, big.n))], dtype=big.table.dtype)
+    for group_id, G in corpus + [("relabelled " + big.name, relabel(big, pi))]:
+        assert set(left_engel_set(G)) == {x for x in G.elements() if is_left_engel(G, x)}, group_id
         if G.n > 100:
             continue
         left, right = set(), set(G.elements())
@@ -275,8 +281,24 @@ def test_engel_sets_match_iteration_oracle(corpus):
                 left.add(x)
             right -= set(np.flatnonzero(c).tolist())
         assert set(left_engel_set(G)) == left, group_id
-        assert {x for x in G.elements() if is_left_engel(G, x)} == left, group_id
         assert {g for g, sink in enumerate(sinks(G)) if np.flatnonzero(sink).tolist() == [0]} == right, group_id
+
+
+def test_left_engel_walks_two_directions_on_a_dihedral_group(monkeypatch):
+    """In D_2001, K = <r> = C_G(K) has index 2, so the walk takes 2 directions
+    where the class minima are about n / 4 = 1000; F is the rotations."""
+    G = build(FamilySpec("dihedral", (2001,)))
+    walked = []
+
+    def counted(G, xs):
+        walked.append(xs.tolist())
+        return left_engel(G, xs)
+
+    left_engel = engel._left_engel
+    monkeypatch.setattr(engel, "_left_engel", counted)
+    F = left_engel_set(G)
+    assert [len(xs) for xs in walked] == [2] and walked[0][0] == 0
+    assert len(F) == 2001 and all(G.power(x, 2001) == 0 for x in F)
 
 
 def test_sinks_match_landing_and_window_oracles(corpus):

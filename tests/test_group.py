@@ -450,7 +450,10 @@ def test_commutators_match_scalar_comm_and_feed_both_series():
     """GroupTable.commutators against {G.comm(x, g)} on every corpus group,
     freshly built, and on one relabelled one. It is made on first use, not by
     the build, and comm_values over G and G, gamma_values at k = 2, and the
-    second terms of both series read the one kept set."""
+    second terms of both series read the one kept set. comm_values(G, X, G)
+    for the class unions X of G's series and gamma_values at k = 2 and 3 is
+    one gather over X: it equals the grid path and, for n <= 60, the scalar
+    commutators."""
     groups = [build_spec(parse_spec_file(path)) for _, path in load_corpus(CORPUS_DIR)]
     big = max(groups, key=lambda G: G.n)
     pi = np.array([0, *np.random.default_rng(7).permutation(np.arange(1, big.n))], dtype=big.table.dtype)
@@ -463,6 +466,12 @@ def test_commutators_match_scalar_comm_and_feed_both_series():
         assert comm_values(G, full, full) is values and gamma_values(G, 2) == values
         closure = subgroup_closure(G, values)
         assert G.lower_central[1] == closure == derived_series(G)[1], G.name
+        # the one gather against all of G, for every class union below, equals the grid of class minima by G
+        for X in (full, *G.lower_central, gamma_values(G, 2), gamma_values(G, 3)):
+            got = comm_values(G, X, full)
+            assert got == group._class_comm_values(G, X.mask, np.arange(G.n)), G.name
+            if G.n <= 60:
+                assert set(got) == {G.comm(x, g) for x in X for g in G.elements()}, G.name
 
 
 def test_class_labels_certified_without_trusting_generators(s4):

@@ -2,11 +2,13 @@ from functools import cached_property
 
 import pytest
 
-from sinklab import structure
+from sinklab import group, structure
 from sinklab.engel import is_left_engel
 from sinklab.errors import InternalInconsistency
 from sinklab.families import FamilySpec, build
-from sinklab.group import ElementSet, GroupTable, is_normal, quotient, subgroup_closure, subgroup_table, validate_table
+from sinklab.group import (
+    ElementSet, GroupTable, comm_values, is_normal, quotient, subgroup_closure, subgroup_table, validate_table,
+)
 from sinklab.structure import (
     fitting_subgroup,
     is_nilpotent,
@@ -87,6 +89,31 @@ def test_residual_iff_nilpotent(corpus):
         assert (set(nilpotent_residual(G)) == {0}) == is_nilpotent(G)
 
 
+@pytest.mark.parametrize(
+    "spec,sizes,computed_from",
+    [
+        (FamilySpec("dihedral", (4,)), [8, 2, 1, 1], [8, 2]),
+        (FamilySpec("quaternion8", ()), [8, 2, 1, 1], [8, 2]),
+        (FamilySpec("dihedral", (8,)), [16, 4, 2, 1, 1], [16, 4, 2]),
+        (FamilySpec("symmetric", (4,)), [24, 12, 12], [24, 12]),
+    ],
+)
+def test_series_stop_at_the_trivial_term(monkeypatch, spec, sizes, computed_from):
+    """G's series of a nilpotent group of class c makes c comm_values calls,
+    one from each term before the trivial one, which repeats without a call.
+    S4's series computes its repeated A4 term, from the second of two calls."""
+    made = []
+
+    def counted(G, left, right):
+        made.append(len(left))
+        return comm_values(G, left, right)
+
+    G = build(spec)
+    monkeypatch.setattr(group, "comm_values", counted)
+    assert [len(term) for term in lower_central_series(G)] == sizes
+    assert made == computed_from, spec.describe()
+
+
 def counted_property(monkeypatch, name):
     """Wrap GroupTable.<name> so that each computation (not each read) is listed."""
     made = []
@@ -104,11 +131,15 @@ def counted_property(monkeypatch, name):
 @pytest.mark.parametrize("spec", [FamilySpec("dihedral", (8,)), FamilySpec("quaternion8", ())])
 def test_scan_row_makes_one_series_and_one_labelling(monkeypatch, spec):
     """For a nilpotent G, F = G and G/R = G/1 = G: one lower central series and
-    one class labelling serve sink_profile, fitting_subgroup and the residual."""
+    one class labelling serve sink_profile, fitting_subgroup and the residual,
+    and one read-only set of commutator coset minima serves the sink and left
+    Engel walks."""
     series, labels = counted_property(monkeypatch, "lower_central"), counted_property(monkeypatch, "class_labels")
+    cosets = counted_property(monkeypatch, "commutator_cosets")
     G = build(spec)
     scan_row(G, spec.describe(), 2)
-    assert series == [G] and labels == [G]
+    assert series == [G] and labels == [G] and cosets == [G]
+    assert not G.commutator_cosets.flags.writeable
     assert quotient(G, nilpotent_residual(G))[0] is G and series == [G]
 
 
