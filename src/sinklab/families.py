@@ -4,11 +4,11 @@ direct powers of any of these.
 
 Base families are realized as permutation groups (so their elements carry
 cycle-notation labels), each with the table close_generators makes from its
-generators: cyclic n is filled in closed form, as addition mod n; dihedral n
-and elementary_abelian p r hand their Schreier trees (element order and right
-Cayley maps) in closed form to group._from_tree, the closure's own tail; the
-others are searched by close_generators. The extension families are
-assembled with the semidirect/direct product constructors.
+generators and with its cap checks (group._closure_cap): cyclic n is filled
+in closed form, as addition mod n, and dihedral n and elementary_abelian p r
+hand closed-form Schreier trees to group._from_tree; it and cyclic n lay out
+perms and labels by group._perm_table. The extension families are
+semidirect/direct products, generated by their factors' generating sets.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidParameters
+from .errors import InvalidParameters
 from .group import (
-    DEFAULT_ORDER_CAP, GroupTable, LazyList, PermRows, _from_tree, _index_dtype, _new_table, close_generators,
+    DEFAULT_ORDER_CAP, GroupTable, _closure_cap, _from_tree, _index_dtype, _new_table, _perm_table, close_generators,
     direct_product, semidirect_product,
 )
-from .perm import Permutation, format_cycles
+from .perm import Permutation
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -113,32 +113,13 @@ def _cyclic(n: int, cap: int) -> GroupTable:
     arange in the table's dtype, after the closure's cap checks. Addition mod
     n is a Latin square, so GroupTable(...) checks its O(n) laws only, and
     validate_table(G) is its oracle."""
-    if cap < 1:
-        raise CapExceeded("order cap must be at least 1")
-    if n > cap:
-        raise CapExceeded(f"closure exceeded order cap {cap} (degree {n})")
+    _closure_cap(n, n, cap)
     table = _new_table(n)
     doubled = np.tile(np.arange(n, dtype=table.dtype), 2)  # doubled[i + j] = (i + j) mod n
     for i in range(n):
         table[i] = doubled[i : i + n]
-    perms = PermRows(n, n, lambda: table)  # g^i maps x to x + i mod n, so row i is its image row
-    return GroupTable(
-        n=n,
-        table=table,
-        inverse=doubled[n:0:-1].copy(),  # -i mod n
-        labels=LazyList(n, lambda i: format_cycles(perms[i])),
-        generators=[1 % n],
-        perms=perms,
-        name=f"C{n}",
-    )
-
-
-def _closure_cap(n: int, degree: int, cap: int) -> None:
-    """The closure's cap checks, with its messages, before a closed form allocates anything."""
-    if cap < 1:
-        raise CapExceeded("order cap must be at least 1")
-    if n > cap:
-        raise CapExceeded(f"closure exceeded order cap {cap} (degree {degree})")
+    # -i mod n is i's inverse; g^i maps x to x + i mod n, so row i is its image row
+    return _perm_table(table, doubled[n:0:-1].copy(), n, lambda: table, [1 % n], f"C{n}")
 
 
 def _closed_tree(step: np.ndarray, round_of: np.ndarray, slot: np.ndarray, images: np.ndarray, name: str) -> GroupTable:

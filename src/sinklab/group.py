@@ -1,12 +1,13 @@
 """Finite groups as dense multiplication tables, plus exact subgroup primitives.
 
 Element 0 is always the identity. Commutators are left-normed, [a, b] =
-a^-1 b^-1 a b (over index arrays by _comm), and a^b = b^-1 a b. Tables are
-immutable after construction and every operation here is a pure function of
-its inputs. There is one constructor, GroupTable(...), and it certifies each
-table once, where it is made, by validate_table's O(n) laws (sorts=False):
-every builder's table is a Latin square by construction (see below), so the
-O(n^2 log n) sorts are left to validate_table(G), the full oracle.
+a^-1 b^-1 a b (over index arrays by _comm), and a^b = b^-1 a b. Every field
+of a table but name, which nothing certifies, is fixed by its constructor,
+and every operation here is a pure function of its inputs. There is one
+constructor, GroupTable(...), and it certifies each table once, where it is
+made, by validate_table's O(n) laws (sorts=False): every builder's table is a
+Latin square by construction (see below), so the O(n^2 log n) sorts are left
+to validate_table(G), the full oracle.
 
 A subset of a group is an ElementSet, a read-only boolean mask over the
 element indices. Subgroup primitives are table gathers over index arrays,
@@ -22,6 +23,10 @@ conjugation by the generators, with pointer jumping (lab = lab[lab]). The
 generators are not trusted: their orbits refine the classes, and by
 Burnside's lemma there are (commuting pairs) / n classes, so equal counts
 certify the labels; the pairs are counted as sum |orbit| * |C(orbit minimum)|.
+Every builder hands GroupTable(...) generators that generate its table: a
+closure's own, 1 for cyclic n, the generating sets a product's action is
+checked on, a subgroup's certifying greedy set (_generate), and the
+nontrivial cosets of G's generators for a quotient.
 Normality is then H.mask == H.mask[label], and comm_values of two class
 unions starts from the left one's class minima m: one gather over the left set
 against all of G ([m, g] = m^-1 m^g, m^g runs over m's class), else a grid.
@@ -35,8 +40,9 @@ _from_tree, the one tail from a tree to a table (families hands it dihedral
 and elementary abelian trees in closed form), reads the tree parents off the
 maps, and one walk down the tree makes the left maps, which fill the table by
 rows, each from its parent's row; the same walk rebuilds the rows when a perm
-is read or sought. No build makes labels or perms: a LazyList makes item i
-only when read.
+is read or sought. _perm_table, the one tail of _from_tree and cyclic n, lays
+out a permutation table's perms and cycle-notation labels: no build makes
+them, as a LazyList makes item i only when read.
 GroupTable.lower_central (G's lower central series; a trivial term repeats
 uncomputed), commutators (the values [x, g] over G; comm_values(G, G, G)) and
 commutator_cosets (the least elements of the cosets of their centralizer) are
@@ -50,7 +56,7 @@ Cayley maps; a closed-form tree's elements are distinct normal forms, and its
 right Cayley maps come from exact integer arithmetic; cyclic n is addition
 mod n; a product's factors are tables of this module and every action entry
 is checked to be a bijection of N; _induced restricts G's table to a subgroup
-that is_subgroup checked, or to the cosets of a normal subgroup that is_normal
+that _generate certified, or to the cosets of a normal subgroup that is_normal
 checked. A wrong table can then come only from a bug in a fill, which is what
 validate_table(G) is run to find.
 Product tables come from one builder, semidirect_product, which checks the
@@ -343,9 +349,8 @@ def close_generators(
     """
     if not gens:
         raise InvalidPermutation("need at least one generator")
-    if order_cap < 1:
-        raise CapExceeded("order cap must be at least 1")
     degree, k = gens[0].degree, len(gens)
+    _closure_cap(1, degree, order_cap)
     for g in gens:
         if g.degree != degree:
             raise InvalidPermutation("generators must share one degree")
@@ -366,8 +371,7 @@ def close_generators(
             cand = step[np.arange(k)[None, :, None], frontier[rows][:, None, :]].reshape(-1, degree)
             known = len(index)
             ids = np.array([index.setdefault(b, len(index)) for b in keys(cand)])
-            if len(index) > order_cap:
-                raise CapExceeded(f"closure exceeded order cap {order_cap} (degree {degree})")
+            _closure_cap(len(index), degree, order_cap)
             _check_memory(len(index) * held, f"a closure of degree {degree} at {len(index)} elements")
             first, at = np.unique(ids, return_index=True)
             new.append(cand[at[first >= known]])  # the new elements, at their first (head, generator) positions
@@ -377,6 +381,14 @@ def close_generators(
 
     index = None  # the byte keys go before the table
     return _from_tree(step, np.concatenate(found).reshape(-1, k).T, rounds, name)
+
+
+def _closure_cap(n: int, degree: int, cap: int) -> None:
+    """The closure's cap checks at n elements: before anything is allocated, and after each search block."""
+    if cap < 1:
+        raise CapExceeded("order cap must be at least 1")
+    if n > cap:
+        raise CapExceeded(f"closure exceeded order cap {cap} (degree {degree})")
 
 
 def _from_tree(step: np.ndarray, rmul: np.ndarray, rounds: Sequence[int], name: str) -> GroupTable:
@@ -390,9 +402,8 @@ def _from_tree(step: np.ndarray, rmul: np.ndarray, rounds: Sequence[int], name: 
     Then lmul[v, j] = g_v * p_j = rmul[via[j], lmul[v, parent[j]]] by down, and table[i] =
     table[parent[i]][lmul[via[i]]] by rows, since p_i * p_j = p_parent[i] * (g_via[i] * p_j). An
     inverse is the column holding 0 in its row. The first perm read or lookup rebuilds the image
-    rows, p_i = g_via[i] after p_parent[i], by down too, and keeps them; perm i and label i (its
-    cycle notation) are made when read (PermRows). The table is Latin by construction, so
-    GroupTable(...) checks its O(n) laws only; validate_table(G) is its oracle.
+    rows, p_i = g_via[i] after p_parent[i], by down too, and keeps them (_perm_table). The table is
+    Latin by construction, so GroupTable(...) checks its O(n) laws only; validate_table(G) is its oracle.
     """
     (k, n), degree = rmul.shape, step.shape[1]
     first = np.unique(rmul.T, return_index=True)[1]  # first[j]: j's first (element, generator) position
@@ -411,17 +422,17 @@ def _from_tree(step: np.ndarray, rmul: np.ndarray, rounds: Sequence[int], name: 
     table[0] = np.arange(n)
     for i in range(1, n):
         table[i] = table[parent[i]][lmul[via[i]]]
-    inverse = table.argmin(axis=1)  # the column of 0 in each row, read in place
-    perms = PermRows(n, degree, cache(lambda: down(step, np.arange(degree))))
-    return GroupTable(
-        n=n,
-        table=table,
-        inverse=inverse.astype(table.dtype),
-        labels=LazyList(n, lambda i: format_cycles(perms[i])),
-        generators=list(dict.fromkeys(rmul[:, 0].tolist())),
-        perms=perms,
-        name=name,
-    )
+    inverse = table.argmin(axis=1).astype(table.dtype)  # the column of 0 in each row, read in place
+    rows = cache(lambda: down(step, np.arange(degree)))
+    return _perm_table(table, inverse, degree, rows, list(dict.fromkeys(rmul[:, 0].tolist())), name)
+
+
+def _perm_table(table: np.ndarray, inverse: np.ndarray, degree: int, rows: Callable, gens: list, name: str) -> GroupTable:
+    """The GroupTable of a permutation group of this degree, whose 0-based image rows rows() makes:
+    perm i and label i, its cycle notation, are made when read (PermRows)."""
+    perms = PermRows(len(table), degree, rows)
+    labels = LazyList(len(table), lambda i: format_cycles(perms[i]))
+    return GroupTable(len(table), table, inverse, labels, gens, perms, name)
 
 
 def _memory_budget() -> int:
@@ -652,13 +663,14 @@ def semidirect_product(
     if not np.array_equal(np.sort(act, axis=1), np.broadcast_to(np.arange(N.n), (H.n, N.n))):
         raise NotAnAutomorphism("action entries must be bijections on N")
     act = act.astype(_index_dtype(N.n))  # the checks below gather in N's index dtype
-    S, width = np.array(generating_set(N), dtype=np.intp), 2 * act.itemsize + 1  # two grids and a mask an entry
+    gens_n, gens_h = generating_set(N), generating_set(H)  # the product's generators are the sets checked
+    S, width = np.array(gens_n, dtype=np.intp), 2 * act.itemsize + 1  # two grids and a mask an entry
     for hs in _blocks(H.n, N.n * len(S) * width):
         a = act[hs]  # bad[i]: a[i](x*s) != a[i](x) * a[i](s) for some x and generator s
         bad = (a[:, N.table[:, S]] != N.table[a[:, :, None], a[:, S][:, None, :]]).any(axis=(1, 2))
         if bad.any():
             raise NotAnAutomorphism(f"action of h={hs[bad.argmax()]} does not preserve N's multiplication")
-    T = np.array(generating_set(H) or [0], dtype=np.intp)  # [0]: action[0] = id when H = 1
+    T = np.array(gens_h or [0], dtype=np.intp)  # [0]: action[0] = id when H = 1
     for h1 in _blocks(H.n, len(T) * N.n * width):
         # bad[i, j]: action[h1*T[j]] != action[T[j]] applied after action[h1]
         bad = (act[H.table[h1[:, None], T]] != act[T[:, None], act[h1][:, None, :]]).any(axis=2)
@@ -687,7 +699,7 @@ def semidirect_product(
         table=table,
         inverse=inverse.astype(table.dtype),
         labels=LazyList(n, lambda i, nl=N.labels, hl=H.labels, m=H.n: f"({nl[i // m]} {hl[i % m]})"),
-        generators=[a * H.n for a in N.generators] + [int(h) for h in H.generators],
+        generators=[a * H.n for a in gens_n] + [int(h) for h in gens_h],
         name=f"{N.name}:{H.name}" if N.name and H.name else "",
     )
 
@@ -697,23 +709,29 @@ def subgroup_table(G: GroupTable, S: ElementSet) -> tuple[GroupTable, list[int]]
 
     embedding[i] is the G-index of the subgroup's element i. Elements keep
     ascending G-index order, so 0 stays the identity. All of G is G itself.
+    Its generators are S's greedy generating set, which certifies S (_generate).
     """
-    if len(ElementSet.of(G.n, S)) == G.n:
+    mask = ElementSet.of(G.n, S).mask
+    if mask.all():
         return G, list(range(G.n))
-    if not is_subgroup(G, S):
-        raise NotASubgroup("set is not closed under multiplication")
-    mem = np.flatnonzero(S.mask)
-    sub = _induced(G, mem, np.cumsum(S.mask) - 1, [], f"{G.name}<sub>" if G.name else "")  # g in S: cumsum - 1
-    sub.generators = generating_set(sub)  # which reads the built table
-    return sub, mem.tolist()
+    gens, mem, local = _generate(G, mask, []), np.flatnonzero(mask), np.cumsum(mask) - 1  # g in S: cumsum - 1
+    return _induced(G, mem, local, local[gens].tolist(), f"{G.name}<sub>" if G.name else ""), mem.tolist()
 
 
 def generating_set(G: GroupTable) -> list[int]:
     """G.generators, certified by their closure, then extended greedily by the
     lowest-index element outside the running closure until they generate G."""
-    gens = list(G.generators)
+    return _generate(G, np.ones(G.n, dtype=bool), list(G.generators))
+
+
+def _generate(G: GroupTable, S: np.ndarray, gens: list[int]) -> list[int]:
+    """gens, extended by the least member of the mask S outside their closure until the closure
+    covers S; NotASubgroup as soon as a closure leaves S. So S is a subgroup exactly when this
+    returns: a closure inside S that covers S is S."""
     covered = subgroup_closure(G, gens) if gens else ElementSet.trivial(G.n)
-    while len(covered) < G.n:
-        gens.append(int(np.argmin(covered.mask)))
+    while not (covered.mask & ~S).any():
+        if (covered.mask == S).all():
+            return gens
+        gens = [*gens, int((S & ~covered.mask).argmax())]
         covered = subgroup_closure(G, gens)
-    return gens
+    raise NotASubgroup("set is not closed under multiplication")

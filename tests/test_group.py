@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import itertools
@@ -47,7 +48,7 @@ from sinklab.group import (
 )
 from sinklab.perm import Permutation, parse_cycles
 from sinklab.specfile import build_spec, parse_spec_file
-from sinklab.structure import nilpotent_residual
+from sinklab.structure import fitting_subgroup, nilpotent_residual
 from sinklab.verify import scan_row
 
 from oracles import (
@@ -531,6 +532,32 @@ def test_quotient_generators_reach_the_constructor(s4, monkeypatch):
     assert len(subgroup_closure(Q, Q.generators)) == Q.n
 
 
+def test_subgroup_generators_reach_the_constructor(s4, corpus, monkeypatch):
+    """subgroup_table hands GroupTable(...) the greedy generating set that
+    certifies its set: generating_set of the same table made with none, for
+    every proper subgroup of S4 (each is 2-generated) and every proper normal
+    subgroup of the corpus groups. A set with no identity, a set not closed
+    under multiplication and the empty set still raise NotASubgroup."""
+    seen, real = [], group.validate_table
+
+    def recording(G, sorts=True):
+        seen.append(list(G.generators))
+        real(G, sorts)
+
+    monkeypatch.setattr(group, "validate_table", recording)
+    subgroups = {subgroup_closure(s4, [a, b]) for a in range(s4.n) for b in range(s4.n)}
+    cases = [(s4, S) for S in subgroups] + [(G, N) for _, G in corpus for N in normal_subgroups(G)]
+    for G, S in (case for case in cases if len(case[1]) < case[0].n):
+        before = len(seen)
+        sub, _ = subgroup_table(G, S)
+        assert seen[before:] == [sub.generators], (G.name, sorted(S))
+        assert sub.generators == generating_set(dataclasses.replace(sub, generators=[])), (G.name, sorted(S))
+    assert len(subgroups) == 30
+    for members in ([1, 2], [0, 1, 2], []):
+        with pytest.raises(NotASubgroup, match="not closed under multiplication"):
+            subgroup_table(s4, ElementSet.of(s4.n, members))
+
+
 def test_quotient_projection_is_homomorphism(s4):
     v4 = subgroup_closure(s4, [s4.labels.index("(1 2)(3 4)"), s4.labels.index("(1 3)(2 4)")])
     Q, proj = quotient(s4, v4)
@@ -741,6 +768,18 @@ def test_action_checks_extend_untrusted_generators():
     assert generating_set(H) == [] and non_homomorphism_pairs(H, [inversion]) == {(0, 0)}
     with pytest.raises(NotAHomomorphism, match="h1=0, h2=0"):  # action[0] must be the identity
         semidirect_product(c3, H, [inversion])
+
+
+def test_product_generators_are_the_generating_sets_it_checks():
+    """C3 with no generators x| C2 by inversion is S3: the product's
+    generators are the generating sets its action was checked on, not the
+    factors' own, so its class labels certify and its Fitting subgroup is C3."""
+    c3, c2 = (build(FamilySpec("cyclic", (m,))) for m in (3, 2))
+    N = GroupTable(c3.n, c3.table, c3.inverse, c3.labels, [])
+    G = semidirect_product(N, c2, [list(range(3)), c3.inverse.tolist()])
+    assert G.generators == [2, 1] and len(subgroup_closure(G, G.generators)) == G.n
+    assert sorted(Counter(G.class_labels.tolist()).values()) == [1, 2, 3]
+    assert set(fitting_subgroup(G)) == {0, 2, 4}
 
 
 def test_element_order_and_exponent(s3):
