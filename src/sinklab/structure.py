@@ -7,16 +7,23 @@ result is certified once, in fitting_subgroup (subgroup, normal, nilpotent).
 is_nilpotent(G, S) reads S's lower central series in G's table.
 When S is normal, so is every term, and comm_values uses class minima.
 G's own series is kept with its table (GroupTable.lower_central) and read
-whenever S is all of G; G/1 is G, so the residual's certificate reads it too.
+whenever S is all of G.
 A series is a plain tuple of ElementSets that ends in its first repeated
 term, so its last entry is the stable one; 1 repeats without a computation.
+The nilpotent residual R is the stable term of G's series. Its certificate
+(is_normal, then _nilpotent_modulo) checks that G/R is nilpotent by another
+series, the upper central series modulo R, on G's certified class labels:
+no quotient table is made, and for a nilpotent G, where R = 1, the kept
+lower central series is not read again.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .engel import left_engel_set
-from .errors import InternalInconsistency
-from .group import ElementSet, GroupTable, _series_terms, classes_meeting, is_subgroup, quotient
+from .errors import InternalInconsistency, NotNormal
+from .group import ElementSet, GroupTable, _class_commutators, _series_terms, classes_meeting, is_normal, is_subgroup
 
 
 def lower_central_series(G: GroupTable) -> tuple[ElementSet, ...]:
@@ -40,12 +47,29 @@ def nilpotency_class(G: GroupTable) -> int | None:
 
 def nilpotent_residual(G: GroupTable) -> ElementSet:
     """Stable term of the lower central series: the smallest normal subgroup
-    with nilpotent quotient."""
+    with nilpotent quotient. Certified normal, and with G/R nilpotent by the
+    upper central series modulo R (_nilpotent_modulo), in G's own table."""
     residual = lower_central_series(G)[-1]
-    Q, _ = quotient(G, residual)
-    if not is_nilpotent(Q):
+    if not is_normal(G, residual):  # raises NotASubgroup unless the residual is a subgroup
+        raise NotNormal("the nilpotent residual is not normal")
+    if not _nilpotent_modulo(G, residual):
         raise InternalInconsistency("quotient by the nilpotent residual is not nilpotent")
     return residual
+
+
+def _nilpotent_modulo(G: GroupTable, N: ElementSet) -> bool:
+    """Whether G/N is nilpotent, for a normal subgroup N: whether the upper central series
+    modulo N reaches G (Robinson, A Course in the Theory of Groups, 5.1). Z_0 = N, and Z_i+1
+    is the union of the classes whose least element m has [m, g] in Z_i for every g, that is
+    v[y] = m^-1 y in Z_i for every y in m's class (_class_commutators): all classes but those
+    that meet the y with v[y] outside Z_i. Z_i is normal, so Z_i+1 contains it."""
+    v, Z = _class_commutators(G, np.arange(G.n)), ElementSet.of(G.n, N).mask
+    while not Z.all():
+        grown = Z | ~classes_meeting(G, ElementSet(~Z[v])).mask
+        if (grown == Z).all():
+            return False
+        Z = grown
+    return True
 
 
 def fitting_subgroup(G: GroupTable) -> ElementSet:

@@ -320,18 +320,23 @@ def test_build_transients_bounded_by_blocks(small_blocks):
 def test_table_passes_bounded_in_bytes(monkeypatch):
     """With BLOCK_ENTRIES = 65536 bytes, each table-wide pass peaks within
     3 * BLOCK_ENTRIES bytes above what stays live: validate_table and the
-    class labels' certificate on (D12)^2, the fill of E3^5:C2, and the
-    quotient of (D12)^2 by its nilpotent residual (with its class labels)."""
+    class labels' certificate on (D12)^2, the fill of E3^5:C2, the quotient
+    of (D12)^2 by its nilpotent residual (with its class labels), and the
+    product grids that gather rows first: the quotient by the Fitting
+    subgroup, of index 4, and is_subgroup and the centralizer of all of G."""
     monkeypatch.setattr(group, "BLOCK_ENTRIES", 1 << 16)
     D12, E = build(FamilySpec("dihedral", (12,))), build(FamilySpec("elementary_abelian", (3, 5)))
     C2 = build(FamilySpec("cyclic", (2,)))
     G, H, K = (direct_product(D12, D12) for _ in range(3))  # the residual (K) and the quotient (H) leave G unlabelled
-    R = nilpotent_residual(K)
+    R, F = nilpotent_residual(K), fitting_subgroup(K)
     passes = {
         "validate_table": lambda: validate_table(G),
         "class_labels": lambda: G.class_labels,
         "semidirect_product": lambda: semidirect_product(E, C2, [range(E.n), E.inverse.tolist()]),
         "quotient": lambda: quotient(H, R),
+        "quotient by F": lambda: quotient(K, F),
+        "is_subgroup": lambda: is_subgroup(G, ElementSet.full(G.n)),
+        "centralizer": lambda: centralizer(G, ElementSet.full(G.n)),
     }
     over = {}
     for name, run in passes.items():
@@ -488,6 +493,20 @@ def test_class_labels_certified_without_trusting_generators(s4):
         is_normal(bad, H)
     with pytest.raises(InvalidPermutation):
         normal_closure(bad, g)
+
+
+def test_failed_labelling_names_generators_that_do_not_generate(monkeypatch, s3):
+    """S3 handed only its first generator: the failed count names the
+    generators and the order they generate. A labelling that passes closes
+    no generators."""
+    g = s3.generators[:1]
+    order = len(subgroup_closure(s3, g))
+    bad = GroupTable(s3.n, s3.table.copy(), s3.inverse.copy(), list(s3.labels), list(g))
+    with pytest.raises(InvalidPermutation, match=rf"generators \[{g[0]}\] generate a subgroup of order {order}, not 6"):
+        bad.class_labels
+    monkeypatch.setattr(group, "subgroup_closure", None)  # a call would raise TypeError
+    good = GroupTable(s3.n, s3.table.copy(), s3.inverse.copy(), list(s3.labels), list(s3.generators))
+    assert np.array_equal(good.class_labels, s3.class_labels)
 
 
 def test_normal_closure_minimal_small(s3, s4, corpus):

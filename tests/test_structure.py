@@ -1,5 +1,6 @@
 from functools import cached_property
 
+import numpy as np
 import pytest
 
 from sinklab import group, structure
@@ -7,7 +8,8 @@ from sinklab.engel import is_left_engel
 from sinklab.errors import InternalInconsistency
 from sinklab.families import FamilySpec, build
 from sinklab.group import (
-    ElementSet, GroupTable, comm_values, is_normal, quotient, subgroup_closure, subgroup_table, validate_table,
+    ElementSet, GroupTable, centralizer, comm_values, is_normal, quotient, subgroup_closure, subgroup_table,
+    validate_table,
 )
 from sinklab.structure import (
     fitting_subgroup,
@@ -20,7 +22,7 @@ from sinklab.structure import (
 from sinklab.verify import scan_row
 
 from oracles import (
-    derived_series, fitting_maximality_check, fitting_via_normal_closures, normal_closure, normal_subgroups,
+    derived_series, fitting_maximality_check, fitting_via_normal_closures, normal_closure, normal_subgroups, relabel,
 )
 
 
@@ -128,31 +130,58 @@ def counted_property(monkeypatch, name):
     return made
 
 
-@pytest.mark.parametrize("spec", [FamilySpec("dihedral", (8,)), FamilySpec("quaternion8", ())])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("dihedral", (8,)),
+        FamilySpec("quaternion8", ()),
+        FamilySpec("symmetric", (4,)),
+        FamilySpec("inversion_extension", (3, 2)),
+        FamilySpec("frobenius", (7, 3, 2)),
+    ],
+)
 def test_scan_row_makes_one_series_and_one_labelling(monkeypatch, spec):
-    """For a nilpotent G, F = G and G/R = G/1 = G: one lower central series and
-    one class labelling serve sink_profile, fitting_subgroup and the residual,
-    and one read-only set of commutator coset minima serves the sink and left
-    Engel walks."""
+    """One lower central series and one class labelling, both G's, serve
+    sink_profile, fitting_subgroup and the residual, whose certificate makes
+    no quotient table, nilpotent G or not; and one read-only set of
+    commutator coset minima serves the sink and left Engel walks."""
     series, labels = counted_property(monkeypatch, "lower_central"), counted_property(monkeypatch, "class_labels")
-    cosets = counted_property(monkeypatch, "commutator_cosets")
+    cosets, quotients = counted_property(monkeypatch, "commutator_cosets"), []
+
+    def counted(G, N):
+        quotients.append(G)
+        return quotient(G, N)
+
+    monkeypatch.setattr(group, "quotient", counted)
+    monkeypatch.setattr(structure, "quotient", counted, raising=False)
     G = build(spec)
     scan_row(G, spec.describe(), 2)
-    assert series == [G] and labels == [G] and cosets == [G]
+    assert series == [G] and labels == [G] and cosets == [G] and quotients == []
     assert not G.commutator_cosets.flags.writeable
-    assert quotient(G, nilpotent_residual(G))[0] is G and series == [G]
+    assert quotient(G, ElementSet.trivial(G.n))[0] is G and series == [G]
 
 
-def test_residual_certificate_runs_on_every_path(monkeypatch, q8):
-    """nilpotent_residual certifies G/R whether R is trivial (Q8, where G/R is
-    G) or not (S4, where G/R is C2)."""
-    real = structure.is_nilpotent
-    monkeypatch.setattr(structure, "is_nilpotent", lambda G, S=None: G.n != 2 and real(G, S))
-    with pytest.raises(InternalInconsistency, match="nilpotent residual"):
-        nilpotent_residual(build(FamilySpec("symmetric", (4,))))
-    monkeypatch.setattr(structure, "is_nilpotent", lambda G, S=None: False)
-    with pytest.raises(InternalInconsistency, match="nilpotent residual"):
-        nilpotent_residual(q8)
+def test_residual_certificate_runs_on_every_path(monkeypatch, s3):
+    """nilpotent_residual certifies G/R whether R is nontrivial or trivial:
+    handed V4 as the residual of S4 (G/R is S3) or 1 as that of S3 (G/R is
+    S3), through G's kept lower central series, it raises."""
+    s4 = build(FamilySpec("symmetric", (4,)))
+    v4 = subgroup_closure(s4, [s4.labels.index("(1 2)(3 4)"), s4.labels.index("(1 3)(2 4)")])
+    for G, R in ((s4, v4), (s3, ElementSet.trivial(s3.n))):
+        monkeypatch.setattr(G, "lower_central", (ElementSet.full(G.n), R, R))
+        with pytest.raises(InternalInconsistency, match="nilpotent residual"):
+            nilpotent_residual(G)
+
+
+def test_nilpotent_modulo_matches_the_quotient(corpus):
+    """The upper central series modulo N reaches G exactly when the quotient
+    table G/N is nilpotent, for N each term of G's lower central series and
+    N the centre, on every corpus group and on a relabelled one."""
+    big = max((G for _, G in corpus), key=lambda G: G.n)
+    pi = np.array([0, *np.random.default_rng(37).permutation(np.arange(1, big.n))], dtype=big.table.dtype)
+    for group_id, G in corpus + [("relabelled " + big.name, relabel(big, pi))]:
+        for N in (*G.lower_central, centralizer(G, ElementSet.full(G.n))):
+            assert structure._nilpotent_modulo(G, N) == is_nilpotent(quotient(G, N)[0]), (group_id, len(N))
 
 
 @pytest.mark.parametrize(
