@@ -11,7 +11,9 @@ reset at each power-of-two step (Brent, BIT 20 (1980)); once a reset falls
 past the preperiod and the cycle fits before the next, the walker meets its
 cycle, whose length is the steps since the reset.
 - ``sinks`` starts walkers at its targets, steps them on the step grid of a
-  block of directions, and goes once round each met cycle.
+  block of directions, and goes once round each met cycle. When the identity
+  is its only target, or it has none, its rows are {1}, as [1, x] = 1, and no
+  step grid or coset minima are made.
 - The left Engel test starts them at the commutators, where every walk is
   after one step, and asks that all of them meet their cycles at 1.
 - ``right_engel_sink`` starts one per direction at g, stepped by table
@@ -90,7 +92,13 @@ def sinks(G: GroupTable, elements: Optional[Iterable[int]] = None) -> np.ndarray
     """Read-only bool matrix of the sinks of the given elements (default: all of G), one row each, ascending."""
     n = G.n
     targets = ElementSet.full(n) if elements is None else ElementSet.of(n, elements)
-    cols, K = targets.mask.nonzero()[0], G.commutators.mask
+    cols = targets.mask.nonzero()[0]
+    if not targets.mask[1:].any():  # no target but the identity, whose sink is {1} as [1, x] = 1: no walk
+        found = np.zeros((len(cols), n), dtype=bool)
+        found[:, 0] = True
+        found.setflags(write=False)
+        return found
+    K = G.commutators.mask
     # every walk's values lie in the commutators and the targets' classes
     least = G.commutator_cosets if K[cols].all() else _coset_minima(G, K | classes_meeting(G, targets).mask)
     directions = (least == np.arange(n)).nonzero()[0]  # before found, so their transients never meet

@@ -72,7 +72,6 @@ also counts their byte keys) and 16 * BLOCK_ENTRIES bytes exceed physical memory
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
@@ -171,32 +170,34 @@ class GroupTable:
         return int(t[t[t[self.inverse[a], self.inverse[b]], a], b])
 
     def power(self, a: int | np.ndarray, e: int) -> int | np.ndarray:
-        """a**e for any integer e, by square-and-multiply on the table; for
+        """a**e for any integer e, by square-and-multiply on the table (_power); for
         an index array a, the array of powers, elementwise."""
         scalar = np.ndim(a) == 0
         if scalar:
             self._check(a)
         if e < 0:
             a, e = self.inverse[a], -e
-        result, base = np.zeros_like(a), a
-        while e:
-            if e & 1:
-                result = self.table[result, base]
-            base = self.table[base, base]
-            e >>= 1
+        result = _power(self, a, e)
         return int(result) if scalar else result
 
     def exponent(self, N: ElementSet | None = None) -> int:
-        """The exponent of G/N for a normal subgroup N (default the trivial
-        one): the lcm over a of the least k with a^k in N, with c = a^k for
-        all a at once until c is in N. N must be normal, or G/N is no group."""
-        stop = ElementSet.trivial(self.n) if N is None else ElementSet.of(self.n, N)
-        a = c = np.arange(self.n)
-        k = e = 1
-        while len(a):
-            live = ~stop.mask[c]
-            e = e if live.all() else math.lcm(e, k)
-            a, c, k = a[live], self.table[c[live], a[live]], k + 1
+        """The exponent of G/N for a normal subgroup N (default the trivial one), by a prime-power
+        descent over the class minima (Cohen, A Course in Computational Algebraic Number Theory,
+        1993, Alg. 1.4.3): orders mod N are class invariants and divide m = |G : N|, so for each
+        p^k exactly dividing m the minima are raised to m / p^k, then to p until they lie in N, at
+        most k times; the p-part of the exponent is p to the most raises. N must be normal, or
+        G/N is no group; NotNormal when a descent outlasts its k raises."""
+        stop = (ElementSet.trivial(self.n) if N is None else ElementSet.of(self.n, N)).mask
+        m, e, reps = self.n // int(np.count_nonzero(stop)), 1, class_representatives(self)
+        for p, k in _prime_powers(m):
+            c = _power(self, reps, m // p**k)
+            for _ in range(k):
+                c = c[~stop[c]]
+                if not len(c):
+                    break
+                c, e = _power(self, c, p), e * p
+            if len(c) and not stop[c].all():
+                raise NotNormal("exponent mod N requires a normal subgroup N")
         return e
 
     def elements(self) -> range:
@@ -457,6 +458,30 @@ def _new_table(n: int, held: int = 0) -> np.ndarray:
     return np.empty((n, n), dtype=_index_dtype(n))
 
 
+def _power(G: GroupTable, a, e: int) -> np.ndarray:
+    """a**e for e >= 0, for an index or elementwise over an index array a, by square-and-multiply on the table."""
+    result, base = np.zeros_like(a), a
+    while e:
+        if e & 1:
+            result = G.table[result, base]
+        base = G.table[base, base]
+        e >>= 1
+    return result
+
+
+def _prime_powers(m: int) -> list[tuple[int, int]]:
+    """(p, k) for each prime power p^k that exactly divides m >= 1, by trial division."""
+    found, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            k = 0
+            while m % p == 0:
+                m, k = m // p, k + 1
+            found.append((p, k))
+        p += 1
+    return found + [(m, 1)] if m > 1 else found
+
+
 def _blocks(n: int, width: int) -> Iterable[np.ndarray]:
     """Consecutive index ranges covering 0..n-1, with rows * width <= BLOCK_ENTRIES
     (or one row a block when a row is wider): width is the bytes that one row
@@ -570,7 +595,10 @@ def _series_terms(G: GroupTable, S: ElementSet) -> tuple[ElementSet, ...]:
 
 
 def is_subgroup(G: GroupTable, S: ElementSet) -> bool:
+    """Whether S holds 1 and every product of two members: all of G is a subgroup at once, else |S|^2 products."""
     S = ElementSet.of(G.n, S)
+    if S.mask.all():
+        return True
     mem = S.mask.nonzero()[0]
     return 0 in S and bool(S.mask[_values(G, _product_grid, mem, mem)].all())
 

@@ -13,11 +13,14 @@ in index order to reach each value gives the witnesses (``tail_witnesses``).
 ``coset_directions`` gives the directions ``engel.sinks`` walks, one per coset
 of the centralizer of their values, by scalar loops. ``relabel`` renames a
 table's elements, for the checks that results do not depend on the
-labelling; ``element_order``, ``commute`` and ``conj`` are scalar table reads,
+labelling; ``exponent_by_powers`` is the exponent of G/N by one gather a power,
+up to the exponent, the oracle of ``GroupTable.exponent``'s prime-power descent;
+``element_order``, ``commute`` and ``conj`` are scalar table reads,
 ``compose`` and ``inverse`` the permutation products of the scalar closure
 oracle, and ``union`` the join of two element sets.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +59,19 @@ def element_order(G: GroupTable, a: int) -> int:
         c = G.mul(c, a)
         k += 1
     return k
+
+
+def exponent_by_powers(G: GroupTable, N: ElementSet | None = None) -> int:
+    """The exponent of G/N for a normal subgroup N (default the trivial one): the lcm over a of
+    the least k with a^k in N, with c = a^k for all a at once until c is in N."""
+    stop = ElementSet.trivial(G.n) if N is None else ElementSet.of(G.n, N)
+    a = c = np.arange(G.n)
+    k = e = 1
+    while len(a):
+        live = ~stop.mask[c]
+        e = e if live.all() else math.lcm(e, k)
+        a, c, k = a[live], G.table[c[live], a[live]], k + 1
+    return e
 
 
 def commute(G: GroupTable, a: int, b: int) -> bool:

@@ -314,8 +314,9 @@ def test_sinks_match_landing_and_window_oracles(corpus):
 def test_sinks_over_many_direction_blocks(corpus, monkeypatch):
     """With a small BLOCK_ENTRIES the walk runs in several direction blocks;
     the directions it walks are exactly the least elements of the cosets of
-    C_G(S), S the commutators and the targets' classes, with C brute-forced;
-    and the sinks, of all elements and of one, do not change."""
+    C_G(S), S the commutators and the targets' classes, with C brute-forced,
+    and none when the only target is the identity (C1); and the sinks, of all
+    elements and of one, do not change."""
     whole = {group_id: (sinks(G), sinks(G, [G.n - 1])) for group_id, G in corpus}
     walked = []
 
@@ -331,11 +332,30 @@ def test_sinks_over_many_direction_blocks(corpus, monkeypatch):
             del walked[:]
             assert np.array_equal(sinks(G, targets), want), group_id
             directions = coset_directions(G, G.elements() if targets is None else targets)
+            if G.n == 1:  # the identity is the only target
+                assert walked == [], group_id
+                continue
             assert np.concatenate(walked).tolist() == directions, group_id
             if len(directions) >= 16:
                 assert len(walked) > 2, group_id
                 several.add(group_id)
     assert {"S4", "A5"} <= several
+
+
+def test_identity_rows_make_no_walk(corpus, monkeypatch):
+    """The sinks of the identity alone are rows of {1}, as [1, x] = 1, equal to window_sinks's row
+    of 1 on every corpus group; like the sinks of no element, they make no step grid and read or
+    make no coset minima, and they are read-only."""
+    oracle = {group_id: window_sinks(G)[0] for group_id, G in corpus}
+    made = []
+    monkeypatch.setattr(engel, "_comm_grid", lambda *args: made.append("step grid"))
+    monkeypatch.setattr(engel, "_coset_minima", lambda *args: made.append("coset minima"))
+    monkeypatch.setattr(group.GroupTable, "commutator_cosets", property(lambda G: made.append("commutator cosets")))
+    for group_id, G in corpus:
+        rows, none = sinks(G, [0]), sinks(G, [])
+        assert np.array_equal(rows, oracle[group_id][None, :]), group_id
+        assert none.shape == (0, G.n) and not rows.flags.writeable and not none.flags.writeable, group_id
+    assert made == []
 
 
 def test_coset_directions_past_oracle_cap():

@@ -52,7 +52,7 @@ from sinklab.structure import fitting_subgroup, nilpotent_residual
 from sinklab.verify import scan_row
 
 from oracles import (
-    associativity_audit, commute, compose, conj, derived_series, element_order, non_automorphisms,
+    associativity_audit, commute, compose, conj, derived_series, element_order, exponent_by_powers, non_automorphisms,
     non_homomorphism_pairs, normal_closure, normal_subgroups, relabel, union,
 )
 
@@ -808,7 +808,7 @@ def test_element_order_and_exponent(s3):
 
 
 def test_exponent_matches_scalar_element_orders(corpus):
-    """The one-pass exponent equals the lcm of the scalar element_order of
+    """The prime-power descent's exponent equals the lcm of the scalar element_order of
     every element, on the corpus, on C2000 and on (D50)^2 at the order cap."""
     big = [build(FamilySpec("cyclic", (2000,))),
            build(FamilySpec("direct_power", (2,), base=FamilySpec("dihedral", (50,))))]
@@ -825,6 +825,24 @@ def test_exponent_mod_a_normal_subgroup_is_the_quotient_exponent(corpus):
     for G in [G for _, G in corpus] + contrast:
         for N in normal_subgroups(G):
             assert G.exponent(N) == quotient(G, N)[0].exponent(), (G.name, sorted(N))
+
+
+def test_exponent_descent_matches_the_power_loop(corpus):
+    """G.exponent(N), by the prime-power descent over the class minima, equals the loop of one
+    gather a power (exponent_by_powers) for N = 1, the Fitting subgroup, every lower central term
+    and the centre, on every corpus group, on a relabelled one and on dihedral 500."""
+    big = max((G for _, G in corpus), key=lambda G: G.n)
+    pi = np.array([0, *np.random.default_rng(38).permutation(np.arange(1, big.n))], dtype=big.table.dtype)
+    extra = [("relabelled " + big.name, relabel(big, pi)), ("dihedral 500", build(FamilySpec("dihedral", (500,))))]
+    for group_id, G in corpus + extra:
+        for N in (None, fitting_subgroup(G), *G.lower_central, centralizer(G, ElementSet.full(G.n))):
+            assert G.exponent(N) == exponent_by_powers(G, N), (group_id, None if N is None else len(N))
+
+
+def test_exponent_descent_rejects_a_subgroup_that_is_not_normal(s3):
+    """Mod <(1 3)>, whose cosets are no group, (1 2)'s descent outlasts its one raise to 3."""
+    with pytest.raises(NotNormal, match="normal subgroup"):
+        s3.exponent(subgroup_closure(s3, [s3.labels.index("(1 3)")]))
 
 
 def test_validate_and_audit(q8, d4, s3):

@@ -202,6 +202,22 @@ def test_fitting_certificates_reject_a_wrong_left_engel_set(monkeypatch, s4, cyc
         fitting_subgroup(s4)
 
 
+def test_fitting_of_a_nilpotent_group_is_g_without_a_walk(corpus, monkeypatch):
+    """When G's kept lower central series ends at 1, fitting_subgroup returns G and makes no left
+    Engel walk and no product grid, on every nilpotent corpus group and a relabelled dihedral 512."""
+    d512 = build(FamilySpec("dihedral", (512,)))
+    pi = np.array([0, *np.random.default_rng(38).permutation(np.arange(1, d512.n))], dtype=d512.table.dtype)
+    groups = [(group_id, G) for group_id, G in corpus if is_nilpotent(G)]  # makes and keeps each series
+    groups.append(("relabelled dihedral 512", relabel(d512, pi)))
+    assert len(groups) == 33 and is_nilpotent(groups[-1][1])
+    made = []
+    monkeypatch.setattr(structure, "left_engel_set", lambda G: made.append("left Engel walk"))
+    monkeypatch.setattr(group, "_product_grid", lambda *args: made.append("product grid"))
+    for group_id, G in groups:
+        assert fitting_subgroup(G) == ElementSet.full(G.n), group_id
+    assert made == []
+
+
 def test_residual_minimality_small(s3, s4):
     a4 = build(FamilySpec("alternating", (4,)))
     d6 = build(FamilySpec("dihedral", (6,)))
