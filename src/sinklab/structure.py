@@ -5,9 +5,10 @@ The Fitting subgroup is computed by Baer's criterion: in a finite group the
 left Engel elements form exactly the largest normal nilpotent subgroup. When
 G's kept lower central series ends at 1, G is nilpotent and F is G by
 definition, so no left Engel walk is made (left_engel_set itself still walks,
-for check_heineken). The result is certified once, in fitting_subgroup
-(subgroup, normal, nilpotent); for F = G the subgroup check is immediate and
-the nilpotency check reads the same kept series.
+for check_heineken). F = G is then certified by another series, the upper
+central series (_nilpotent_modulo over the trivial subgroup), which must reach
+G; a subgroup and normality check would hold by construction. A walked F is
+certified in fitting_subgroup as a subgroup, normal and nilpotent.
 is_nilpotent(G, S) reads S's lower central series in G's table.
 When S is normal, so is every term, and comm_values uses class minima.
 G's own series is kept with its table (GroupTable.lower_central) and read
@@ -78,8 +79,13 @@ def _nilpotent_modulo(G: GroupTable, N: ElementSet) -> bool:
 
 def fitting_subgroup(G: GroupTable) -> ElementSet:
     """Largest normal nilpotent subgroup, as the set of left Engel elements: G itself when G's
-    kept lower central series ends at 1, with no walk, else left_engel_set."""
-    F = ElementSet.full(G.n) if len(G.lower_central[-1]) == 1 else left_engel_set(G)
+    kept lower central series ends at 1 and its upper central series reaches G, with no walk,
+    else left_engel_set, certified a normal nilpotent subgroup."""
+    if len(G.lower_central[-1]) == 1:
+        if not _nilpotent_modulo(G, ElementSet.trivial(G.n)):
+            raise InternalInconsistency("lower central series ends at 1, upper central series does not reach G")
+        return ElementSet.full(G.n)
+    F = left_engel_set(G)
     if not is_subgroup(G, F):
         raise InternalInconsistency("left Engel set is not closed under multiplication")
     if classes_meeting(G, F) != F:

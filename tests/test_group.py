@@ -323,19 +323,23 @@ def test_table_passes_bounded_in_bytes(monkeypatch):
     class labels' certificate on (D12)^2, the fill of E3^5:C2, the quotient
     of (D12)^2 by its nilpotent residual (with its class labels), and the
     product grids that gather rows first: the quotient by the Fitting
-    subgroup, of index 4, and is_subgroup and the centralizer of all of G."""
+    subgroup, of index 4, is_subgroup of the index-2 subgroup C12 x D12,
+    and the centralizer of all of G."""
     monkeypatch.setattr(group, "BLOCK_ENTRIES", 1 << 16)
     D12, E = build(FamilySpec("dihedral", (12,))), build(FamilySpec("elementary_abelian", (3, 5)))
     C2 = build(FamilySpec("cyclic", (2,)))
     G, H, K = (direct_product(D12, D12) for _ in range(3))  # the residual (K) and the quotient (H) leave G unlabelled
     R, F = nilpotent_residual(K), fitting_subgroup(K)
+    # C12 x D12, the pairs (a, b) = a * 24 + b with a in C12: a proper subgroup whose grid gathers rows
+    rotations_by_D12 = ElementSet(np.repeat(fitting_subgroup(D12).mask, D12.n))
+    assert 4 * len(rotations_by_D12) >= G.n > len(rotations_by_D12) and is_subgroup(G, rotations_by_D12)
     passes = {
         "validate_table": lambda: validate_table(G),
         "class_labels": lambda: G.class_labels,
         "semidirect_product": lambda: semidirect_product(E, C2, [range(E.n), E.inverse.tolist()]),
         "quotient": lambda: quotient(H, R),
         "quotient by F": lambda: quotient(K, F),
-        "is_subgroup": lambda: is_subgroup(G, ElementSet.full(G.n)),
+        "is_subgroup": lambda: is_subgroup(G, rotations_by_D12),
         "centralizer": lambda: centralizer(G, ElementSet.full(G.n)),
     }
     over = {}

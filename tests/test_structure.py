@@ -218,6 +218,15 @@ def test_fitting_of_a_nilpotent_group_is_g_without_a_walk(corpus, monkeypatch):
     assert made == []
 
 
+def test_fitting_shortcut_is_certified_by_the_upper_central_series():
+    """F = G rests on a second series: a kept lower central series that ends at 1 on S4, which
+    is not nilpotent, makes fitting_subgroup raise, as S4's upper central series stops at 1."""
+    s4 = build(FamilySpec("symmetric", (4,)))
+    s4.lower_central = (ElementSet.full(s4.n), ElementSet.trivial(s4.n), ElementSet.trivial(s4.n))
+    with pytest.raises(InternalInconsistency, match="upper central series does not reach G"):
+        fitting_subgroup(s4)
+
+
 def test_residual_minimality_small(s3, s4):
     a4 = build(FamilySpec("alternating", (4,)))
     d6 = build(FamilySpec("dihedral", (6,)))
