@@ -528,9 +528,10 @@ def _comm_grid(G: GroupTable, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
 
 def _values(G: GroupTable, grid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Mask of the entries of grid(G, xs, ys), gathered in blocks of xs of
-    about BLOCK_ENTRIES bytes at _comm's cost an entry, and a product grid's row gather."""
-    found, gather = np.zeros(G.n, dtype=bool), _row_gather_bytes(G, ys) if grid is _product_grid else 0
-    for rows in _blocks(len(xs), len(ys) * (8 + 2 * G.table.itemsize) + gather):
+    about BLOCK_ENTRIES bytes at _comm's cost an entry. That covers a product grid's row gather too,
+    as it gathers rows only for a quarter of G or more: at most 5 * itemsize bytes a column of ys."""
+    found = np.zeros(G.n, dtype=bool)
+    for rows in _blocks(len(xs), len(ys) * (8 + 2 * G.table.itemsize)):
         found[grid(G, xs[rows], ys)] = True
     return found
 

@@ -18,10 +18,10 @@ check_heineken and check_centralizer_power test statements about single
 elements that are invariant under conjugation: sink(g^x) = sink(g)^x and
 C(g^x) = C(g)^x. So if g fails, so does the least element of its class,
 and the least failing g, which each counterexample names, is a class
-minimum; both checkers read the sink rows of the class minima only, which
-ascend: check_heineken all at once, check_centralizer_power one row at a
-time. Their counts are sums over all elements, taken as a class minimum's
-term times its class size, np.bincount(G.class_labels)[g].
+minimum. Both read the sink rows of the ascending class minima, which
+run_checks makes once and check_m1_iff_nilpotent reads too, at the weight-k
+values' minima. Their counts are sums over all elements, taken as a class
+minimum's term times its class size, np.bincount(G.class_labels)[g].
 
 check_orbit_lemma reads u -> [u, a] as one permutation pi of V: its
 hypothesis V = [V, a] makes the map onto V, so bijective, and [1, a] = 1,
@@ -84,11 +84,10 @@ ORACLE_CAP = 100  # largest order check_sink_oracle accepts
 CHECKS = ("heineken", "centralizer_power", "m1_iff_nilpotent", "sink_oracle", "orbit_lemma")
 
 
-def check_heineken(G: GroupTable) -> CheckResult:
+def check_heineken(G: GroupTable, reps: np.ndarray, rows: np.ndarray) -> CheckResult:
     """Right Engel g (its sink is the identity alone) implies left Engel
     g^-1, for every element."""
-    reps = class_representatives(G)
-    right_engel = reps[sinks(G, reps).sum(axis=1) == 1]  # the identity is in every sink
+    right_engel = reps[rows.sum(axis=1) == 1]  # the identity is in every sink
     bad = right_engel[~left_engel_set(G).mask[G.inverse[right_engel]]]
     if len(bad):
         g = int(bad[0])
@@ -97,15 +96,14 @@ def check_heineken(G: GroupTable) -> CheckResult:
     return CheckResult("heineken", True, stats={"right_engel_count": count})
 
 
-def check_centralizer_power(G: GroupTable) -> CheckResult:
+def check_centralizer_power(G: GroupTable, reps: np.ndarray, rows: np.ndarray) -> CheckResult:
     """For m = |sink(g)| and h centralizing g, h^(m!) centralizes sink(g).
 
     All of C(g) is raised to m! mod exponent(G) at once, and only the
     distinct powers are tested against sink(g); a failure names the least
     failing h, then the least z in sink(g) that its power does not commute with."""
-    t, size, exponent, reps = G.table, np.bincount(G.class_labels), G.exponent(), class_representatives(G)
-    checked = 0
-    for g, sink in zip(reps.tolist(), sinks(G, reps)):
+    t, size, exponent, checked = G.table, np.bincount(G.class_labels), G.exponent(), 0
+    for g, sink in zip(reps.tolist(), rows):
         m = int(sink.sum())
         hs = np.flatnonzero(t[g] == t[:, g])  # C(g)
         powers, back = np.unique(G.power(hs, math.factorial(m) % exponent), return_inverse=True)
@@ -171,15 +169,13 @@ def check_orbit_lemma(G: GroupTable, V: ElementSet, a: int, k: int) -> CheckResu
     )
 
 
-def check_m1_iff_nilpotent(G: GroupTable, k: int) -> CheckResult:
-    """All weight-k values have trivial sinks exactly when G is nilpotent."""
-    m_full, _, argmax = sink_profile(G, k)
-    nilpotent = is_nilpotent(G)
-    passed = (m_full == 1) == nilpotent
-    result = CheckResult("m1_iff_nilpotent", passed, stats={"k": k, "m_full": m_full, "nilpotent": int(nilpotent)})
-    if not passed:
-        result.counterexample = {"m_full": m_full, "nilpotent": int(nilpotent), "argmax": argmax}
-    return result
+def check_m1_iff_nilpotent(G: GroupTable, k: int, targets: np.ndarray, rows: np.ndarray) -> CheckResult:
+    """All weight-k values have trivial sinks exactly when G is nilpotent; m_full and argmax as in sink_profile."""
+    values = gamma_values(G, k).mask[targets]  # the values are a class union, so these are their minima
+    sizes = rows.sum(axis=1)[values]  # the identity is in every sink
+    m_full, argmax, nilpotent = int(sizes.max()), int(targets[values][sizes.argmax()]), int(is_nilpotent(G))
+    ce = None if (m_full == 1) == nilpotent else {"m_full": m_full, "nilpotent": nilpotent, "argmax": argmax}
+    return CheckResult("m1_iff_nilpotent", ce is None, ce, {"k": k, "m_full": m_full, "nilpotent": nilpotent})
 
 
 def window_sinks(G: GroupTable) -> np.ndarray:
@@ -220,25 +216,29 @@ def check_sink_oracle(G: GroupTable) -> CheckResult:
 
 
 def run_checks(G: GroupTable, which: str, k: int, family: Optional[FamilySpec]) -> list[CheckResult]:
-    """The check named which, or with "all" each check in CHECKS that applies,
-    on G built from family (None for a permutation spec). All runs
-    m1_iff_nilpotent at k = 2 and 3, sink_oracle up to ORACLE_CAP, and
-    orbit_lemma (V the nilpotent residual, a the last generator, weight k) on
-    inversion_extension and frobenius only. A check alone that does not apply
-    raises HypothesisFailed."""
+    """The check named which, or with "all" each check in CHECKS that applies, on G built from
+    family (None for a permutation spec). All runs m1_iff_nilpotent at k = 2 and 3, sink_oracle up
+    to ORACLE_CAP, and orbit_lemma (V the nilpotent residual, a the last generator, weight k) on
+    inversion_extension and frobenius only. A check alone that does not apply raises
+    HypothesisFailed. The first three read one sink pass: of all class minima, or of the weight-k
+    values' minima only when m1_iff_nilpotent runs alone."""
     every = which == "all"
     if not every and which not in CHECKS:
         raise ValueError(f"unknown check {which!r}")
     orbit = family is not None and family.family in ("inversion_extension", "frobenius")
     if which == "orbit_lemma" and not orbit:
         raise HypothesisFailed("orbit_lemma needs a group constructed as inversion_extension or frobenius")
+    if which not in ("sink_oracle", "orbit_lemma"):
+        minima = class_representatives(G)
+        minima = minima[gamma_values(G, k).mask[minima]] if which == "m1_iff_nilpotent" else minima
+        rows = sinks(G, minima)
     results = []
     if which in ("heineken", "all"):
-        results.append(check_heineken(G))
+        results.append(check_heineken(G, minima, rows))
     if which in ("centralizer_power", "all"):
-        results.append(check_centralizer_power(G))
+        results.append(check_centralizer_power(G, minima, rows))
     if which in ("m1_iff_nilpotent", "all"):
-        results.extend(check_m1_iff_nilpotent(G, kk) for kk in ((2, 3) if every else (k,)))
+        results.extend(check_m1_iff_nilpotent(G, kk, minima, rows) for kk in ((2, 3) if every else (k,)))
     if which == "sink_oracle" or every and G.n <= ORACLE_CAP:  # alone above the cap, the checker raises
         results.append(check_sink_oracle(G))
     if which == "orbit_lemma" or every and orbit:

@@ -10,14 +10,7 @@ from sinklab.engel import gamma_values
 from sinklab.families import FamilySpec, build
 from sinklab.group import subgroup_closure
 from sinklab.structure import fitting_subgroup, left_engel_set, nilpotent_residual
-from sinklab.verify import (
-    check_centralizer_power,
-    check_heineken,
-    check_m1_iff_nilpotent,
-    check_orbit_lemma,
-    check_sink_oracle,
-    contrast_report,
-)
+from sinklab.verify import check_orbit_lemma, check_sink_oracle, contrast_report, run_checks
 
 from oracles import component_sink_size, fitting_maximality_check, fitting_via_normal_closures
 
@@ -44,7 +37,7 @@ def test_criterion_1_sink_oracle_equivalence(corpus):
 
 
 def test_criterion_2_heineken_suite(corpus):
-    failures = [gid for gid, G in corpus if not check_heineken(G).passed]
+    failures = [gid for gid, G in corpus if not run_checks(G, "heineken", 2, None)[0].passed]
     report(2, not failures, f"{len(corpus)} groups, failures: {failures}")
 
 
@@ -53,7 +46,7 @@ def test_criterion_3_centralizer_power_suite(corpus):
     for group_id, G in corpus:
         if G.n > 100:
             continue
-        result = check_centralizer_power(G)
+        [result] = run_checks(G, "centralizer_power", 2, None)
         assert result.passed, f"{group_id}: {result.counterexample}"
         checked += 1
     report(3, checked > 0, f"{checked} groups of order <= 100")
@@ -115,7 +108,7 @@ def test_criterion_7_contrast_family():
 
 def test_criterion_8_m1_iff_nilpotent(corpus):
     for k in (2, 3):
-        failures = [gid for gid, G in corpus if not check_m1_iff_nilpotent(G, k).passed]
+        failures = [gid for gid, G in corpus if not run_checks(G, "m1_iff_nilpotent", k, None)[0].passed]
         assert not failures, f"k={k}: {failures}"
     report(8, True, f"{len(corpus)} groups at k=2 and k=3")
 

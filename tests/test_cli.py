@@ -121,7 +121,7 @@ def test_verify_all_checks(capsys):
 
 
 def test_verify_failed_check_exits_one(capsys, monkeypatch):
-    def fake_check(G):
+    def fake_check(G, reps, rows):
         return CheckResult("heineken", False, counterexample={"g": 1})
 
     monkeypatch.setattr(verify, "check_heineken", fake_check)

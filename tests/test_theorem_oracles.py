@@ -18,7 +18,7 @@ import pytest
 from sinklab.engel import sinks
 from sinklab.families import FamilySpec, build
 from sinklab.group import direct_product
-from sinklab.verify import check_heineken
+from sinklab.verify import run_checks
 
 EXTRA_GROUPS = (
     FamilySpec("alternating", (6,)),
@@ -56,7 +56,7 @@ def test_right_engel_elements_are_the_hypercentre(groups):
     for name, G, sink_of in groups:
         hypercentre = upper_central_series(G)[-1]
         assert set(np.flatnonzero(sink_of.sum(axis=1) == 1).tolist()) == hypercentre, name
-        assert check_heineken(G).stats["right_engel_count"] == len(hypercentre), name
+        assert run_checks(G, "heineken", 2, None)[0].stats["right_engel_count"] == len(hypercentre), name
         if 1 < len(hypercentre) < G.n:
             between.append(name)
     assert {"D6", "D12"} <= set(between)  # not vacuous: proper, nontrivial hypercentres

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from sinklab import verify
-from sinklab.engel import gamma_values, right_engel_sink
+from sinklab.engel import gamma_values, right_engel_sink, sink_profile
 from sinklab.errors import HypothesisFailed
 from sinklab.families import FamilySpec, build
 from sinklab.group import (
-    ElementSet, GroupTable, centralizer, classes_meeting, direct_product, subgroup_closure, subgroup_table,
+    ElementSet, GroupTable, centralizer, class_representatives, classes_meeting, direct_product, subgroup_closure,
+    subgroup_table,
 )
-from sinklab.structure import nilpotent_residual
+from sinklab.structure import is_nilpotent, nilpotent_residual
 from sinklab.verify import (
     CSV_COLUMNS,
     CheckResult,
-    check_centralizer_power,
-    check_heineken,
     check_m1_iff_nilpotent,
     check_orbit_lemma,
     check_sink_oracle,
@@ -24,12 +23,18 @@ from sinklab.verify import (
     scan_row,
 )
 
-from oracles import commutator_tail, commute, component_sink_size, conj, element_order
+from oracles import commutator_tail, commute, component_sink_size, conj, element_order, relabel
+
+
+def run_one(G, check, k=2):
+    """The one result of run_checks with a single check on G, as from a permutation spec."""
+    [result] = run_checks(G, check, k, None)
+    return result
 
 
 def test_heineken(s4, c12, ie32):
     for G in (s4, c12, ie32):
-        assert check_heineken(G).passed
+        assert run_one(G, "heineken").passed
 
 
 def test_centralizer_power_s3_details(s3):
@@ -41,12 +46,12 @@ def test_centralizer_power_s3_details(s3):
     for h in C:
         h2 = s3.power(h, 2)  # m! = 2
         assert all(commute(s3, h2, z) for z in report.sink)
-    assert check_centralizer_power(s3).passed
+    assert run_one(s3, "centralizer_power").passed
 
 
 def test_centralizer_power(q8, frob732, s4):
     for G in (q8, frob732, s4):
-        assert check_centralizer_power(G).passed
+        assert run_one(G, "centralizer_power").passed
 
 
 def test_orbit_lemma_pass_cases(ie31, ie32, frob732):
@@ -87,12 +92,56 @@ def test_simple_product_gamma(a5):
 
 
 def test_m1_iff_nilpotent(d4, s3, corpus):
-    r = check_m1_iff_nilpotent(d4, 2)
+    r = run_one(d4, "m1_iff_nilpotent")
     assert r.passed and r.stats["m_full"] == 1 and r.stats["nilpotent"] == 1
-    r = check_m1_iff_nilpotent(s3, 2)
+    r = run_one(s3, "m1_iff_nilpotent")
     assert r.passed and r.stats["m_full"] == 2 and r.stats["nilpotent"] == 0
     c6 = build(FamilySpec("cyclic", (6,)))
-    assert check_m1_iff_nilpotent(c6, 3).passed
+    assert run_one(c6, "m1_iff_nilpotent", 3).passed
+
+
+def test_m1_reads_sink_profile_from_class_minimum_rows(corpus, monkeypatch):
+    """m_full and its least witness, read from the sinks of all class minima,
+    equal sink_profile's, which walks the weight-k values' minima only, at
+    k = 2 and 3 on every corpus group and on a relabelled one, whose class
+    minima and so whose witnesses differ. A flipped nilpotency verdict fails
+    every check, so each names its witness."""
+    monkeypatch.setattr(verify, "is_nilpotent", lambda G: not is_nilpotent(G))
+    big = max((G for _, G in corpus), key=lambda G: G.n)
+    pi = np.array([0, *np.random.default_rng(7).permutation(np.arange(1, big.n))], dtype=big.table.dtype)
+    for group_id, G in corpus + [("relabelled " + big.name, relabel(big, pi))]:
+        reps = class_representatives(G)
+        rows = verify.sinks(G, reps)
+        for k in (2, 3):
+            m_full, _, argmax = sink_profile(G, k)
+            result = check_m1_iff_nilpotent(G, k, reps, rows)
+            assert (result.stats["m_full"], result.counterexample["argmax"]) == (m_full, argmax), (group_id, k)
+
+
+@pytest.mark.parametrize("family", (None, FamilySpec("inversion_extension", (3, 2))), ids=["S4", "ie32"])
+def test_run_checks_makes_one_class_minimum_sink_pass(s4, monkeypatch, family):
+    """`all` and heineken alone call sinks once on G's class minima; `all`
+    also makes sink_oracle's call on all of G and, on the inversion
+    extension, orbit_lemma's on V in <V, a>'s table. m1_iff_nilpotent alone
+    calls it once, on the weight-k values' minima only."""
+    G = s4 if family is None else build(family)
+    reps = ElementSet.of(G.n, class_representatives(G))
+    values = ElementSet(reps.mask & gamma_values(G, 3).mask)
+    assert len(values) < len(reps)  # not vacuous: the weight-3 values miss a class
+    calls = []
+
+    def counting(H, elements=None):
+        calls.append(("G" if H is G else "H", None if elements is None else ElementSet.of(H.n, elements)))
+        return REAL_SINKS(H, elements)
+
+    monkeypatch.setattr(verify, "sinks", counting)
+    run_checks(G, "all", 3, family)
+    orbit = [("G", nilpotent_residual(G))] if family else []  # <V, a> is all of G here
+    assert calls == [("G", reps), ("G", None), *orbit]
+    for check, targets in (("heineken", reps), ("m1_iff_nilpotent", values)):
+        calls.clear()
+        run_checks(G, check, 3, family)
+        assert calls == [("G", targets)], check
 
 
 @pytest.mark.parametrize("s", (1, 2, 3))
@@ -160,7 +209,7 @@ def test_contrast_report():
 
 def test_centralizer_power_corpus_wide(corpus):
     for group_id, G in corpus:
-        assert check_centralizer_power(G).passed, group_id
+        assert run_one(G, "centralizer_power").passed, group_id
 
 
 def test_scan_row_invariants(corpus):
@@ -278,8 +327,8 @@ def test_class_minimum_checkers_match_references(corpus, monkeypatch, fault):
         monkeypatch.setattr(target, name, value)
     failed = set()
     for group_id, G in corpus:
-        for check, ref in ((check_heineken, ref_heineken), (check_centralizer_power, ref_centralizer_power)):
-            result = check(G)
+        for check, ref in (("heineken", ref_heineken), ("centralizer_power", ref_centralizer_power)):
+            result = run_one(G, check)  # its class minima's sinks from the patched verify.sinks too
             assert result == ref(G), (fault, group_id)
             if not result.passed:
                 failed.add(result.check)
