@@ -191,8 +191,7 @@ def _quaternion8(cap: int) -> GroupTable:
 def _inversion_extension(p: int, r: int, cap: int) -> GroupTable:
     T = _elementary_abelian(p, r, cap)
     C2 = _cyclic(2, cap)
-    inversion = [int(v) for v in T.inverse]
-    action = [list(range(T.n)), inversion]
+    action = np.stack([np.arange(T.n), T.inverse])  # the identity, then inversion
     return semidirect_product(T, C2, action, cap)  # semidirect_product names it E{p}^{r}:C2
 
 
@@ -201,7 +200,7 @@ def _frobenius(p: int, q: int, t: int, cap: int) -> GroupTable:
     # the j-th complement generator power is k -> k * t^j mod p.
     Cp = _cyclic(p, cap)
     Cq = _cyclic(q, cap)
-    action = [[(k * pow(t, j, p)) % p for k in range(p)] for j in range(q)]
+    action = np.array([np.arange(p) * pow(t, j, p) % p for j in range(q)])
     return semidirect_product(Cp, Cq, action, cap)  # semidirect_product names it C{p}:C{q}
 
 

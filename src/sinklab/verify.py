@@ -215,30 +215,35 @@ def check_sink_oracle(G: GroupTable) -> CheckResult:
     return CheckResult("sink_oracle", True)
 
 
+def _sink_row_checks(G: GroupTable, which: str, k: int) -> list[CheckResult]:
+    """heineken, centralizer_power and m1_iff_nilpotent, as which asks, on one sink pass; its rows
+    go when this returns, so the checks that follow do not hold them."""
+    minima = class_representatives(G)
+    minima = minima[gamma_values(G, k).mask[minima]] if which == "m1_iff_nilpotent" else minima
+    rows, results = sinks(G, minima), []
+    if which in ("heineken", "all"):
+        results.append(check_heineken(G, minima, rows))
+    if which in ("centralizer_power", "all"):
+        results.append(check_centralizer_power(G, minima, rows))
+    if which in ("m1_iff_nilpotent", "all"):
+        results.extend(check_m1_iff_nilpotent(G, kk, minima, rows) for kk in ((2, 3) if which == "all" else (k,)))
+    return results
+
+
 def run_checks(G: GroupTable, which: str, k: int, family: Optional[FamilySpec]) -> list[CheckResult]:
     """The check named which, or with "all" each check in CHECKS that applies, on G built from
     family (None for a permutation spec). All runs m1_iff_nilpotent at k = 2 and 3, sink_oracle up
     to ORACLE_CAP, and orbit_lemma (V the nilpotent residual, a the last generator, weight k) on
     inversion_extension and frobenius only. A check alone that does not apply raises
     HypothesisFailed. The first three read one sink pass: of all class minima, or of the weight-k
-    values' minima only when m1_iff_nilpotent runs alone."""
+    values' minima only when m1_iff_nilpotent runs alone, and its rows go before the others run."""
     every = which == "all"
     if not every and which not in CHECKS:
         raise ValueError(f"unknown check {which!r}")
     orbit = family is not None and family.family in ("inversion_extension", "frobenius")
     if which == "orbit_lemma" and not orbit:
         raise HypothesisFailed("orbit_lemma needs a group constructed as inversion_extension or frobenius")
-    if which not in ("sink_oracle", "orbit_lemma"):
-        minima = class_representatives(G)
-        minima = minima[gamma_values(G, k).mask[minima]] if which == "m1_iff_nilpotent" else minima
-        rows = sinks(G, minima)
-    results = []
-    if which in ("heineken", "all"):
-        results.append(check_heineken(G, minima, rows))
-    if which in ("centralizer_power", "all"):
-        results.append(check_centralizer_power(G, minima, rows))
-    if which in ("m1_iff_nilpotent", "all"):
-        results.extend(check_m1_iff_nilpotent(G, kk, minima, rows) for kk in ((2, 3) if every else (k,)))
+    results = [] if which in ("sink_oracle", "orbit_lemma") else _sink_row_checks(G, which, k)
     if which == "sink_oracle" or every and G.n <= ORACLE_CAP:  # alone above the cap, the checker raises
         results.append(check_sink_oracle(G))
     if which == "orbit_lemma" or every and orbit:

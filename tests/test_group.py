@@ -365,10 +365,10 @@ def test_product_fill_fault_passes_the_laws_and_fails_the_oracle(monkeypatch):
     validate_table(honest)
     calls = []
 
-    def add(x, y, out=None, **kwargs):  # the fill's first np.add writes product column 0 of each a2
+    def add(x, y, out=None, **kwargs):  # the fill's first np.add writes product column 0 of each a2: out[a, h, a2]
         np.add(x, y, out=out, **kwargs)
-        if not calls and out is not None:
-            out[[1, 2], 1] = out[[2, 1], 1]  # column 1 * |H| + 0 = 2, rows 1 and 2
+        if not calls and out is not None:  # column 1 * |H| + 0 = 2 of rows (0, 1) = 1 and (1, 0) = 2
+            out[0, 1, 1], out[1, 0, 1] = out[1, 0, 1], out[0, 1, 1]
         calls.append(out is not None)
 
     monkeypatch.setattr(group, "np", types.SimpleNamespace(**{**vars(np), "add": add}))
@@ -791,6 +791,28 @@ def test_action_checks_extend_untrusted_generators():
     assert generating_set(H) == [] and non_homomorphism_pairs(H, [inversion]) == {(0, 0)}
     with pytest.raises(NotAHomomorphism, match="h1=0, h2=0"):  # action[0] must be the identity
         semidirect_product(c3, H, [inversion])
+
+
+def test_generating_set_is_certified_once_per_table(monkeypatch):
+    """A direct power certifies each distinct factor table by one closure: S3
+    once in (S3)^3, and S3^2 once, and D12 once in (D12)^2. The kept set is
+    handed out as a new list, so changing one changes no later call's."""
+    closed, real = [], group.subgroup_closure
+
+    def recording(G, seed):
+        closed.append(G)  # keeps G alive, so no two tables share an id
+        return real(G, seed)
+
+    monkeypatch.setattr(group, "subgroup_closure", recording)
+    for count, base, factors in ((3, FamilySpec("symmetric", (3,)), 2), (2, FamilySpec("dihedral", (12,)), 1)):
+        closed.clear()
+        build(FamilySpec("direct_power", (count,), base=base))
+        assert sorted(Counter(map(id, closed)).values()) == [1] * factors, base
+    monkeypatch.undo()
+    G = build(FamilySpec("direct_power", (2,), base=FamilySpec("symmetric", (3,))))
+    got = generating_set(G)
+    got.append(1)
+    assert generating_set(G) == got[:-1] == list(G.generating_set)
 
 
 def test_product_generators_are_the_generating_sets_it_checks():
