@@ -21,19 +21,23 @@ at its table, a closure's tree and O(BLOCK_ENTRIES) bytes of transients.
 GroupTable.class_labels, made on first use and kept, maps each element to
 the least element of its conjugacy class: min-label propagation over
 conjugation by the generators, with pointer jumping (lab = lab[lab]). The
-generators are not trusted: their orbits refine the classes, and by
-Burnside's lemma there are (commuting pairs) / n classes, so equal counts
-certify the labels; the pairs are counted as sum |orbit| * |C(orbit minimum)|.
-When the counts differ, and only then, the generators are closed, so that the
-error names generators that generate a proper subgroup and its order.
-Every builder hands GroupTable(...) generators that generate its table: a
-closure's own, 1 for cyclic n, the generating sets a product's action is
+orbits of generators that generate G are its classes (Holt, Eick & O'Brien
+4.1). Every builder hands GroupTable(...) generators that generate its table:
+a closure's own, 1 for cyclic n, the generating sets a product's action is
 checked on, a subgroup's certifying greedy set (_generate), and the
-nontrivial cosets of G's generators for a quotient. GroupTable.generating_set,
-also made on first use and kept (a tuple, so no caller changes it), is the
-generators certified by their closure and extended until they generate; a
-product checks its action on its factors' kept sets, so a table's certifying
-closure runs once, however many products take it as a factor.
+nontrivial cosets of G's generators for a quotient. All but the quotient,
+which generates only when G's generators do, keep them as the table's
+GroupTable.generating_set (_generated), and that certifies its labels by
+construction. Other generators are not trusted: their orbits refine the
+classes, and by Burnside's lemma there are (commuting pairs) / n classes, so
+equal counts certify the labels; the pairs are counted as sum |orbit| *
+|C(orbit minimum)|. When the counts differ, and only then, the generators are
+closed, so that the error names generators that generate a proper subgroup
+and its order. GroupTable.generating_set, else made on first use and kept (a
+tuple, so no caller changes it), is the generators certified by their closure
+and extended until they generate; a product checks its action on its factors'
+kept sets, so a table made by hand is closed once, however many products take
+it as a factor, and a builder's table never.
 Normality is then H.mask == H.mask[label], and comm_values of two class
 unions starts from the left one's class minima m: one gather over the left set
 against all of G ([m, g] = m^-1 m^g, m^g runs over m's class), else a grid.
@@ -214,7 +218,8 @@ class GroupTable:
 
     @cached_property
     def class_labels(self) -> np.ndarray:
-        """label[c] is the least element of c's conjugacy class (see the module docstring)."""
+        """label[c] is the least element of c's conjugacy class (see the module docstring): the Burnside
+        count certifies them unless the generators are the kept generating_set, which generates G."""
         n, t, idx = self.n, self.table, np.arange(self.n)
         gens = np.asarray(self.generators, dtype=np.int64)[:, None]
         conj = t[t[self.inverse[gens], idx], gens]  # conj[i, c] = c^generators[i]
@@ -222,20 +227,22 @@ class GroupTable:
         while (lab != prev).any():
             prev, lab = lab, np.minimum(lab, lab[conj].min(axis=0, initial=n))
             lab = lab[lab]
-        reps, orbit = (lab == idx).nonzero()[0], np.bincount(lab)  # |C(c)| is constant on orbits
-        blocks = (reps[b] for b in _blocks(len(reps), n * (2 * t.itemsize + 1)))  # two grids and a mask
-        commuting = sum(np.count_nonzero(t[r] == t[:, r].T, axis=1) @ orbit[r] for r in blocks)
-        if len(reps) * n != commuting:  # on this path only, close the generators to name the cause
-            order = len(subgroup_closure(self, self.generators)) if self.generators else 1
-            cause = f": generators {self.generators} generate a subgroup of order {order}, not {n}" if order < n else ""
-            raise InvalidPermutation("conjugation by the generators does not give the conjugacy classes" + cause)
+        if vars(self).get("generating_set") != tuple(self.generators):  # not certified to generate: count
+            reps, orbit = (lab == idx).nonzero()[0], np.bincount(lab)  # |C(c)| is constant on orbits
+            blocks = (reps[b] for b in _blocks(len(reps), n * (2 * t.itemsize + 1)))  # two grids and a mask
+            commuting = sum(np.count_nonzero(t[r] == t[:, r].T, axis=1) @ orbit[r] for r in blocks)
+            if len(reps) * n != commuting:  # on this path only, close the generators to name the cause
+                order = len(subgroup_closure(self, self.generators)) if self.generators else 1
+                cause = f": generators {self.generators} generate a subgroup of order {order}, not {n}" if order < n else ""
+                raise InvalidPermutation("conjugation by the generators does not give the conjugacy classes" + cause)
         lab.setflags(write=False)
         return lab
 
     @cached_property
     def generating_set(self) -> tuple[int, ...]:
         """The generators, certified by their closure, then extended greedily by the lowest-index element
-        outside the running closure until they generate G; made on first use and kept."""
+        outside the running closure until they generate G; made on first use and kept. A builder keeps
+        its own generators here, as they generate its table by construction (_generated)."""
         return tuple(_generate(self, np.ones(self.n, dtype=bool), list(self.generators)))
 
     @cached_property
@@ -449,7 +456,13 @@ def _perm_table(table: np.ndarray, inverse: np.ndarray, degree: int, rows: Calla
     perm i and label i, its cycle notation, are made when read (PermRows)."""
     perms = PermRows(len(table), degree, rows)
     labels = LazyList(len(table), lambda i: format_cycles(perms[i]))
-    return GroupTable(len(table), table, inverse, labels, gens, perms, name)
+    return _generated(GroupTable(len(table), table, inverse, labels, gens, perms, name))
+
+
+def _generated(G: GroupTable) -> GroupTable:
+    """G, its generators kept as its generating_set: a builder's generators generate its table by construction."""
+    vars(G)["generating_set"] = tuple(G.generators)
+    return G
 
 
 @cache
@@ -715,8 +728,9 @@ def semidirect_product(
     a(x y's) = a(x y') a(s) = a(x) a(y') a(s), and action[h1 t] against
     action[h1]-then-action[t] for all h1 and t in T likewise. Pairs are
     ordered N-major: index (a, h) = a*|H| + h, so the identity (0, 0) is
-    element 0. The generating sets are each factor's kept GroupTable.generating_set,
-    so a direct power certifies its factor once. The table is filled in blocks of
+    element 0. The generating sets are each factor's kept GroupTable.generating_set
+    (no closure for a builder's factor), and the product keeps their union as its own
+    (_generated), as it generates N x| H. The table is filled in blocks of
     N's elements a, each block's N part by one take, N.table[a].take(act[H.inverse],
     axis=1), the (|a|, |H|, |N|) array of N.table[a, act[h^-1](a2)] for the rows
     (a, h), then in the table's dtype: by columns when |H| <= 8 (243 x 2, the whole
@@ -763,14 +777,14 @@ def semidirect_product(
         else:
             np.add(na[..., None], ht[:, None, :], out=grid)
     inverse = act[:, N.inverse].T.astype(np.int64) * H.n + H.inverse  # inverse[a, h] = (act[h](a^-1), h^-1)
-    return GroupTable(
+    return _generated(GroupTable(
         n=n,
         table=table,
         inverse=inverse.ravel().astype(table.dtype),
         labels=LazyList(n, lambda i, nl=N.labels, hl=H.labels, m=H.n: f"({nl[i // m]} {hl[i % m]})"),
         generators=[a * H.n for a in gens_n] + [int(h) for h in gens_h],
         name=f"{N.name}:{H.name}" if N.name and H.name else "",
-    )
+    ))
 
 
 def subgroup_table(G: GroupTable, S: ElementSet) -> tuple[GroupTable, list[int]]:
@@ -784,7 +798,7 @@ def subgroup_table(G: GroupTable, S: ElementSet) -> tuple[GroupTable, list[int]]
     if mask.all():
         return G, list(range(G.n))
     gens, mem, local = _generate(G, mask, []), np.flatnonzero(mask), np.cumsum(mask) - 1  # g in S: cumsum - 1
-    return _induced(G, mem, local, local[gens].tolist(), f"{G.name}<sub>" if G.name else ""), mem.tolist()
+    return _generated(_induced(G, mem, local, local[gens].tolist(), f"{G.name}<sub>" if G.name else "")), mem.tolist()
 
 
 def generating_set(G: GroupTable) -> list[int]:

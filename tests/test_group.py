@@ -319,8 +319,9 @@ def test_build_transients_bounded_by_blocks(small_blocks):
 
 def test_table_passes_bounded_in_bytes(monkeypatch):
     """With BLOCK_ENTRIES = 65536 bytes, each table-wide pass peaks within
-    3 * BLOCK_ENTRIES bytes above what stays live: validate_table and the
-    class labels' certificate on (D12)^2, the fill of E3^5:C2, the quotient
+    3 * BLOCK_ENTRIES bytes above what stays live: validate_table on (D12)^2
+    and the class labels' Burnside count on a copy of it made by hand (a
+    builder's table skips the count), the fill of E3^5:C2, the quotient
     of (D12)^2 by its nilpotent residual (with its class labels), and the
     product grids that gather rows first: the quotient by the Fitting
     subgroup, of index 4, is_subgroup of the index-2 subgroup C12 x D12,
@@ -329,13 +330,14 @@ def test_table_passes_bounded_in_bytes(monkeypatch):
     D12, E = build(FamilySpec("dihedral", (12,))), build(FamilySpec("elementary_abelian", (3, 5)))
     C2 = build(FamilySpec("cyclic", (2,)))
     G, H, K = (direct_product(D12, D12) for _ in range(3))  # the residual (K) and the quotient (H) leave G unlabelled
+    by_hand = dataclasses.replace(G)  # its generators are not kept as its generating set, so its labels are counted
     R, F = nilpotent_residual(K), fitting_subgroup(K)
     # C12 x D12, the pairs (a, b) = a * 24 + b with a in C12: a proper subgroup whose grid gathers rows
     rotations_by_D12 = ElementSet(np.repeat(fitting_subgroup(D12).mask, D12.n))
     assert 4 * len(rotations_by_D12) >= G.n > len(rotations_by_D12) and is_subgroup(G, rotations_by_D12)
     passes = {
         "validate_table": lambda: validate_table(G),
-        "class_labels": lambda: G.class_labels,
+        "class_labels": lambda: by_hand.class_labels,
         "semidirect_product": lambda: semidirect_product(E, C2, [range(E.n), E.inverse.tolist()]),
         "quotient": lambda: quotient(H, R),
         "quotient by F": lambda: quotient(K, F),
@@ -793,10 +795,13 @@ def test_action_checks_extend_untrusted_generators():
         semidirect_product(c3, H, [inversion])
 
 
-def test_generating_set_is_certified_once_per_table(monkeypatch):
-    """A direct power certifies each distinct factor table by one closure: S3
-    once in (S3)^3, and S3^2 once, and D12 once in (D12)^2. The kept set is
-    handed out as a new list, so changing one changes no later call's."""
+def test_generating_set_is_certified_once_per_table(monkeypatch, s3):
+    """A builder's generators generate its table by construction, so a direct
+    power of builder tables closes no factor: (S3)^3 and (D12)^2 make no
+    closure. A table made by hand is certified by one closure, however many
+    products take it as a factor: S3 made from S3's fields, three times in
+    (S3 x S3) x S3, is closed once. The kept set is handed out as a new list,
+    so changing one changes no later call's."""
     closed, real = [], group.subgroup_closure
 
     def recording(G, seed):
@@ -804,15 +809,49 @@ def test_generating_set_is_certified_once_per_table(monkeypatch):
         return real(G, seed)
 
     monkeypatch.setattr(group, "subgroup_closure", recording)
-    for count, base, factors in ((3, FamilySpec("symmetric", (3,)), 2), (2, FamilySpec("dihedral", (12,)), 1)):
+    for count, base in ((3, FamilySpec("symmetric", (3,))), (2, FamilySpec("dihedral", (12,)))):
         closed.clear()
         build(FamilySpec("direct_power", (count,), base=base))
-        assert sorted(Counter(map(id, closed)).values()) == [1] * factors, base
+        assert closed == [], base
+    S = GroupTable(s3.n, s3.table, s3.inverse, s3.labels, list(s3.generators))
+    closed.clear()
+    direct_product(direct_product(S, S), S)
+    assert len(closed) == 1 and closed[0] is S
     monkeypatch.undo()
     G = build(FamilySpec("direct_power", (2,), base=FamilySpec("symmetric", (3,))))
     got = generating_set(G)
     got.append(1)
     assert generating_set(G) == got[:-1] == list(G.generating_set)
+
+
+def construction_oracle(G):
+    """G's generators generate it, and its labels equal those that the Burnside count certifies on a copy
+    made by hand: dataclasses.replace keeps no generating set, so the copy's labels are counted."""
+    assert len(subgroup_closure(G, G.generators)) == G.n, G.name
+    assert np.array_equal(G.class_labels, dataclasses.replace(G).class_labels), G.name
+
+
+def test_builder_generators_generate_by_construction(corpus, s4, monkeypatch):
+    """Every builder keeps its generators as its generating set, unclosed, and its labels skip the
+    count: the oracle holds on the corpus, on larger closed forms, products and extensions, and on a
+    subgroup table. It is not vacuous: S4 built with only its first generator keeps that one as its
+    generating set, and fails the oracle, while a count on a copy rejects its labels."""
+    specs = [FamilySpec("dihedral", (300,)), FamilySpec("cyclic", (2000,)), FamilySpec("elementary_abelian", (3, 7)),
+             FamilySpec("inversion_extension", (3, 7)), FamilySpec("direct_power", (3,), base=FamilySpec("quaternion8"))]
+    extra = [build(spec) for spec in specs] + [subgroup_table(s4, s4.lower_central[1])[0]]  # A4 in S4
+    for G in [G for _, G in corpus] + extra:
+        assert vars(G)["generating_set"] == tuple(G.generators), G.name  # kept by the builder, so no count runs
+        construction_oracle(G)
+    real = group._perm_table
+    with monkeypatch.context() as patched:
+        patched.setattr(group, "_perm_table", lambda *args: real(*args[:4], args[4][:1], args[5]))  # gens[:1]
+        bad = build(FamilySpec("symmetric", (4,)))
+    assert bad.generating_set == tuple(bad.generators) == tuple(s4.generators[:1])
+    assert len(np.unique(bad.class_labels)) > len(np.unique(s4.class_labels))  # unchecked, the labels are wrong
+    with pytest.raises(AssertionError):
+        construction_oracle(bad)
+    with pytest.raises(InvalidPermutation, match="conjugacy classes"):
+        dataclasses.replace(bad).class_labels
 
 
 def test_product_generators_are_the_generating_sets_it_checks():
