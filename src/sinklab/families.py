@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import InvalidParameters
 from .group import (
-    DEFAULT_ORDER_CAP, GroupTable, _closure_cap, _from_tree, _index_dtype, _new_table, _perm_table, close_generators,
-    direct_product, semidirect_product,
+    DEFAULT_ORDER_CAP, GroupTable, _closure_cap, _from_tree, _index_dtype, _new_table, _perm_table, _prime_powers,
+    close_generators, direct_product, semidirect_product,
 )
 from .perm import Permutation
 
@@ -38,14 +38,7 @@ class FamilySpec:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+    return n >= 2 and _prime_powers(n) == [(n, 1)]
 
 
 def _cycle(points: list[int], degree: int) -> Permutation:

@@ -18,26 +18,16 @@ allocates, its grids, masks and int64 indices together, and the row gather
 of a product grid that gathers rows first (_product_grid), so a build peaks
 at its table, a closure's tree and O(BLOCK_ENTRIES) bytes of transients.
 
-GroupTable.class_labels, made on first use and kept, maps each element to
-the least element of its conjugacy class: min-label propagation over
-conjugation by the generators, with pointer jumping (lab = lab[lab]). The
-orbits of generators that generate G are its classes (Holt, Eick & O'Brien
-4.1). Every builder hands GroupTable(...) generators that generate its table:
-a closure's own, 1 for cyclic n, the generating sets a product's action is
-checked on, a subgroup's certifying greedy set (_generate), and the
-nontrivial cosets of G's generators for a quotient. All but the quotient,
-which generates only when G's generators do, keep them as the table's
-GroupTable.generating_set (_generated), and that certifies its labels by
-construction. Other generators are not trusted: their orbits refine the
-classes, and by Burnside's lemma there are (commuting pairs) / n classes, so
-equal counts certify the labels; the pairs are counted as sum |orbit| *
-|C(orbit minimum)|. When the counts differ, and only then, the generators are
-closed, so that the error names generators that generate a proper subgroup
-and its order. GroupTable.generating_set, else made on first use and kept (a
-tuple, so no caller changes it), is the generators certified by their closure
-and extended until they generate; a product checks its action on its factors'
-kept sets, so a table made by hand is closed once, however many products take
-it as a factor, and a builder's table never.
+GroupTable.generating_set (a tuple, kept) generates G: every builder but the
+quotient keeps the generators it hands GroupTable(...) (_generated), which
+generate its table by construction (a closure's own, 1 for cyclic n, the sets
+a product's action is checked on, a subgroup's greedy set); any other table's
+generators are closed and extended until they generate (_generate) on first
+use. Conjugation by a generating set has the classes as its orbits (Holt, Eick
+& O'Brien 4.1), so one certificate serves every reader: GroupTable.class_labels
+maps each element to the least element of its class by min-label propagation
+over it, with pointer jumping (lab = lab[lab]), C_G(G) is its centralizer
+(_coset_minima), and a product checks its action on its factors' kept sets.
 Normality is then H.mask == H.mask[label], and comm_values of two class
 unions starts from the left one's class minima m: one gather over the left set
 against all of G ([m, g] = m^-1 m^g, m^g runs over m's class), else a grid.
@@ -218,31 +208,24 @@ class GroupTable:
 
     @cached_property
     def class_labels(self) -> np.ndarray:
-        """label[c] is the least element of c's conjugacy class (see the module docstring): the Burnside
-        count certifies them unless the generators are the kept generating_set, which generates G."""
+        """label[c] is the least element of c's conjugacy class: its orbit under conjugation by the
+        generating_set, which generates G (see the module docstring)."""
         n, t, idx = self.n, self.table, np.arange(self.n)
-        gens = np.asarray(self.generators, dtype=np.int64)[:, None]
-        conj = t[t[self.inverse[gens], idx], gens]  # conj[i, c] = c^generators[i]
+        gens = np.asarray(self.generating_set, dtype=np.int64)[:, None]
+        conj = t[t[self.inverse[gens], idx], gens]  # conj[i, c] = c^generating_set[i]
         lab, prev = idx, -1
         while (lab != prev).any():
             prev, lab = lab, np.minimum(lab, lab[conj].min(axis=0, initial=n))
             lab = lab[lab]
-        if vars(self).get("generating_set") != tuple(self.generators):  # not certified to generate: count
-            reps, orbit = (lab == idx).nonzero()[0], np.bincount(lab)  # |C(c)| is constant on orbits
-            blocks = (reps[b] for b in _blocks(len(reps), n * (2 * t.itemsize + 1)))  # two grids and a mask
-            commuting = sum(np.count_nonzero(t[r] == t[:, r].T, axis=1) @ orbit[r] for r in blocks)
-            if len(reps) * n != commuting:  # on this path only, close the generators to name the cause
-                order = len(subgroup_closure(self, self.generators)) if self.generators else 1
-                cause = f": generators {self.generators} generate a subgroup of order {order}, not {n}" if order < n else ""
-                raise InvalidPermutation("conjugation by the generators does not give the conjugacy classes" + cause)
         lab.setflags(write=False)
         return lab
 
     @cached_property
     def generating_set(self) -> tuple[int, ...]:
-        """The generators, certified by their closure, then extended greedily by the lowest-index element
-        outside the running closure until they generate G; made on first use and kept. A builder keeps
-        its own generators here, as they generate its table by construction (_generated)."""
+        """The generators, closed once and extended greedily by the lowest-index element outside the
+        running closure until they generate G; made on first use and kept, and read by class_labels,
+        C_G(G) and every product that takes G as a factor. A builder keeps its own generators here, as
+        they generate its table by construction (_generated)."""
         return tuple(_generate(self, np.ones(self.n, dtype=bool), list(self.generators)))
 
     @cached_property
@@ -653,9 +636,10 @@ def centralizer(G: GroupTable, S: ElementSet | Iterable[int]) -> ElementSet:
 
 
 def _coset_minima(G: GroupTable, S: np.ndarray) -> np.ndarray:
-    """least[x], the least element of C x for C = C_G(S), S the mask of a class union (so C is normal, a class union)."""
+    """least[x], the least element of C x for C = C_G(S), S the mask of a class union (so C is normal, a class
+    union); C_G(G) is the centralizer of the generating set."""
     reps, central = class_representatives(G), np.zeros(G.n, dtype=bool)
-    central[reps] = _commuting(G, reps, S.nonzero()[0])
+    central[reps] = _commuting(G, reps, np.array(G.generating_set, dtype=np.intp) if S.all() else S.nonzero()[0])
     C = central[G.class_labels].nonzero()[0]
     least = reduce(np.minimum, (G.table[C[zs]].min(axis=0) for zs in _blocks(len(C), G.n * G.table.itemsize)))
     least.setflags(write=False)
@@ -799,11 +783,6 @@ def subgroup_table(G: GroupTable, S: ElementSet) -> tuple[GroupTable, list[int]]
         return G, list(range(G.n))
     gens, mem, local = _generate(G, mask, []), np.flatnonzero(mask), np.cumsum(mask) - 1  # g in S: cumsum - 1
     return _generated(_induced(G, mem, local, local[gens].tolist(), f"{G.name}<sub>" if G.name else "")), mem.tolist()
-
-
-def generating_set(G: GroupTable) -> list[int]:
-    """G.generating_set, certified once per table, as a new list."""
-    return list(G.generating_set)
 
 
 def _generate(G: GroupTable, S: np.ndarray, gens: list[int]) -> list[int]:

@@ -15,6 +15,9 @@ of the centralizer of their values, by scalar loops. ``relabel`` renames a
 table's elements, for the checks that results do not depend on the
 labelling; ``exponent_by_powers`` is the exponent of G/N by one gather a power,
 up to the exponent, the oracle of ``GroupTable.exponent``'s prime-power descent;
+``counted_class_labels`` is the class labels by the orbits of a table's own
+generators, certified by Burnside's count of commuting pairs, the reference
+that ``GroupTable.class_labels``, by the generating set, is held to;
 ``element_order``, ``commute`` and ``conj`` are scalar table reads,
 ``compose`` and ``inverse`` the permutation products of the scalar closure
 oracle, and ``union`` the join of two element sets.
@@ -81,6 +84,29 @@ def commute(G: GroupTable, a: int, b: int) -> bool:
 def conj(G: GroupTable, a: int, b: int) -> int:
     """a^b = b^-1 a b."""
     return G.mul(G.mul(G.inv(b), a), b)
+
+
+def counted_class_labels(G: GroupTable) -> np.ndarray:
+    """label[c], the least element of c's orbit under conjugation by G.generators, by min-label
+    propagation with pointer jumping. Such orbits refine the classes, and by Burnside's lemma there
+    are (commuting pairs) / n classes, so equal counts certify the labels; the pairs are counted as
+    sum |orbit| * |C(orbit minimum)|. When the counts differ, and only then, the generators are
+    closed, so that the error names generators that generate a proper subgroup and its order."""
+    n, t, idx = G.n, G.table, np.arange(G.n)
+    gens = np.asarray(G.generators, dtype=np.int64)[:, None]
+    conj = t[t[G.inverse[gens], idx], gens]  # conj[i, c] = c^generators[i]
+    lab, prev = idx, -1
+    while (lab != prev).any():
+        prev, lab = lab, np.minimum(lab, lab[conj].min(axis=0, initial=n))
+        lab = lab[lab]
+    reps, orbit = (lab == idx).nonzero()[0], np.bincount(lab)  # |C(c)| is constant on orbits
+    blocks = (reps[b] for b in _blocks(len(reps), n * (2 * t.itemsize + 1)))  # two grids and a mask
+    commuting = sum(np.count_nonzero(t[r] == t[:, r].T, axis=1) @ orbit[r] for r in blocks)
+    if len(reps) * n != commuting:  # on this path only, close the generators to name the cause
+        order = len(subgroup_closure(G, G.generators)) if G.generators else 1
+        cause = f": generators {G.generators} generate a subgroup of order {order}, not {n}" if order < n else ""
+        raise InvalidPermutation("conjugation by the generators does not give the conjugacy classes" + cause)
+    return lab
 
 
 def normal_closure(G: GroupTable, seed) -> ElementSet:

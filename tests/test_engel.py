@@ -316,7 +316,11 @@ def test_sinks_over_many_direction_blocks(corpus, monkeypatch):
     the directions it walks are exactly the least elements of the cosets of
     C_G(S), S the commutators and the targets' classes, with C brute-forced,
     and none when the only target is the identity (C1); and the sinks, of all
-    elements and of one, do not change."""
+    elements and of one, do not change. A relabelled D12, made by hand, reads
+    its centre off a generating set that it closes rather than keeps."""
+    d12 = next(G for _, G in corpus if G.name == "D12")
+    pi = np.array([0, *np.random.default_rng(42).permutation(np.arange(1, d12.n))], dtype=d12.table.dtype)
+    corpus = corpus + [("relabelled D12", relabel(d12, pi))]
     whole = {group_id: (sinks(G), sinks(G, [G.n - 1])) for group_id, G in corpus}
     walked = []
 

@@ -37,7 +37,6 @@ from sinklab.group import (
     close_generators,
     comm_values,
     direct_product,
-    generating_set,
     is_normal,
     is_subgroup,
     quotient,
@@ -52,8 +51,8 @@ from sinklab.structure import fitting_subgroup, nilpotent_residual
 from sinklab.verify import scan_row
 
 from oracles import (
-    associativity_audit, commute, compose, conj, derived_series, element_order, exponent_by_powers, non_automorphisms,
-    non_homomorphism_pairs, normal_closure, normal_subgroups, relabel, union,
+    associativity_audit, commute, compose, conj, counted_class_labels, derived_series, element_order, exponent_by_powers,
+    non_automorphisms, non_homomorphism_pairs, normal_closure, normal_subgroups, relabel, union,
 )
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -320,8 +319,9 @@ def test_build_transients_bounded_by_blocks(small_blocks):
 def test_table_passes_bounded_in_bytes(monkeypatch):
     """With BLOCK_ENTRIES = 65536 bytes, each table-wide pass peaks within
     3 * BLOCK_ENTRIES bytes above what stays live: validate_table on (D12)^2
-    and the class labels' Burnside count on a copy of it made by hand (a
-    builder's table skips the count), the fill of E3^5:C2, the quotient
+    and the class labels of a copy of it made by hand (the closure that
+    certifies its generating set, then the propagation over that set; a
+    builder's table keeps its set and closes none), the fill of E3^5:C2, the quotient
     of (D12)^2 by its nilpotent residual (with its class labels), and the
     product grids that gather rows first: the quotient by the Fitting
     subgroup, of index 4, is_subgroup of the index-2 subgroup C12 x D12,
@@ -330,7 +330,7 @@ def test_table_passes_bounded_in_bytes(monkeypatch):
     D12, E = build(FamilySpec("dihedral", (12,))), build(FamilySpec("elementary_abelian", (3, 5)))
     C2 = build(FamilySpec("cyclic", (2,)))
     G, H, K = (direct_product(D12, D12) for _ in range(3))  # the residual (K) and the quotient (H) leave G unlabelled
-    by_hand = dataclasses.replace(G)  # its generators are not kept as its generating set, so its labels are counted
+    by_hand = dataclasses.replace(G)  # its generators are not kept as its generating set, so they are closed
     R, F = nilpotent_residual(K), fitting_subgroup(K)
     # C12 x D12, the pairs (a, b) = a * 24 + b with a in C12: a proper subgroup whose grid gathers rows
     rotations_by_D12 = ElementSet(np.repeat(fitting_subgroup(D12).mask, D12.n))
@@ -487,32 +487,41 @@ def test_commutators_match_scalar_comm_and_feed_both_series():
 
 
 def test_class_labels_certified_without_trusting_generators(s4):
-    """A table whose generators do not generate G gives finer orbits than the
-    classes; the Burnside count rejects them rather than answer wrongly."""
+    """A table made by hand whose generators do not generate G: its labels
+    are the orbits of its generating set, the generators closed and extended
+    until they generate, so they are S4's, and so are its normal subgroups
+    and normal closures. The orbits of the generators alone are finer than
+    the classes, and the Burnside-counted oracle still rejects them."""
     g = s4.generators[:1]
     bad = GroupTable(s4.n, s4.table.copy(), s4.inverse.copy(), list(s4.labels), list(g))
-    with pytest.raises(InvalidPermutation, match="conjugacy classes"):
-        bad.class_labels
+    assert np.array_equal(bad.class_labels, s4.class_labels)
     H = subgroup_closure(s4, g)  # invariant under conjugation by g, yet not normal in S4
-    assert not is_normal(s4, H)
-    with pytest.raises(InvalidPermutation):
-        is_normal(bad, H)
-    with pytest.raises(InvalidPermutation):
-        normal_closure(bad, g)
+    assert not is_normal(s4, H) and not is_normal(bad, H)
+    assert normal_closure(bad, g) == normal_closure(s4, g)
+    with pytest.raises(InvalidPermutation, match="conjugacy classes"):
+        counted_class_labels(bad)
 
 
 def test_failed_labelling_names_generators_that_do_not_generate(monkeypatch, s3):
-    """S3 handed only its first generator: the failed count names the
-    generators and the order they generate. A labelling that passes closes
-    no generators."""
+    """S3 handed only its first generator: the counted oracle's failure names
+    the generators and the order they generate. A table made by hand closes
+    its generators once, into its generating set, however often its labels
+    and its centre are read, and a builder's table closes none."""
     g = s3.generators[:1]
     order = len(subgroup_closure(s3, g))
     bad = GroupTable(s3.n, s3.table.copy(), s3.inverse.copy(), list(s3.labels), list(g))
     with pytest.raises(InvalidPermutation, match=rf"generators \[{g[0]}\] generate a subgroup of order {order}, not 6"):
-        bad.class_labels
-    monkeypatch.setattr(group, "subgroup_closure", None)  # a call would raise TypeError
+        counted_class_labels(bad)
+    closed, real = [], group._generate
+    monkeypatch.setattr(group, "_generate", lambda G, S, gens: closed.append(G) or real(G, S, gens))
     good = GroupTable(s3.n, s3.table.copy(), s3.inverse.copy(), list(s3.labels), list(s3.generators))
-    assert np.array_equal(good.class_labels, s3.class_labels)
+    built = build(FamilySpec("symmetric", (3,)))
+    for _ in range(3):
+        for G in (bad, good, built):
+            assert np.array_equal(G.class_labels, s3.class_labels)
+            assert np.array_equal(group._coset_minima(G, np.ones(G.n, dtype=bool)), np.arange(G.n))  # Z(S3) = 1
+    assert closed == [bad, good]
+    assert bad.generating_set[:1] == tuple(g) and good.generating_set == tuple(s3.generators)
 
 
 def test_normal_closure_minimal_small(s3, s4, corpus):
@@ -576,7 +585,7 @@ def test_subgroup_generators_reach_the_constructor(s4, corpus, monkeypatch):
         before = len(seen)
         sub, _ = subgroup_table(G, S)
         assert seen[before:] == [sub.generators], (G.name, sorted(S))
-        assert sub.generators == generating_set(dataclasses.replace(sub, generators=[])), (G.name, sorted(S))
+        assert tuple(sub.generators) == dataclasses.replace(sub, generators=[]).generating_set, (G.name, sorted(S))
     assert len(subgroups) == 30
     for members in ([1, 2], [0, 1, 2], []):
         with pytest.raises(NotASubgroup, match="not closed under multiplication"):
@@ -707,7 +716,7 @@ ACTING = tuple(build(FamilySpec("cyclic", (m,))) for m in (1, 2, 3, 4))
 def automorphisms(N: GroupTable) -> list[list[int]]:
     """Every automorphism of a small N: each choice of images for its
     generating set, extended along x -> x s, kept if the full check passes."""
-    gens, found = generating_set(N), []
+    gens, found = N.generating_set, []
     for images in itertools.product(range(N.n), repeat=len(gens)):
         a, frontier = {0: 0}, [0]
         while frontier:
@@ -774,23 +783,23 @@ def test_action_checks_extend_untrusted_generators():
     checked exactly: generating_set extends them until they generate."""
     c8, c4, c3, c2 = (build(FamilySpec("cyclic", (m,))) for m in (8, 4, 3, 2))
     sigma = [0, 5, 2, 3, 4, 1, 6, 7]  # respects x -> x + 4, not x -> x + 1
-    for gens, extended in (([], [1]), ([4], [4, 1])):
+    for gens, extended in (([], (1,)), ([4], (4, 1))):
         N = GroupTable(c8.n, c8.table, c8.inverse, c8.labels, gens)
-        assert generating_set(N) == extended
+        assert N.generating_set == extended
         assert non_automorphisms(N, [range(8), sigma]) == {1}
         with pytest.raises(NotAnAutomorphism, match="h=1 "):
             semidirect_product(N, c2, [range(8), sigma])
     inversion = c3.inverse.tolist()
     bad = [[0, 1, 2], [0, 1, 2], inversion, inversion]  # respects h -> h + 2, not h -> h + 1
-    for gens, extended in (([], [1]), ([2], [2, 1])):
+    for gens, extended in (([], (1,)), ([2], (2, 1))):
         H = GroupTable(c4.n, c4.table, c4.inverse, c4.labels, gens)
-        assert generating_set(H) == extended
+        assert H.generating_set == extended
         assert (1, 1) in non_homomorphism_pairs(H, bad)
         with pytest.raises(NotAHomomorphism, match="h1=1, h2=1"):
             semidirect_product(c3, H, bad)
     c1 = build(FamilySpec("cyclic", (1,)))
     H = GroupTable(c1.n, c1.table, c1.inverse, c1.labels, [])
-    assert generating_set(H) == [] and non_homomorphism_pairs(H, [inversion]) == {(0, 0)}
+    assert H.generating_set == () and non_homomorphism_pairs(H, [inversion]) == {(0, 0)}
     with pytest.raises(NotAHomomorphism, match="h1=0, h2=0"):  # action[0] must be the identity
         semidirect_product(c3, H, [inversion])
 
@@ -800,8 +809,8 @@ def test_generating_set_is_certified_once_per_table(monkeypatch, s3):
     power of builder tables closes no factor: (S3)^3 and (D12)^2 make no
     closure. A table made by hand is certified by one closure, however many
     products take it as a factor: S3 made from S3's fields, three times in
-    (S3 x S3) x S3, is closed once. The kept set is handed out as a new list,
-    so changing one changes no later call's."""
+    (S3 x S3) x S3, is closed once. The kept set is a tuple, so no caller
+    changes it."""
     closed, real = [], group.subgroup_closure
 
     def recording(G, seed):
@@ -819,28 +828,27 @@ def test_generating_set_is_certified_once_per_table(monkeypatch, s3):
     assert len(closed) == 1 and closed[0] is S
     monkeypatch.undo()
     G = build(FamilySpec("direct_power", (2,), base=FamilySpec("symmetric", (3,))))
-    got = generating_set(G)
-    got.append(1)
-    assert generating_set(G) == got[:-1] == list(G.generating_set)
+    assert isinstance(G.generating_set, tuple) and G.generating_set is G.generating_set == tuple(G.generators)
 
 
 def construction_oracle(G):
-    """G's generators generate it, and its labels equal those that the Burnside count certifies on a copy
-    made by hand: dataclasses.replace keeps no generating set, so the copy's labels are counted."""
+    """G's labels equal the orbits of its generators that the Burnside count certifies (counted_class_labels),
+    and its generators generate it."""
+    assert np.array_equal(G.class_labels, counted_class_labels(G)), G.name
     assert len(subgroup_closure(G, G.generators)) == G.n, G.name
-    assert np.array_equal(G.class_labels, dataclasses.replace(G).class_labels), G.name
 
 
 def test_builder_generators_generate_by_construction(corpus, s4, monkeypatch):
-    """Every builder keeps its generators as its generating set, unclosed, and its labels skip the
-    count: the oracle holds on the corpus, on larger closed forms, products and extensions, and on a
+    """Every builder keeps its generators as its generating set, unclosed, and its labels propagate
+    over that set: the oracle holds on the corpus, on larger closed forms, products and extensions, and on a
     subgroup table. It is not vacuous: S4 built with only its first generator keeps that one as its
-    generating set, and fails the oracle, while a count on a copy rejects its labels."""
+    generating set, so its labels are wrong, and the oracle's count rejects them; a copy made by hand
+    closes and extends that generator, so its labels are S4's."""
     specs = [FamilySpec("dihedral", (300,)), FamilySpec("cyclic", (2000,)), FamilySpec("elementary_abelian", (3, 7)),
              FamilySpec("inversion_extension", (3, 7)), FamilySpec("direct_power", (3,), base=FamilySpec("quaternion8"))]
     extra = [build(spec) for spec in specs] + [subgroup_table(s4, s4.lower_central[1])[0]]  # A4 in S4
     for G in [G for _, G in corpus] + extra:
-        assert vars(G)["generating_set"] == tuple(G.generators), G.name  # kept by the builder, so no count runs
+        assert vars(G)["generating_set"] == tuple(G.generators), G.name  # kept by the builder, so none is closed
         construction_oracle(G)
     real = group._perm_table
     with monkeypatch.context() as patched:
@@ -848,10 +856,9 @@ def test_builder_generators_generate_by_construction(corpus, s4, monkeypatch):
         bad = build(FamilySpec("symmetric", (4,)))
     assert bad.generating_set == tuple(bad.generators) == tuple(s4.generators[:1])
     assert len(np.unique(bad.class_labels)) > len(np.unique(s4.class_labels))  # unchecked, the labels are wrong
-    with pytest.raises(AssertionError):
-        construction_oracle(bad)
     with pytest.raises(InvalidPermutation, match="conjugacy classes"):
-        dataclasses.replace(bad).class_labels
+        construction_oracle(bad)
+    assert np.array_equal(dataclasses.replace(bad).class_labels, s4.class_labels)
 
 
 def test_product_generators_are_the_generating_sets_it_checks():

@@ -223,8 +223,8 @@ def test_scan_row_invariants(corpus):
 
 # Reference checkers: the element-by-element loops that check_heineken,
 # check_centralizer_power and check_orbit_lemma replace. They read sinks,
-# left_engel_set, centralizer and gamma_values through the verify module, so
-# a fault patched in there reaches both sides.
+# left_engel_set and gamma_values through the verify module, so a fault
+# patched in there reaches both sides; centralizer comes from sinklab.group.
 
 
 def ref_heineken(G):
@@ -245,7 +245,7 @@ def ref_centralizer_power(G):
     for g in G.elements():
         sink = np.flatnonzero(sink_of[g]).tolist()
         m = len(sink)
-        for h in verify.centralizer(G, [g]):
+        for h in centralizer(G, [g]):
             hp = G.power(h, math.factorial(m) % element_order(G, h))
             for z in sink:
                 checked += 1
