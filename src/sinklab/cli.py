@@ -2,8 +2,8 @@
 verify.run_checks decides what `verify` runs; report.write_json streams each body.
 
 Exit codes: 0 success, 1 at least one check failed, 2 bad input: a spec parse
-error (naming its line), a path not read or written, or a check whose
-hypotheses fail (HypothesisFailed); 3 order cap exceeded.
+error (naming its line), an order cap below 1, a path not read or written, or
+a check whose hypotheses fail (HypothesisFailed); 3 order cap exceeded.
 """
 
 from __future__ import annotations
@@ -31,15 +31,15 @@ class CliInputError(SinklabError):
 
 
 def _order_cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("SINKLAB_CAP")
-    if env:
+    cap, source, env = args.cap, "--cap", os.environ.get("SINKLAB_CAP")
+    if cap is None and env:
         try:
-            return int(env)
+            cap, source = int(env), "SINKLAB_CAP"
         except ValueError:
             raise CliInputError(f"SINKLAB_CAP must be an integer, got {env!r}") from None
-    return DEFAULT_ORDER_CAP
+    if cap is not None and cap < 1:  # bad input (exit 2), not an exceeded cap
+        raise CliInputError(f"{source} must be at least 1, got {cap}")
+    return DEFAULT_ORDER_CAP if cap is None else cap
 
 
 def parse_element(G: GroupTable, text: str) -> int:

@@ -28,9 +28,9 @@ use. Conjugation by a generating set has the classes as its orbits (Holt, Eick
 maps each element to the least element of its class by min-label propagation
 over it, with pointer jumping (lab = lab[lab]), C_G(G) is its centralizer
 (_coset_minima), and a product checks its action on its factors' kept sets.
-Normality is then H.mask == H.mask[label], and comm_values of two class
-unions starts from the left one's class minima m: one gather over the left set
-against all of G ([m, g] = m^-1 m^g, m^g runs over m's class), else a grid.
+Normality is then H.mask == H.mask[label], and comm_values of a class union
+against all of G is one gather over it from its class minima m ([m, g] =
+m^-1 m^g, m^g runs over m's class); any other pair of sets takes a grid.
 
 Permutation groups are closed by close_generators, which grows a Schreier
 tree (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
@@ -240,8 +240,13 @@ class GroupTable:
 
     @cached_property
     def lower_central(self) -> tuple[ElementSet, ...]:
-        """G's lower central series down to its stable term; made on first use and kept."""
-        return _series_terms(self, ElementSet.full(self.n))
+        """G, then [T, G] after each term T, down to the first repeat, which is the stable term; a
+        trivial term repeats uncomputed, as [1, G] = 1. Made on first use and kept."""
+        terms = [ElementSet.full(self.n)]
+        while len(terms) < 2 or terms[-1] != terms[-2]:
+            T = terms[-1]
+            terms.append(T if len(T) == 1 else subgroup_closure(self, comm_values(self, T, terms[0])))
+        return tuple(terms)
 
     def __repr__(self) -> str:
         return f"GroupTable(n={self.n}, name={self.name!r})"
@@ -546,24 +551,15 @@ def _values(G: GroupTable, grid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def comm_values(G: GroupTable, left: ElementSet, right: ElementSet) -> ElementSet:
-    """The commutator values {[x, g] : x in left, g in right} (not a subgroup).
-
-    When left and right are class unions, so is the value set ([x, g]^h = [x^h, g^h]): it is spread from
-    the values at left's class minima, by one gather over left against all of G (kept for G, G), else by
-    a grid of left's minima by right."""
-    lab, lm, rm = G.class_labels, ElementSet.of(G.n, left).mask, ElementSet.of(G.n, right).mask
+    """The commutator values {[x, g] : x in left, g in right} (not a subgroup): the kept set for G and G,
+    one gather over left when left is a class union and right is all of G (_comm_values_against_all),
+    else a grid of left by right."""
+    lm, rm = ElementSet.of(G.n, left).mask, ElementSet.of(G.n, right).mask
     if lm.all() and rm.all():
         return G.commutators
-    if (lm ^ lm[lab]).any() or (rm ^ rm[lab]).any():
-        return ElementSet(_values(G, _comm_grid, rm.nonzero()[0], lm.nonzero()[0]))
-    if rm.all():
+    if rm.all() and not (lm ^ lm[G.class_labels]).any():
         return _comm_values_against_all(G, lm)
-    return _class_comm_values(G, lm, rm.nonzero()[0])
-
-
-def _class_comm_values(G: GroupTable, left_mask: np.ndarray, right: np.ndarray) -> ElementSet:
-    minima = (left_mask & (G.class_labels == np.arange(G.n))).nonzero()[0]
-    return classes_meeting(G, ElementSet(_values(G, _comm_grid, right, minima)))
+    return ElementSet(_values(G, _comm_grid, rm.nonzero()[0], lm.nonzero()[0]))
 
 
 def _comm_values_against_all(G: GroupTable, left_mask: np.ndarray) -> ElementSet:
@@ -593,15 +589,6 @@ def subgroup_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> Element
         members |= new
         frontier = new.nonzero()[0]
     return ElementSet(members)
-
-
-def _series_terms(G: GroupTable, S: ElementSet) -> tuple[ElementSet, ...]:
-    """S, then [T, S] after each term T, down to the first repeat; a trivial term repeats uncomputed, as [1, S] = 1."""
-    terms = [S]
-    while len(terms) < 2 or terms[-1] != terms[-2]:
-        T = terms[-1]
-        terms.append(T if len(T) == 1 and T.mask[0] else subgroup_closure(G, comm_values(G, T, S)))
-    return tuple(terms)
 
 
 def is_subgroup(G: GroupTable, S: ElementSet) -> bool:

@@ -9,10 +9,9 @@ for check_heineken). F = G is then certified by another series, the upper
 central series (_nilpotent_modulo over the trivial subgroup), which must reach
 G; a subgroup and normality check would hold by construction. A walked F is
 certified in fitting_subgroup as a subgroup, normal and nilpotent.
-is_nilpotent(G, S) reads S's lower central series in G's table.
-When S is normal, so is every term, and comm_values uses class minima.
-G's own series is kept with its table (GroupTable.lower_central) and read
-whenever S is all of G.
+is_nilpotent(G, S), for G and every subgroup S alike, makes no series: S is
+nilpotent exactly when its elements of coprime prime-power orders commute.
+G's own series is kept with its table (GroupTable.lower_central).
 A series is a plain tuple of ElementSets that ends in its first repeated
 term, so its last entry is the stable one; 1 repeats without a computation.
 The nilpotent residual R is the stable term of G's series. Its certificate
@@ -28,7 +27,8 @@ import numpy as np
 
 from .engel import left_engel_set
 from .errors import InternalInconsistency, NotNormal
-from .group import ElementSet, GroupTable, _class_commutators, _series_terms, classes_meeting, is_normal, is_subgroup
+from .group import ElementSet, GroupTable, _class_commutators, _commuting, _power, _prime_powers, classes_meeting
+from .group import is_normal, is_subgroup
 
 
 def lower_central_series(G: GroupTable) -> tuple[ElementSet, ...]:
@@ -37,10 +37,22 @@ def lower_central_series(G: GroupTable) -> tuple[ElementSet, ...]:
 
 
 def is_nilpotent(G: GroupTable, S: ElementSet | None = None) -> bool:
-    """Whether the subgroup S (default G) is nilpotent, by its own lower central series in G."""
-    S = ElementSet.full(G.n) if S is None else ElementSet.of(G.n, S)
-    terms = G.lower_central if len(S) == G.n else _series_terms(G, S)
-    return len(terms[-1]) == 1
+    """Whether the subgroup S (default G) is nilpotent: whether, for primes p != q dividing |S|, its
+    p-elements (the x with x^(p^a) = 1, p^a exactly dividing |S|) commute with its q-elements.
+
+    Each x in S is the product of its p-parts, commuting powers of x, so then every p-element
+    commutes with every p'-element. The p'-elements centralize, so normalize, a Sylow p-subgroup P,
+    and generate a normal subgroup K; the coset xK holds x's p-part, so S/K is a p-group. The number
+    of Sylow p-subgroups, |S : N_S(P)|, then divides |S : K| and is 1 mod p, hence 1: every Sylow
+    subgroup is normal, and S, their direct product, is nilpotent. Conversely the Sylow factors of a
+    nilpotent S commute (Robinson, A Course in the Theory of Groups, 5.2). When S is a class union,
+    x^(p^a) = 1 and commuting are conjugation invariant, so each p-element set's class minima stand
+    for it on one side of each pair."""
+    mask = np.ones(G.n, dtype=bool) if S is None else ElementSet.of(G.n, S).mask
+    members, lab = mask.nonzero()[0], G.class_labels
+    least = lab[members] == members if not (mask ^ mask[lab]).any() else np.ones(len(members), dtype=bool)
+    parts = [_power(G, members, p**a) == 0 for p, a in _prime_powers(len(members))]  # the p-elements, per p
+    return all(_commuting(G, members[x & least], members[y]).all() for i, x in enumerate(parts) for y in parts[i + 1:])
 
 
 def nilpotency_class(G: GroupTable) -> int | None:

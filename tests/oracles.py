@@ -18,7 +18,9 @@ up to the exponent, the oracle of ``GroupTable.exponent``'s prime-power descent;
 ``counted_class_labels`` is the class labels by the orbits of a table's own
 generators, certified by Burnside's count of commuting pairs, the reference
 that ``GroupTable.class_labels``, by the generating set, is held to;
-``element_order``, ``commute`` and ``conj`` are scalar table reads,
+``series_nilpotent`` is nilpotency by a subgroup's own lower central series
+in its own table, the reference that ``is_nilpotent``'s coprime-order test is
+held to; ``element_order``, ``commute`` and ``conj`` are scalar table reads,
 ``compose`` and ``inverse`` the permutation products of the scalar closure
 oracle, and ``union`` the join of two element sets.
 """
@@ -33,6 +35,7 @@ from sinklab.errors import InvalidPermutation
 from sinklab.families import FamilySpec, build
 from sinklab.group import (
     ElementSet, GroupTable, _blocks, _comm_grid, class_representatives, classes_meeting, comm_values, subgroup_closure,
+    subgroup_table,
 )
 from sinklab.perm import Permutation
 from sinklab.structure import fitting_subgroup, is_nilpotent
@@ -75,6 +78,12 @@ def exponent_by_powers(G: GroupTable, N: ElementSet | None = None) -> int:
         e = e if live.all() else math.lcm(e, k)
         a, c, k = a[live], G.table[c[live], a[live]], k + 1
     return e
+
+
+def series_nilpotent(G: GroupTable, S: ElementSet) -> bool:
+    """Whether the subgroup S is nilpotent: whether the kept lower central series of S's own
+    subgroup table ends at 1."""
+    return len(subgroup_table(G, S)[0].lower_central[-1]) == 1
 
 
 def commute(G: GroupTable, a: int, b: int) -> bool:

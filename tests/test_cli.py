@@ -212,6 +212,26 @@ def test_env_cap_flag_precedence(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["results"][0]["order"] == 30
 
 
+def test_cap_below_one_is_bad_input(capsys, tmp_path, monkeypatch):
+    """A --cap or SINKLAB_CAP below 1 exits 2 in build, scan and contrast, before any table is built."""
+    spec = tmp_path / "c30.grp"
+    spec.write_text("group construct cyclic 30\n", encoding="utf-8")
+    built = []
+    monkeypatch.setattr(group.GroupTable, "__post_init__", lambda G: built.append(G.n))
+    for argv, message in [
+        (("build", str(spec), "--cap", "0"), "--cap must be at least 1, got 0"),
+        (("scan", "--corpus", str(CORPUS_DIR), "--cap", "-5"), "--cap must be at least 1, got -5"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {message}\n", argv
+    monkeypatch.setenv("SINKLAB_CAP", "0")
+    for argv in (("contrast",), ("build", str(spec))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: SINKLAB_CAP must be at least 1, got 0\n"), argv
+    assert built == []
+
+
 def test_bad_element_exit_two(capsys):
     for element in ("(9 9)", "nonsense", "99", "g0^x", "g5"):
         code, _, err = run(capsys, "sink", spec_path("S3"), "--element", element)

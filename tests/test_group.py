@@ -464,7 +464,7 @@ def test_commutators_match_scalar_comm_and_feed_both_series():
     the build, and comm_values over G and G, gamma_values at k = 2, and the
     second terms of both series read the one kept set. comm_values(G, X, G)
     for the class unions X of G's series and gamma_values at k = 2 and 3 is
-    one gather over X: it equals the grid path and, for n <= 60, the scalar
+    one gather over X: it equals the plain grid and, for n <= 60, the scalar
     commutators."""
     groups = [build_spec(parse_spec_file(path)) for _, path in load_corpus(CORPUS_DIR)]
     big = max(groups, key=lambda G: G.n)
@@ -478,10 +478,10 @@ def test_commutators_match_scalar_comm_and_feed_both_series():
         assert comm_values(G, full, full) is values and gamma_values(G, 2) == values
         closure = subgroup_closure(G, values)
         assert G.lower_central[1] == closure == derived_series(G)[1], G.name
-        # the one gather against all of G, for every class union below, equals the grid of class minima by G
+        # the one gather against all of G, for every class union below, equals the plain grid of X by G
         for X in (full, *G.lower_central, gamma_values(G, 2), gamma_values(G, 3)):
             got = comm_values(G, X, full)
-            assert got == group._class_comm_values(G, X.mask, np.arange(G.n)), G.name
+            assert got == ElementSet(group._values(G, group._comm_grid, np.arange(G.n), X.mask.nonzero()[0])), G.name
             if G.n <= 60:
                 assert set(got) == {G.comm(x, g) for x in X for g in G.elements()}, G.name
 

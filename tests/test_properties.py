@@ -12,7 +12,6 @@ from sinklab.group import (
     is_subgroup,
     quotient,
     subgroup_closure,
-    subgroup_table,
     validate_table,
 )
 from sinklab.perm import Permutation
@@ -20,7 +19,8 @@ from sinklab.structure import fitting_subgroup, is_nilpotent, lower_central_seri
 from sinklab.verify import scan_row
 
 from oracles import (
-    associativity_audit, commute, derived_series, landing_sinks, normal_closure, relabel, walk_values_centralizer,
+    associativity_audit, commute, derived_series, landing_sinks, normal_closure, relabel, series_nilpotent,
+    walk_values_centralizer,
 )
 
 MAX_ORDER = 200
@@ -62,7 +62,7 @@ def test_subgroup_closure_is_subgroup(G, data):
     S = subgroup_closure(G, seed)
     assert is_subgroup(G, S)
     assert set(subgroup_closure(G, S)) == set(S)
-    assert is_nilpotent(G, S) == is_nilpotent(subgroup_table(G, S)[0])
+    assert is_nilpotent(G, S) == series_nilpotent(G, S)
 
 
 @common

@@ -23,6 +23,7 @@ from sinklab.verify import scan_row
 
 from oracles import (
     derived_series, fitting_maximality_check, fitting_via_normal_closures, normal_closure, normal_subgroups, relabel,
+    series_nilpotent,
 )
 
 
@@ -70,7 +71,40 @@ def test_nilpotency_of_a_subgroup_in_g(s4):
     a4 = s4.lower_central[1]
     expected = [(v4, True), (sylow2, True), (s3, False), (a4, False)]
     for S, nilpotent in expected:
-        assert is_nilpotent(s4, S) == nilpotent == is_nilpotent(subgroup_table(s4, S)[0])
+        assert is_nilpotent(s4, S) == nilpotent == series_nilpotent(s4, S)
+
+
+def nilpotency_agrees(groups) -> None:
+    """is_nilpotent(G, S) equals series_nilpotent on F, R, every term of G's series, the centre and
+    four random closures of each group, and is_nilpotent(G) equals nilpotency_class(G) is not None."""
+    rng = np.random.default_rng(44)
+    for group_id, G in groups:
+        closures = [subgroup_closure(G, rng.choice(G.n, size=size)) for size in (1, 1, 2, 2)]
+        centre = centralizer(G, ElementSet.full(G.n))
+        for S in (fitting_subgroup(G), nilpotent_residual(G), *G.lower_central, centre, *closures):
+            assert is_nilpotent(G, S) == series_nilpotent(G, S), (group_id, len(S))
+        assert is_nilpotent(G) == (nilpotency_class(G) is not None), group_id
+
+
+@pytest.fixture(scope="module")
+def nilpotency_groups(corpus):
+    """The corpus and the largest corpus group relabelled."""
+    group_id, big = max(corpus, key=lambda item: item[1].n)
+    pi = np.array([0, *np.random.default_rng(44).permutation(np.arange(1, big.n))], dtype=big.table.dtype)
+    return [*corpus, (f"relabelled {group_id}", relabel(big, pi))]
+
+
+def test_coprime_nilpotency_matches_each_subgroups_own_series(nilpotency_groups):
+    nilpotency_agrees(nilpotency_groups)
+
+
+def test_coprime_nilpotency_test_fails_when_a_prime_is_dropped(monkeypatch, s3, nilpotency_groups):
+    """With the last prime dropped, S3 has one prime and no pair to check, so it reads as
+    nilpotent, and the agreement test above fails."""
+    monkeypatch.setattr(structure, "_prime_powers", lambda m: group._prime_powers(m)[:-1])
+    assert is_nilpotent(s3)
+    with pytest.raises(AssertionError):
+        nilpotency_agrees(nilpotency_groups)
 
 
 def test_d4_series_reaches_identity(d4):
@@ -207,9 +241,9 @@ def test_fitting_of_a_nilpotent_group_is_g_without_a_walk(corpus, monkeypatch):
     Engel walk and no product grid, on every nilpotent corpus group and a relabelled dihedral 512."""
     d512 = build(FamilySpec("dihedral", (512,)))
     pi = np.array([0, *np.random.default_rng(38).permutation(np.arange(1, d512.n))], dtype=d512.table.dtype)
-    groups = [(group_id, G) for group_id, G in corpus if is_nilpotent(G)]  # makes and keeps each series
+    groups = [(group_id, G) for group_id, G in corpus if len(G.lower_central[-1]) == 1]  # makes and keeps each series
     groups.append(("relabelled dihedral 512", relabel(d512, pi)))
-    assert len(groups) == 33 and is_nilpotent(groups[-1][1])
+    assert len(groups) == 33 and len(groups[-1][1].lower_central[-1]) == 1
     made = []
     monkeypatch.setattr(structure, "left_engel_set", lambda G: made.append("left Engel walk"))
     monkeypatch.setattr(group, "_product_grid", lambda *args: made.append("product grid"))
