@@ -28,7 +28,8 @@ use. Conjugation by a generating set has the classes as its orbits (Holt, Eick
 maps each element to the least element of its class by min-label propagation
 over it, with pointer jumping (lab = lab[lab]), C_G(G) is its centralizer
 (_coset_minima), and a product checks its action on its factors' kept sets.
-Normality is then H.mask == H.mask[label], and comm_values of a class union
+Normality is then H.mask == H.mask[label]; a class union S is closed when its
+class minima M give M S in S (is_subgroup); and comm_values of a class union
 against all of G is one gather over it from its class minima m ([m, g] =
 m^-1 m^g, m^g runs over m's class); any other pair of sets takes a grid.
 
@@ -44,10 +45,11 @@ rows, each from its parent's row; the same walk rebuilds the rows when a perm
 is read or sought. _perm_table, the one tail of _from_tree and cyclic n, lays
 out a permutation table's perms and cycle-notation labels: no build makes
 them, as a LazyList makes item i only when read.
-GroupTable.lower_central (G's lower central series; a trivial term repeats
-uncomputed), commutators (the values [x, g] over G; comm_values(G, G, G)) and
-commutator_cosets (the least elements of the cosets of their centralizer) are
-also made on first use and kept, for gamma_values, both series and the walks.
+GroupTable.lower_central (G's lower central series, whose stable term R it
+certifies: normal, with G/R nilpotent by _nilpotent_modulo), commutators (the
+values [x, g] over G; comm_values(G, G, G)) and commutator_cosets (the least
+elements of the cosets of their centralizer) are also made on first use and
+kept, for gamma_values, the series and the walks.
 
 Why each builder's table is a Latin square (Holt, Eick & O'Brien 4.1;
 Robinson, A Course in the Theory of Groups, 1.5): a searched closure's
@@ -81,6 +83,7 @@ import numpy as np
 from .errors import (
     CapExceeded,
     IndexOutOfRange,
+    InternalInconsistency,
     InvalidPermutation,
     NotAHomomorphism,
     NotAnAutomorphism,
@@ -240,12 +243,17 @@ class GroupTable:
 
     @cached_property
     def lower_central(self) -> tuple[ElementSet, ...]:
-        """G, then [T, G] after each term T, down to the first repeat, which is the stable term; a
-        trivial term repeats uncomputed, as [1, G] = 1. Made on first use and kept."""
+        """G, then [T, G] after each term T, down to the first repeat, the stable term R (a trivial term
+        repeats uncomputed, as [1, G] = 1). Made on first use and kept once R is certified normal with
+        G/R nilpotent (_nilpotent_modulo): so a kept series ends at 1 exactly when G is nilpotent."""
         terms = [ElementSet.full(self.n)]
         while len(terms) < 2 or terms[-1] != terms[-2]:
             T = terms[-1]
             terms.append(T if len(T) == 1 else subgroup_closure(self, comm_values(self, T, terms[0])))
+        if not is_normal(self, terms[-1]):  # raises NotASubgroup unless R is a subgroup
+            raise NotNormal("the nilpotent residual is not normal")
+        if not _nilpotent_modulo(self, terms[-1]):
+            raise InternalInconsistency("quotient by the nilpotent residual is not nilpotent")
         return tuple(terms)
 
     def __repr__(self) -> str:
@@ -575,6 +583,20 @@ def _class_commutators(G: GroupTable, ys: np.ndarray) -> np.ndarray:
     return G.table[G.inverse[G.class_labels[ys]], ys]
 
 
+def _nilpotent_modulo(G: GroupTable, N: ElementSet) -> bool:
+    """Whether G/N is nilpotent, for a normal subgroup N: whether the upper central series modulo N
+    reaches G (Robinson, A Course in the Theory of Groups, 5.1). Z_0 = N, and Z_i+1 is the union of
+    the classes whose least element m has [m, g] = v[y] = m^-1 y in Z_i for every y = m^g in m's class
+    (_class_commutators): all classes but those meeting the y with v[y] outside Z_i; Z_i is normal, so in Z_i+1."""
+    v, Z = _class_commutators(G, np.arange(G.n)), ElementSet.of(G.n, N).mask
+    while not Z.all():
+        grown = Z | ~classes_meeting(G, ElementSet(~Z[v])).mask
+        if (grown == Z).all():
+            return False
+        Z = grown
+    return True
+
+
 def subgroup_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> ElementSet:
     """Smallest subgroup of G containing the seed elements, grown breadth
     first by right products with the seeds, one gather per round."""
@@ -592,12 +614,15 @@ def subgroup_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> Element
 
 
 def is_subgroup(G: GroupTable, S: ElementSet) -> bool:
-    """Whether S holds 1 and every product of two members: all of G is a subgroup at once, else |S|^2 products."""
+    """Whether S holds 1 and is closed under products: all of G is a subgroup at once. A union of
+    classes is tested on its class minima M alone, M S in S: for m^g and s in S, m^g s =
+    (m s^(g^-1))^g lies in S. Any other S takes all of S as rows, |S|^2 products."""
     S = ElementSet.of(G.n, S)
     if S.mask.all():
         return True
-    mem = S.mask.nonzero()[0]
-    return 0 in S and bool(S.mask[_values(G, _product_grid, mem, mem)].all())
+    mask, mem, reps = S.mask, S.mask.nonzero()[0], class_representatives(G)
+    rows = reps[mask[reps]] if not (mask ^ mask[G.class_labels]).any() else mem
+    return 0 in S and bool(mask[_values(G, _product_grid, rows, mem)].all())
 
 
 def is_normal(G: GroupTable, H: ElementSet) -> bool:

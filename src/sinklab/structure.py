@@ -1,24 +1,22 @@
 """Classical structure computations: the lower central series, nilpotency,
 the nilpotent residual, and the Fitting subgroup.
 
+G's lower central series is kept with its table (GroupTable.lower_central)
+and certified once, where it is made: its stable term, the nilpotent
+residual R, is normal, and G/R is nilpotent by the upper central series
+modulo R (group._nilpotent_modulo). So a kept series ends at 1 exactly when
+G is nilpotent, and nilpotent_residual and fitting_subgroup read it with no
+certificate of their own. A series is a plain tuple of ElementSets that ends
+in its first repeated term, the stable one; 1 repeats uncomputed.
+
 The Fitting subgroup is computed by Baer's criterion: in a finite group the
 left Engel elements form exactly the largest normal nilpotent subgroup. When
-G's kept lower central series ends at 1, G is nilpotent and F is G by
-definition, so no left Engel walk is made (left_engel_set itself still walks,
-for check_heineken). F = G is then certified by another series, the upper
-central series (_nilpotent_modulo over the trivial subgroup), which must reach
-G; a subgroup and normality check would hold by construction. A walked F is
-certified in fitting_subgroup as a subgroup, normal and nilpotent.
-is_nilpotent(G, S), for G and every subgroup S alike, makes no series: S is
-nilpotent exactly when its elements of coprime prime-power orders commute.
-G's own series is kept with its table (GroupTable.lower_central).
-A series is a plain tuple of ElementSets that ends in its first repeated
-term, so its last entry is the stable one; 1 repeats without a computation.
-The nilpotent residual R is the stable term of G's series. Its certificate
-(is_normal, then _nilpotent_modulo) checks that G/R is nilpotent by another
-series, the upper central series modulo R, on G's certified class labels:
-no quotient table is made, and for a nilpotent G, where R = 1, the kept
-lower central series is not read again.
+G's series ends at 1, F is G by definition, with no left Engel walk
+(left_engel_set still walks, for check_heineken). A walked F is certified
+as a subgroup (on its class minima when it is a class union: is_subgroup),
+normal and nilpotent. is_nilpotent(G, S), for G and every subgroup S alike,
+makes no series: S is nilpotent exactly when its elements of coprime
+prime-power orders commute.
 """
 
 from __future__ import annotations
@@ -26,9 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .engel import left_engel_set
-from .errors import InternalInconsistency, NotNormal
-from .group import ElementSet, GroupTable, _class_commutators, _commuting, _power, _prime_powers, classes_meeting
-from .group import is_normal, is_subgroup
+from .errors import InternalInconsistency
+from .group import ElementSet, GroupTable, _commuting, _power, _prime_powers, classes_meeting, is_subgroup
 
 
 def lower_central_series(G: GroupTable) -> tuple[ElementSet, ...]:
@@ -63,39 +60,16 @@ def nilpotency_class(G: GroupTable) -> int | None:
 
 
 def nilpotent_residual(G: GroupTable) -> ElementSet:
-    """Stable term of the lower central series: the smallest normal subgroup
-    with nilpotent quotient. Certified normal, and with G/R nilpotent by the
-    upper central series modulo R (_nilpotent_modulo), in G's own table."""
-    residual = lower_central_series(G)[-1]
-    if not is_normal(G, residual):  # raises NotASubgroup unless the residual is a subgroup
-        raise NotNormal("the nilpotent residual is not normal")
-    if not _nilpotent_modulo(G, residual):
-        raise InternalInconsistency("quotient by the nilpotent residual is not nilpotent")
-    return residual
-
-
-def _nilpotent_modulo(G: GroupTable, N: ElementSet) -> bool:
-    """Whether G/N is nilpotent, for a normal subgroup N: whether the upper central series
-    modulo N reaches G (Robinson, A Course in the Theory of Groups, 5.1). Z_0 = N, and Z_i+1
-    is the union of the classes whose least element m has [m, g] in Z_i for every g, that is
-    v[y] = m^-1 y in Z_i for every y in m's class (_class_commutators): all classes but those
-    that meet the y with v[y] outside Z_i. Z_i is normal, so Z_i+1 contains it."""
-    v, Z = _class_commutators(G, np.arange(G.n)), ElementSet.of(G.n, N).mask
-    while not Z.all():
-        grown = Z | ~classes_meeting(G, ElementSet(~Z[v])).mask
-        if (grown == Z).all():
-            return False
-        Z = grown
-    return True
+    """Stable term of the lower central series: the smallest normal subgroup with nilpotent
+    quotient, certified where the series is made (GroupTable.lower_central)."""
+    return lower_central_series(G)[-1]
 
 
 def fitting_subgroup(G: GroupTable) -> ElementSet:
-    """Largest normal nilpotent subgroup, as the set of left Engel elements: G itself when G's
-    kept lower central series ends at 1 and its upper central series reaches G, with no walk,
-    else left_engel_set, certified a normal nilpotent subgroup."""
+    """Largest normal nilpotent subgroup, as the set of left Engel elements: G itself, with no
+    walk, when G's kept (so certified) lower central series ends at 1, else left_engel_set,
+    certified a normal nilpotent subgroup."""
     if len(G.lower_central[-1]) == 1:
-        if not _nilpotent_modulo(G, ElementSet.trivial(G.n)):
-            raise InternalInconsistency("lower central series ends at 1, upper central series does not reach G")
         return ElementSet.full(G.n)
     F = left_engel_set(G)
     if not is_subgroup(G, F):

@@ -47,10 +47,10 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .engel import gamma_values, left_engel_set, sink_profile, sinks
-from .errors import HypothesisFailed
+from .errors import HypothesisFailed, NotASubgroup
 from .families import FamilySpec, build
 from .group import (
-    DEFAULT_ORDER_CAP, ElementSet, GroupTable, _comm, _commuting, class_representatives, is_subgroup, subgroup_closure,
+    DEFAULT_ORDER_CAP, ElementSet, GroupTable, _comm, _commuting, _generate, class_representatives, subgroup_closure,
     subgroup_table,
 )
 from .structure import fitting_subgroup, is_nilpotent, nilpotent_residual
@@ -121,25 +121,26 @@ def check_centralizer_power(G: GroupTable, reps: np.ndarray, rows: np.ndarray) -
 def check_orbit_lemma(G: GroupTable, V: ElementSet, a: int, k: int) -> CheckResult:
     """Orbit lemma for a cyclic group acting on abelian V with V = [V, a].
 
-    Once the hypotheses hold, u -> [u, a] maps V onto V, so it is a
-    permutation pi of V with pi(1) = 1 and no other fixed point, whose
-    cycles are the commutator orbits. Verifies (b) V inside the weight-k
-    value set of <V, a>, and the weak form of (c): each orbit sits inside
-    the sink of its v. Whether sink(v) = orbit(v) + {identity} holds as an
-    equality is recorded empirically in stats, never asserted.
-    """
-    if not is_subgroup(G, V):
-        raise HypothesisFailed("V is not a subgroup")
-    mem = np.flatnonzero(V.mask)
-    if not _commuting(G, mem, mem).all():
+    V is a subgroup, and abelian, as tested on the generators that certify it (_generate), and a
+    with them closes <V, a>. Once the hypotheses hold, u -> [u, a] maps V onto V, so it is a
+    permutation pi of V with pi(1) = 1 and no other fixed point, whose cycles are the commutator
+    orbits. Verifies (b) V inside the weight-k value set of <V, a>, and the weak form of (c): each
+    orbit sits inside the sink of its v. Whether sink(v) = orbit(v) + {identity} holds as an
+    equality is recorded empirically in stats, never asserted."""
+    try:  # V's generators, which certify it a subgroup
+        gens = np.array(_generate(G, ElementSet.of(G.n, V).mask, []), dtype=np.intp)
+    except NotASubgroup:
+        raise HypothesisFailed("V is not a subgroup") from None
+    if not _commuting(G, gens, gens).all():
         raise HypothesisFailed("V is not abelian")
+    mem = np.flatnonzero(V.mask)
     image = _comm(G, mem, G._check(a))  # image[i] = [mem[i], a]
     if not V.mask[G.table[mem, image]].all():  # mem[i]^a = mem[i] [mem[i], a]
         raise HypothesisFailed("a does not normalize V")
     if ElementSet.of(G.n, image) != V:
         raise HypothesisFailed("V != [V, a]")
 
-    H, embedding = subgroup_table(G, subgroup_closure(G, [a, *V]))
+    H, embedding = subgroup_table(G, subgroup_closure(G, [a, *gens]))
     local = np.searchsorted(embedding, mem)  # local[i] is mem[i]'s index in H
     missing = mem[~gamma_values(H, k).mask[local]]
     if len(missing):

@@ -20,9 +20,11 @@ generators, certified by Burnside's count of commuting pairs, the reference
 that ``GroupTable.class_labels``, by the generating set, is held to;
 ``series_nilpotent`` is nilpotency by a subgroup's own lower central series
 in its own table, the reference that ``is_nilpotent``'s coprime-order test is
-held to; ``element_order``, ``commute`` and ``conj`` are scalar table reads,
-``compose`` and ``inverse`` the permutation products of the scalar closure
-oracle, and ``union`` the join of two element sets.
+held to; ``all_products_subgroup`` is the subgroup test by all |S|^2 products,
+with no class labels, the reference that ``is_subgroup``, on a class union's
+minima, is held to; ``element_order``, ``commute`` and ``conj`` are scalar
+table reads, ``compose`` and ``inverse`` the permutation products of the
+scalar closure oracle, and ``union`` the join of two element sets.
 """
 
 import math
@@ -84,6 +86,15 @@ def series_nilpotent(G: GroupTable, S: ElementSet) -> bool:
     """Whether the subgroup S is nilpotent: whether the kept lower central series of S's own
     subgroup table ends at 1."""
     return len(subgroup_table(G, S)[0].lower_central[-1]) == 1
+
+
+def all_products_subgroup(G: GroupTable, S: ElementSet) -> bool:
+    """Whether S holds 1 and every product of two of its members, in blocks of rows of the
+    |S| x |S| grid: no class labels are read."""
+    mask = ElementSet.of(G.n, S).mask
+    mem = mask.nonzero()[0]
+    rows = _blocks(len(mem), len(mem) * (G.table.itemsize + 1))  # a grid and a mask an entry
+    return bool(mask[0]) and all(mask[G.table[np.ix_(mem[r], mem)]].all() for r in rows)
 
 
 def commute(G: GroupTable, a: int, b: int) -> bool:

@@ -34,6 +34,8 @@ from sinklab.group import (
     GroupTable,
     LazyList,
     centralizer,
+    class_representatives,
+    classes_meeting,
     close_generators,
     comm_values,
     direct_product,
@@ -51,8 +53,9 @@ from sinklab.structure import fitting_subgroup, nilpotent_residual
 from sinklab.verify import scan_row
 
 from oracles import (
-    associativity_audit, commute, compose, conj, counted_class_labels, derived_series, element_order, exponent_by_powers,
-    non_automorphisms, non_homomorphism_pairs, normal_closure, normal_subgroups, relabel, union,
+    all_products_subgroup, associativity_audit, commute, compose, conj, counted_class_labels, derived_series,
+    element_order, exponent_by_powers, non_automorphisms, non_homomorphism_pairs, normal_closure, normal_subgroups,
+    relabel, union,
 )
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -429,6 +432,50 @@ def test_centralizer_is_subgroup(s4):
         C = centralizer(s4, [x])
         assert is_subgroup(s4, C)
         assert x in C
+
+
+def subgroup_test_cases(groups) -> list:
+    """(group id, G, S) for each group: F, R, every series term and the centre; four random closures;
+    random class unions holding 1, four normal closures (closed) and four unions of the classes of
+    random elements (mostly not); and four random subsets, three of them holding 1."""
+    rng, cases = np.random.default_rng(46), []
+    for group_id, G in groups:
+        reps = class_representatives(G)
+        sets = [fitting_subgroup(G), nilpotent_residual(G), *G.lower_central, centralizer(G, ElementSet.full(G.n))]
+        sets += [subgroup_closure(G, rng.choice(G.n, size=size)) for size in (1, 1, 2, 2)]
+        sets += [normal_closure(G, rng.choice(reps, size=1)) for _ in range(4)]
+        sets += [classes_meeting(G, ElementSet.of(G.n, [0, *rng.choice(reps, size=size)])) for size in (1, 1, 2, 3)]
+        sets += [ElementSet.of(G.n, [0, *rng.choice(G.n, size=size)]) for size in (1, 2, 4)]
+        sets.append(ElementSet.of(G.n, rng.choice(G.n, size=3)))
+        cases += [(group_id, G, S) for S in sets]
+    return cases
+
+
+def assert_subgroup_tests_agree(cases) -> None:
+    for group_id, G, S in cases:
+        assert is_subgroup(G, S) == all_products_subgroup(G, S), (group_id, sorted(S)[:8])
+
+
+@pytest.fixture(scope="module")
+def subgroup_cases(corpus):
+    """The cases of the corpus and of its largest group relabelled."""
+    group_id, big = max(corpus, key=lambda item: item[1].n)
+    pi = np.array([0, *np.random.default_rng(46).permutation(np.arange(1, big.n))], dtype=big.table.dtype)
+    return subgroup_test_cases([*corpus, (f"relabelled {group_id}", relabel(big, pi))])
+
+
+def test_subgroup_test_on_class_minima_matches_all_products(subgroup_cases):
+    """is_subgroup, which tests a class union on its class minima alone, agrees with every product
+    of two members, on subgroups, class unions closed or not, and other subsets."""
+    assert_subgroup_tests_agree(subgroup_cases)
+
+
+def test_subgroup_agreement_fails_when_class_union_rows_are_the_identity(monkeypatch, subgroup_cases):
+    """With a class union's rows, its class minima, cut to the identity alone, every class union
+    holding 1 reads closed, and the agreement test above fails."""
+    monkeypatch.setattr(group, "class_representatives", lambda G: np.zeros(1, dtype=np.intp))
+    with pytest.raises(AssertionError):
+        assert_subgroup_tests_agree(subgroup_cases)
 
 
 def test_is_normal(s3):

@@ -1,9 +1,11 @@
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sinklab import group, structure
+from sinklab.cli import load_corpus
 from sinklab.engel import is_left_engel
 from sinklab.errors import InternalInconsistency
 from sinklab.families import FamilySpec, build
@@ -11,6 +13,7 @@ from sinklab.group import (
     ElementSet, GroupTable, centralizer, comm_values, is_normal, quotient, subgroup_closure, subgroup_table,
     validate_table,
 )
+from sinklab.specfile import build_spec, parse_spec_file
 from sinklab.structure import (
     fitting_subgroup,
     is_nilpotent,
@@ -25,6 +28,8 @@ from oracles import (
     derived_series, fitting_maximality_check, fitting_via_normal_closures, normal_closure, normal_subgroups, relabel,
     series_nilpotent,
 )
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_derived_subgroup(s3, c12):
@@ -195,16 +200,32 @@ def test_scan_row_makes_one_series_and_one_labelling(monkeypatch, spec):
     assert quotient(G, ElementSet.trivial(G.n))[0] is G and series == [G]
 
 
-def test_residual_certificate_runs_on_every_path(monkeypatch, s3):
-    """nilpotent_residual certifies G/R whether R is nontrivial or trivial:
-    handed V4 as the residual of S4 (G/R is S3) or 1 as that of S3 (G/R is
-    S3), through G's kept lower central series, it raises."""
-    s4 = build(FamilySpec("symmetric", (4,)))
+def test_scan_row_certifies_each_series_once(monkeypatch):
+    """One certificate per table: scan_row on each freshly built corpus group, nilpotent or not,
+    runs _nilpotent_modulo exactly once, where G's lower central series is made."""
+    certified, real = [], group._nilpotent_modulo
+    monkeypatch.setattr(group, "_nilpotent_modulo", lambda G, N: certified.append(G) or real(G, N))
+    nilpotent = set()
+    for group_id, path in load_corpus(CORPUS_DIR):
+        G = build_spec(parse_spec_file(path))
+        certified.clear()
+        scan_row(G, group_id, 2)
+        assert certified == [G], group_id
+        nilpotent.add(len(G.lower_central[-1]) == 1)
+    assert nilpotent == {True, False}
+
+
+def test_residual_certificate_runs_on_every_path(monkeypatch):
+    """The series certifies its stable term R where it is made, whether R is nontrivial or trivial:
+    with comm_values faulted so that the series computes to G, R, R, for R = V4 on S4 (G/R is S3)
+    and R = 1 on S3 and on S4, reading G's kept lower central series, and so nilpotent_residual, raises."""
+    s3, s4 = build(FamilySpec("symmetric", (3,))), build(FamilySpec("symmetric", (4,)))
     v4 = subgroup_closure(s4, [s4.labels.index("(1 2)(3 4)"), s4.labels.index("(1 3)(2 4)")])
-    for G, R in ((s4, v4), (s3, ElementSet.trivial(s3.n))):
-        monkeypatch.setattr(G, "lower_central", (ElementSet.full(G.n), R, R))
-        with pytest.raises(InternalInconsistency, match="nilpotent residual"):
-            nilpotent_residual(G)
+    for G, R in ((s4, v4), (s3, ElementSet.trivial(s3.n)), (s4, ElementSet.trivial(s4.n))):
+        monkeypatch.setattr(group, "comm_values", lambda G, left, right, R=R: R)
+        for read in (lambda: G.lower_central, lambda: nilpotent_residual(G)):  # a series that raises is not kept
+            with pytest.raises(InternalInconsistency, match="nilpotent residual"):
+                read()
 
 
 def test_nilpotent_modulo_matches_the_quotient(corpus):
@@ -215,7 +236,7 @@ def test_nilpotent_modulo_matches_the_quotient(corpus):
     pi = np.array([0, *np.random.default_rng(37).permutation(np.arange(1, big.n))], dtype=big.table.dtype)
     for group_id, G in corpus + [("relabelled " + big.name, relabel(big, pi))]:
         for N in (*G.lower_central, centralizer(G, ElementSet.full(G.n))):
-            assert structure._nilpotent_modulo(G, N) == is_nilpotent(quotient(G, N)[0]), (group_id, len(N))
+            assert group._nilpotent_modulo(G, N) == is_nilpotent(quotient(G, N)[0]), (group_id, len(N))
 
 
 @pytest.mark.parametrize(
@@ -252,12 +273,13 @@ def test_fitting_of_a_nilpotent_group_is_g_without_a_walk(corpus, monkeypatch):
     assert made == []
 
 
-def test_fitting_shortcut_is_certified_by_the_upper_central_series():
-    """F = G rests on a second series: a kept lower central series that ends at 1 on S4, which
-    is not nilpotent, makes fitting_subgroup raise, as S4's upper central series stops at 1."""
+def test_fitting_shortcut_is_certified_by_the_upper_central_series(monkeypatch):
+    """F = G rests on the certified series: with comm_values faulted so that S4's series computes
+    to S4, 1, 1, though S4 is not nilpotent, fitting_subgroup raises where it reads the series, as
+    S4's upper central series stops at 1."""
     s4 = build(FamilySpec("symmetric", (4,)))
-    s4.lower_central = (ElementSet.full(s4.n), ElementSet.trivial(s4.n), ElementSet.trivial(s4.n))
-    with pytest.raises(InternalInconsistency, match="upper central series does not reach G"):
+    monkeypatch.setattr(group, "comm_values", lambda G, left, right: ElementSet.trivial(G.n))
+    with pytest.raises(InternalInconsistency, match="nilpotent residual"):
         fitting_subgroup(s4)
 
 
