@@ -18,16 +18,17 @@ allocates, its grids, masks and int64 indices together, and the row gather
 of a product grid that gathers rows first (_product_grid), so a build peaks
 at its table, a closure's tree and O(BLOCK_ENTRIES) bytes of transients.
 
-GroupTable.generating_set (a tuple, kept) generates G: every builder but the
-quotient keeps the generators it hands GroupTable(...) (_generated), which
-generate its table by construction (a closure's own, 1 for cyclic n, the sets
-a product's action is checked on, a subgroup's greedy set); any other table's
-generators are closed and extended until they generate (_generate) on first
-use. Conjugation by a generating set has the classes as its orbits (Holt, Eick
-& O'Brien 4.1), so one certificate serves every reader: GroupTable.class_labels
-maps each element to the least element of its class by min-label propagation
-over it, with pointer jumping (lab = lab[lab]), C_G(G) is its centralizer
-(_coset_minima), and a product checks its action on its factors' kept sets.
+GroupTable.generating_set (a tuple, kept) generates G: every builder keeps the
+generators it hands GroupTable(...) (_generated), which generate its table by
+construction (a closure's own, 1 for cyclic n, the sets a product's action is
+checked on, a subgroup's greedy set, the projection of G's set to G/N); any
+other table's generators are closed and extended until they generate
+(_generate) on first use. Conjugation by a generating set has the classes as
+its orbits (Holt, Eick & O'Brien 4.1), so one certificate serves every reader:
+GroupTable.class_labels maps each element to the least element of its class
+by min-label propagation over it, with pointer jumping (lab = lab[lab]),
+C_G(G) is its centralizer (_coset_minima), and a product checks its action
+on its factors' kept sets.
 Normality is then H.mask == H.mask[label]; a class union S is closed when its
 class minima M give M S in S (is_subgroup); and comm_values of a class union
 against all of G is one gather over it from its class minima m ([m, g] =
@@ -46,10 +47,14 @@ is read or sought. _perm_table, the one tail of _from_tree and cyclic n, lays
 out a permutation table's perms and cycle-notation labels: no build makes
 them, as a LazyList makes item i only when read.
 GroupTable.lower_central (G's lower central series, whose stable term R it
-certifies: normal, with G/R nilpotent by _nilpotent_modulo), commutators (the
+certifies: normal, with G/R nilpotent by is_nilpotent), commutators (the
 values [x, g] over G; comm_values(G, G, G)) and commutator_cosets (the least
 elements of the cosets of their centralizer) are also made on first use and
-kept, for gamma_values, the series and the walks.
+kept, for gamma_values, the series and the walks. One test decides the
+nilpotency of every subgroup S and quotient S/N, G/R included: is_nilpotent
+counts, for each p^a exactly dividing |S : N|, the x in S with x^(p^a) in N,
+as S/N is nilpotent exactly when it has no more p-elements than a Sylow
+p-subgroup holds (Robinson 5.2.4).
 
 Why each builder's table is a Latin square (Holt, Eick & O'Brien 4.1;
 Robinson, A Course in the Theory of Groups, 1.5): a searched closure's
@@ -245,14 +250,14 @@ class GroupTable:
     def lower_central(self) -> tuple[ElementSet, ...]:
         """G, then [T, G] after each term T, down to the first repeat, the stable term R (a trivial term
         repeats uncomputed, as [1, G] = 1). Made on first use and kept once R is certified normal with
-        G/R nilpotent (_nilpotent_modulo): so a kept series ends at 1 exactly when G is nilpotent."""
+        G/R nilpotent (is_nilpotent): so a kept series ends at 1 exactly when G is nilpotent."""
         terms = [ElementSet.full(self.n)]
         while len(terms) < 2 or terms[-1] != terms[-2]:
             T = terms[-1]
             terms.append(T if len(T) == 1 else subgroup_closure(self, comm_values(self, T, terms[0])))
         if not is_normal(self, terms[-1]):  # raises NotASubgroup unless R is a subgroup
             raise NotNormal("the nilpotent residual is not normal")
-        if not _nilpotent_modulo(self, terms[-1]):
+        if not is_nilpotent(self, N=terms[-1]):
             raise InternalInconsistency("quotient by the nilpotent residual is not nilpotent")
         return tuple(terms)
 
@@ -451,7 +456,7 @@ def _perm_table(table: np.ndarray, inverse: np.ndarray, degree: int, rows: Calla
     """The GroupTable of a permutation group of this degree, whose 0-based image rows rows() makes:
     perm i and label i, its cycle notation, are made when read (PermRows)."""
     perms = PermRows(len(table), degree, rows)
-    labels = LazyList(len(table), lambda i: format_cycles(perms[i]))
+    labels = LazyList(len(table), lambda i: format_cycles(perms.make(i)))  # a label keeps no perm
     return _generated(GroupTable(len(table), table, inverse, labels, gens, perms, name))
 
 
@@ -571,30 +576,12 @@ def comm_values(G: GroupTable, left: ElementSet, right: ElementSet) -> ElementSe
 
 
 def _comm_values_against_all(G: GroupTable, left_mask: np.ndarray) -> ElementSet:
-    """{[x, g] : x in the class union left_mask, g in G}, in one gather over it (_class_commutators)."""
-    values = np.zeros(G.n, dtype=bool)
-    values[_class_commutators(G, left_mask.nonzero()[0])] = True
+    """{[x, g] : x in the class union left_mask, g in G}, in one gather over it: for y in it and m
+    the least element of y's class, [m, g] = m^-1 m^g and m^g runs over m's class, so the values
+    [m, g] over g in G are m^-1 y over y in m's class."""
+    ys, values = left_mask.nonzero()[0], np.zeros(G.n, dtype=bool)
+    values[G.table[G.inverse[G.class_labels[ys]], ys]] = True
     return classes_meeting(G, ElementSet(values))
-
-
-def _class_commutators(G: GroupTable, ys: np.ndarray) -> np.ndarray:
-    """v[i] = m^-1 ys[i], m the least element of ys[i]'s class: [m, g] = m^-1 m^g, and m^g runs
-    over m's class, so the values [m, g] over g in G are v over m's class."""
-    return G.table[G.inverse[G.class_labels[ys]], ys]
-
-
-def _nilpotent_modulo(G: GroupTable, N: ElementSet) -> bool:
-    """Whether G/N is nilpotent, for a normal subgroup N: whether the upper central series modulo N
-    reaches G (Robinson, A Course in the Theory of Groups, 5.1). Z_0 = N, and Z_i+1 is the union of
-    the classes whose least element m has [m, g] = v[y] = m^-1 y in Z_i for every y = m^g in m's class
-    (_class_commutators): all classes but those meeting the y with v[y] outside Z_i; Z_i is normal, so in Z_i+1."""
-    v, Z = _class_commutators(G, np.arange(G.n)), ElementSet.of(G.n, N).mask
-    while not Z.all():
-        grown = Z | ~classes_meeting(G, ElementSet(~Z[v])).mask
-        if (grown == Z).all():
-            return False
-        Z = grown
-    return True
 
 
 def subgroup_closure(G: GroupTable, seed: ElementSet | Iterable[int]) -> ElementSet:
@@ -630,6 +617,20 @@ def is_normal(G: GroupTable, H: ElementSet) -> bool:
     if not is_subgroup(G, H):
         raise NotASubgroup("is_normal requires a subgroup")
     return not (H.mask ^ H.mask[G.class_labels]).any()
+
+
+def is_nilpotent(G: GroupTable, S: ElementSet | None = None, N: ElementSet | None = None) -> bool:
+    """Whether S/N is nilpotent, for a subgroup S (default G) and a normal subgroup N of S (default 1):
+    whether, for each p^a exactly dividing m = |S : N|, exactly p^a |N| members x of S have x^(p^a) in N.
+    The x with x^(p^a) in N are the |N| members of each coset whose order divides p^a, the p-elements
+    of S/N; S/N has exactly p^a of them when its Sylow p-subgroup is normal, and more when it is not
+    (Robinson, A Course in the Theory of Groups, 5.2.4); S/N is nilpotent exactly when each of its
+    Sylow subgroups is normal. One prime is at once True: S/N is then a p-group."""
+    members = np.arange(G.n) if S is None else ElementSet.of(G.n, S).mask.nonzero()[0]
+    stop = (ElementSet.trivial(G.n) if N is None else ElementSet.of(G.n, N)).mask
+    order = int(np.count_nonzero(stop))
+    primes = _prime_powers(len(members) // order)
+    return len(primes) < 2 or all(np.count_nonzero(stop[_power(G, members, p**a)]) == p**a * order for p, a in primes)
 
 
 def _commuting(G: GroupTable, xs: np.ndarray, ss: np.ndarray) -> np.ndarray:
@@ -694,8 +695,8 @@ def quotient(G: GroupTable, N: ElementSet) -> tuple[GroupTable, list[int]]:
     blocks = _blocks(G.n, len(ns) * G.table.itemsize + _row_gather_bytes(G, ns))  # a grid an entry, and its row gather
     minima = np.concatenate([_product_grid(G, xs, ns).min(axis=1) for xs in blocks])
     reps, projection = np.unique(minima, return_inverse=True)
-    gens = list(dict.fromkeys(int(projection[g]) for g in G.generators if projection[g]))
-    return _induced(G, reps, projection, gens, f"{G.name}/N" if G.name else ""), projection.tolist()
+    gens = list(dict.fromkeys(int(projection[g]) for g in G.generating_set if projection[g]))  # they generate G/N
+    return _generated(_induced(G, reps, projection, gens, f"{G.name}/N" if G.name else "")), projection.tolist()
 
 
 def direct_product(A: GroupTable, B: GroupTable, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:

@@ -19,12 +19,14 @@ up to the exponent, the oracle of ``GroupTable.exponent``'s prime-power descent;
 generators, certified by Burnside's count of commuting pairs, the reference
 that ``GroupTable.class_labels``, by the generating set, is held to;
 ``series_nilpotent`` is nilpotency by a subgroup's own lower central series
-in its own table, the reference that ``is_nilpotent``'s coprime-order test is
-held to; ``all_products_subgroup`` is the subgroup test by all |S|^2 products,
-with no class labels, the reference that ``is_subgroup``, on a class union's
-minima, is held to; ``element_order``, ``commute`` and ``conj`` are scalar
-table reads, ``compose`` and ``inverse`` the permutation products of the
-scalar closure oracle, and ``union`` the join of two element sets.
+in its own table, and ``upper_central_nilpotent`` the nilpotency of G/N by the
+upper central series modulo N, the references that ``is_nilpotent``'s count of
+p-elements is held to on subgroups and on quotients; ``all_products_subgroup``
+is the subgroup test by all |S|^2 products, with no class labels, the
+reference that ``is_subgroup``, on a class union's minima, is held to;
+``element_order``, ``commute`` and ``conj`` are scalar table reads,
+``compose`` and ``inverse`` the permutation products of the scalar closure
+oracle, and ``union`` the join of two element sets.
 """
 
 import math
@@ -86,6 +88,20 @@ def series_nilpotent(G: GroupTable, S: ElementSet) -> bool:
     """Whether the subgroup S is nilpotent: whether the kept lower central series of S's own
     subgroup table ends at 1."""
     return len(subgroup_table(G, S)[0].lower_central[-1]) == 1
+
+
+def upper_central_nilpotent(G: GroupTable, N: ElementSet) -> bool:
+    """Whether G/N is nilpotent, for a normal subgroup N: whether the upper central series modulo N
+    reaches G (Robinson, A Course in the Theory of Groups, 5.1). Z_0 = N, and Z_i+1 is the union of
+    the classes whose least element m has [m, g] = v[y] = m^-1 y in Z_i for every y = m^g in m's class:
+    all classes but those meeting the y with v[y] outside Z_i; Z_i is normal, so in Z_i+1."""
+    v, Z = G.table[G.inverse[G.class_labels], np.arange(G.n)], ElementSet.of(G.n, N).mask
+    while not Z.all():
+        grown = Z | ~classes_meeting(G, ElementSet(~Z[v])).mask
+        if (grown == Z).all():
+            return False
+        Z = grown
+    return True
 
 
 def all_products_subgroup(G: GroupTable, S: ElementSet) -> bool:

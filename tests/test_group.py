@@ -598,8 +598,9 @@ def test_quotient_examples(s3, s4):
 
 
 def test_quotient_generators_reach_the_constructor(s4, monkeypatch):
-    """quotient hands its projected generators to GroupTable(...), so the
-    constructor's range check sees the generators that the table keeps."""
+    """quotient hands G's generating set, projected, to GroupTable(...), so the
+    constructor's range check sees the generators that the table keeps, and
+    keeps them as its generating_set, as they generate G/N."""
     seen, real = [], group.validate_table
 
     def recording(G, sorts=True):
@@ -610,6 +611,7 @@ def test_quotient_generators_reach_the_constructor(s4, monkeypatch):
     v4 = subgroup_closure(s4, [s4.labels.index("(1 2)(3 4)"), s4.labels.index("(1 3)(2 4)")])
     Q, proj = quotient(s4, v4)
     assert seen == [Q.generators] and Q.generators == list(dict.fromkeys(proj[g] for g in s4.generators if proj[g]))
+    assert vars(Q)["generating_set"] == tuple(Q.generators)  # kept: the projected set generates G/N
     assert len(subgroup_closure(Q, Q.generators)) == Q.n
 
 
@@ -1065,7 +1067,8 @@ def label_work(monkeypatch):
 def test_builds_make_no_labels_or_perms(label_work):
     """Closures and products format no cycle notation and construct no
     Permutation beyond their generators; reading a label then makes its own
-    element's perm and label, once."""
+    element's perm and label, and keeps the label only, so a later perm read
+    makes the perm once more, and keeps it."""
     for spec in BUILD_CAP_SPECS:
         G = build(spec)
         assert label_work["format_cycles"] == 0, spec
@@ -1074,7 +1077,8 @@ def test_builds_make_no_labels_or_perms(label_work):
     assert G.labels[1] == "(1 2 3 4 5)"  # S5: one perm, then one label
     assert (label_work["Permutation"], label_work["format_cycles"]) == (generators + 1, 1)
     assert G.labels[1] == "(1 2 3 4 5)" and G.perms[1].image == (2, 3, 4, 5, 1)
-    assert (label_work["Permutation"], label_work["format_cycles"]) == (generators + 1, 1)  # both were kept
+    assert (label_work["Permutation"], label_work["format_cycles"]) == (generators + 2, 1)  # the label was kept
+    assert G.perms[1].image == (2, 3, 4, 5, 1) and label_work["Permutation"] == generators + 2  # the perm was kept
 
 
 def test_scan_rows_make_no_labels_or_perms(label_work):

@@ -26,7 +26,7 @@ from sinklab.verify import scan_row
 
 from oracles import (
     derived_series, fitting_maximality_check, fitting_via_normal_closures, normal_closure, normal_subgroups, relabel,
-    series_nilpotent,
+    series_nilpotent, upper_central_nilpotent,
 )
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -99,17 +99,31 @@ def nilpotency_groups(corpus):
     return [*corpus, (f"relabelled {group_id}", relabel(big, pi))]
 
 
-def test_coprime_nilpotency_matches_each_subgroups_own_series(nilpotency_groups):
+def quotient_nilpotency_agrees(groups) -> None:
+    """is_nilpotent(G, N=N) equals upper_central_nilpotent(G, N) for N every normal subgroup of each
+    group of order at most 120, and each term of the lower central series and the centre of the rest."""
+    for group_id, G in groups:
+        centre = centralizer(G, ElementSet.full(G.n))
+        for N in normal_subgroups(G) if G.n <= 120 else (*G.lower_central, centre):
+            assert is_nilpotent(G, N=N) == upper_central_nilpotent(G, N), (group_id, len(N))
+
+
+def test_p_element_count_matches_each_subgroups_own_series(nilpotency_groups):
     nilpotency_agrees(nilpotency_groups)
 
 
-def test_coprime_nilpotency_test_fails_when_a_prime_is_dropped(monkeypatch, s3, nilpotency_groups):
-    """With the last prime dropped, S3 has one prime and no pair to check, so it reads as
-    nilpotent, and the agreement test above fails."""
-    monkeypatch.setattr(structure, "_prime_powers", lambda m: group._prime_powers(m)[:-1])
+def test_p_element_count_matches_the_upper_central_series_on_quotients(nilpotency_groups):
+    quotient_nilpotency_agrees(nilpotency_groups)
+
+
+def test_p_element_count_fails_when_a_prime_is_dropped(monkeypatch, s3, nilpotency_groups):
+    """With the last prime dropped, S3 has one prime left, so it reads as nilpotent, and both
+    agreement tests above fail, on subgroups and on quotients."""
+    monkeypatch.setattr(group, "_prime_powers", lambda m, real=group._prime_powers: real(m)[:-1])
     assert is_nilpotent(s3)
-    with pytest.raises(AssertionError):
-        nilpotency_agrees(nilpotency_groups)
+    for agrees in (nilpotency_agrees, quotient_nilpotency_agrees):
+        with pytest.raises(AssertionError):
+            agrees(nilpotency_groups)
 
 
 def test_d4_series_reaches_identity(d4):
@@ -202,9 +216,15 @@ def test_scan_row_makes_one_series_and_one_labelling(monkeypatch, spec):
 
 def test_scan_row_certifies_each_series_once(monkeypatch):
     """One certificate per table: scan_row on each freshly built corpus group, nilpotent or not,
-    runs _nilpotent_modulo exactly once, where G's lower central series is made."""
-    certified, real = [], group._nilpotent_modulo
-    monkeypatch.setattr(group, "_nilpotent_modulo", lambda G, N: certified.append(G) or real(G, N))
+    runs is_nilpotent on a quotient (with N) exactly once, where G's lower central series is made."""
+    certified, real = [], group.is_nilpotent
+
+    def counted(G, S=None, N=None):
+        if N is not None:
+            certified.append(G)
+        return real(G, S, N)
+
+    monkeypatch.setattr(group, "is_nilpotent", counted)
     nilpotent = set()
     for group_id, path in load_corpus(CORPUS_DIR):
         G = build_spec(parse_spec_file(path))
@@ -228,15 +248,16 @@ def test_residual_certificate_runs_on_every_path(monkeypatch):
                 read()
 
 
-def test_nilpotent_modulo_matches_the_quotient(corpus):
-    """The upper central series modulo N reaches G exactly when the quotient
-    table G/N is nilpotent, for N each term of G's lower central series and
-    N the centre, on every corpus group and on a relabelled one."""
+def test_quotient_nilpotency_matches_the_quotient_table(corpus):
+    """is_nilpotent(G, N=N), the upper central series modulo N and is_nilpotent on the quotient
+    table G/N agree, for N each term of G's lower central series and N the centre, on every corpus
+    group and on a relabelled one."""
     big = max((G for _, G in corpus), key=lambda G: G.n)
     pi = np.array([0, *np.random.default_rng(37).permutation(np.arange(1, big.n))], dtype=big.table.dtype)
     for group_id, G in corpus + [("relabelled " + big.name, relabel(big, pi))]:
         for N in (*G.lower_central, centralizer(G, ElementSet.full(G.n))):
-            assert group._nilpotent_modulo(G, N) == is_nilpotent(quotient(G, N)[0]), (group_id, len(N))
+            on_quotient = is_nilpotent(quotient(G, N)[0])
+            assert is_nilpotent(G, N=N) == upper_central_nilpotent(G, N) == on_quotient, (group_id, len(N))
 
 
 @pytest.mark.parametrize(
@@ -255,6 +276,25 @@ def test_fitting_certificates_reject_a_wrong_left_engel_set(monkeypatch, s4, cyc
     monkeypatch.setattr(structure, "left_engel_set", lambda G: S)
     with pytest.raises(InternalInconsistency, match=message):
         fitting_subgroup(s4)
+
+
+@pytest.mark.parametrize(
+    "spec,tests",
+    [
+        (FamilySpec("inversion_extension", (3, 2)), 0),
+        (FamilySpec("frobenius", (7, 3, 2)), 0),
+        (FamilySpec("symmetric", (4,)), 1),
+    ],
+)
+def test_fitting_equal_to_the_residual_is_not_tested_again(monkeypatch, spec, tests):
+    """A walked F equal to G's kept stable term R, certified a normal subgroup where the series is
+    made, takes no subgroup test of its own once the series is read: F = R on inversion_extension 3 2
+    and frobenius 7 3 2. On S4, F = V4 and R = A4, so F is tested once."""
+    G = build(spec)
+    R, made = G.lower_central[-1], []
+    monkeypatch.setattr(structure, "is_subgroup", lambda G, S: made.append(S) or group.is_subgroup(G, S))
+    F = fitting_subgroup(G)
+    assert len(made) == tests and (F == R) == (tests == 0)
 
 
 def test_fitting_of_a_nilpotent_group_is_g_without_a_walk(corpus, monkeypatch):
@@ -276,7 +316,7 @@ def test_fitting_of_a_nilpotent_group_is_g_without_a_walk(corpus, monkeypatch):
 def test_fitting_shortcut_is_certified_by_the_upper_central_series(monkeypatch):
     """F = G rests on the certified series: with comm_values faulted so that S4's series computes
     to S4, 1, 1, though S4 is not nilpotent, fitting_subgroup raises where it reads the series, as
-    S4's upper central series stops at 1."""
+    S4 has more 2-elements than its Sylow 2-subgroup's 8 (the upper central series' verdict too)."""
     s4 = build(FamilySpec("symmetric", (4,)))
     monkeypatch.setattr(group, "comm_values", lambda G, left, right: ElementSet.trivial(G.n))
     with pytest.raises(InternalInconsistency, match="nilpotent residual"):
